@@ -20,17 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
-from .measures import (
-    NORMALIZATION_TOL,
-    JointPmf,
-    Pmf,
-    _arimoto_conditional_from_table,
-    _log_alpha_norm,
-    _logsumexp,
-    _masked_log,
-    _check_alpha,
-    _shannon,
-)
+from .fileio import write_text_atomic
+from .measures import NORMALIZATION_TOL, JointPmf, Pmf, _arimoto_entropy, _check_alpha
 
 MAX_EXACT_ALPHABET = 16
 
@@ -74,6 +65,9 @@ class WorldModel:
     ``joint`` carries axes ("X", "W", "Y") and optionally "S";
     ``distortion_table`` is |Z| x |Y| with non-negative entries, zero on
     the diagonal when Z and Y share an alphabet (square table).
+
+    The marginals every objective evaluation reads are computed here, once:
+    a changed law or table means building a new world.
     """
 
     def __init__(self, joint: JointPmf, distortion_table):
@@ -98,6 +92,14 @@ class WorldModel:
             )
         self.joint = joint
         self.distortion_table = table
+        # p(x, w, s) (a unit S axis when there is none), p(x) and
+        # C[w, z] = sum_y p(w, y) d(z, y), so that E[d] = sum_{w,z} p(z|w) C[w, z]
+        if "S" in labels:
+            self._xws = joint.marginal(("X", "W", "S")).probs
+        else:
+            self._xws = joint.marginal(("X", "W")).probs[:, :, None]
+        self._prior = joint.marginal(("X",)).probs
+        self._cost = joint.marginal(("W", "Y")).probs @ table.T
 
     @property
     def has_side_information(self):
@@ -157,8 +159,7 @@ class WorldModel:
         return cls.from_dict(doc)
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=2))
 
 
 @dataclass
@@ -218,10 +219,8 @@ def _private_joint_table(world: WorldModel, channel_probs: np.ndarray):
             f"channel has {channel_probs.shape[1]} columns, |Z| = {world.num_symbols}"
         )
     if world.has_side_information:
-        xws = world.joint.marginal(("X", "W", "S")).probs
-        return np.einsum("xws,wz->xzs", xws, channel_probs)
-    xw = world.joint.marginal(("X", "W")).probs
-    return np.einsum("xw,wz->xz", xw, channel_probs)
+        return np.einsum("xws,wz->xzs", world._xws, channel_probs)
+    return np.einsum("xw,wz->xz", world._xws[:, :, 0], channel_probs)
 
 
 def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterior:
@@ -233,7 +232,7 @@ def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterio
     table = _private_joint_table(world, channel.probs)
     cond_mass = table.sum(axis=0)
     support = cond_mass > 0.0
-    prior = world.joint.marginal(("X",)).probs
+    prior = world._prior
     cond = np.empty_like(table)
     safe = np.where(support, cond_mass, 1.0)
     cond[:] = table / safe
@@ -247,19 +246,7 @@ def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterio
 
 def expected_distortion(world: WorldModel, channel: ReleaseChannel) -> float:
     """E[d(Z, Y)] under the induced joint, by exact summation."""
-    cost = _distortion_cost_matrix(world)
-    return float(np.sum(channel.probs * cost))
-
-
-def _distortion_cost_matrix(world: WorldModel):
-    """C[w, z] = sum_y p(w, y) d(z, y); E[d] = sum_{w,z} p(z|w) C[w, z]."""
-    wy = world.joint.marginal(("W", "Y")).probs
-    return wy @ world.distortion_table.T
-
-
-def _conditional_entropy_from_table(table, alpha):
-    """Arimoto conditional entropy of X (axis 0) given the rest."""
-    return _arimoto_conditional_from_table(table, 0, alpha)
+    return float(np.sum(channel.probs * world._cost))
 
 
 def releaser_objective(
@@ -270,7 +257,7 @@ def releaser_objective(
     value = expected_distortion(world, channel)
     if cfg.lam != 0.0:
         table = _private_joint_table(world, channel.probs)
-        value -= cfg.lam * _conditional_entropy_from_table(table, cfg.alpha)
+        value -= cfg.lam * float(_arimoto_entropy(table.reshape(len(table), -1), cfg.alpha))
     return value
 
 
@@ -296,48 +283,17 @@ def _project_rows(mat):
     return np.maximum(mat + tau[:, None], 0.0)
 
 
-def _entropy_gradient(world: WorldModel, channel_probs, alpha):
-    """d H_alpha(X | Z[, S]) / d p(z|w), treating the Bayes adversary as
-    re-solved at the current channel.
-
-    Boundary convention: coordinates whose induced joint mass is zero get
-    gradient 0 (the objective is evaluated with the 0 log 0 convention, so
-    these terms are flat from inside the feasible set for alpha >= 1 and
-    we pin them for alpha < 1 as well; finite-difference cross-checks run
-    on strictly positive channels).
-    """
-    table = _private_joint_table(world, channel_probs)  # (x, z[, s])
-    if world.has_side_information:
-        contract = world.joint.marginal(("X", "W", "S")).probs  # (x, w, s)
-    else:
-        contract = world.joint.marginal(("X", "W")).probs[:, :, None]  # (x, w, 1)
-        table = table[:, :, None]
-    logj = _masked_log(table)
-    finite = np.isfinite(logj)
-    if alpha == 1.0:
-        cond_mass = table.sum(axis=0, keepdims=True)
-        log_cond = _masked_log(cond_mass)
-        dj = np.zeros_like(table)
-        np.subtract(
-            np.broadcast_to(log_cond, table.shape), logj, out=dj, where=finite
-        )
-    else:
-        log_norms = _log_alpha_norm(table, alpha, axis=0)  # (z, s)
-        log_total = _logsumexp(log_norms.ravel(), axis=0)
-        logj_safe = np.where(finite, logj, 0.0)
-        norms_safe = np.where(np.isfinite(log_norms), log_norms, 0.0)
-        expo = (1.0 - alpha) * norms_safe[None, :, :] + (alpha - 1.0) * logj_safe - log_total
-        dj = np.zeros_like(table)
-        np.exp(expo, out=dj, where=finite)
-        dj *= alpha / (1.0 - alpha)
-    return np.einsum("xzs,xws->wz", dj, contract)
-
-
 def objective_gradient(world: WorldModel, channel: ReleaseChannel, cfg: ChannelOptConfig):
-    """Analytic gradient of :func:`releaser_objective` in the channel entries."""
-    grad = _distortion_cost_matrix(world).copy()
+    """Analytic gradient of :func:`releaser_objective` in the channel entries,
+    treating the Bayes adversary as re-solved at the current channel.
+    Zero-mass joint entries contribute 0 (finite-difference cross-checks
+    run on strictly positive channels)."""
+    grad = world._cost.copy()
     if cfg.lam != 0.0:
-        grad -= cfg.lam * _entropy_gradient(world, channel.probs, cfg.alpha)
+        table = _private_joint_table(world, channel.probs)
+        _, dj = _arimoto_entropy(table.reshape(len(table), -1), cfg.alpha, grad=True)
+        dj = dj.reshape(len(table), world.num_symbols, -1)
+        grad -= cfg.lam * np.einsum("xzs,xws->wz", dj, world._xws)
     return grad
 
 
@@ -419,66 +375,69 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
 
 def _batch_objective(world: WorldModel, channels, cfg: ChannelOptConfig):
     """releaser_objective evaluated on a stack of channels (n, |W|, |Z|)."""
-    cost = _distortion_cost_matrix(world)
-    values = np.einsum("nwz,wz->n", channels, cost)
+    values = np.einsum("nwz,wz->n", channels, world._cost)
     if cfg.lam == 0.0:
         return values
-    if world.has_side_information:
-        contract = world.joint.marginal(("X", "W", "S")).probs
-        tables = np.einsum("xws,nwz->nxzs", contract, channels)
-    else:
-        contract = world.joint.marginal(("X", "W")).probs
-        tables = np.einsum("xw,nwz->nxz", contract, channels)[..., None]
-    n, nx = tables.shape[0], tables.shape[1]
-    flat = tables.reshape(n, nx, -1)  # (n, x, conditioning cell)
-    alpha = cfg.alpha
-    if alpha == 1.0:
-        ent = _shannon(flat.reshape(n, -1), axis=1) - _shannon(flat.sum(axis=1), axis=1)
-    else:
-        log_norms = _log_alpha_norm(flat, alpha, axis=1)  # (n, cell)
-        ent = alpha / (1.0 - alpha) * _logsumexp(log_norms, axis=1)
-    return values - cfg.lam * ent
+    tables = np.einsum("xws,nwz->xzsn", world._xws, channels)
+    return values - cfg.lam * _arimoto_entropy(
+        tables.reshape(len(tables), -1, len(channels)), cfg.alpha
+    )
 
 
-def grid_oracle(
-    world: WorldModel, cfg: ChannelOptConfig, resolution: int, chunk: int = 65536
-):
+def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     """Exhaustive grid search over the channel, for verifying the optimizer.
 
     Evaluates the releaser objective at every combination of per-row grid
     rows (``resolution`` points per free parameter) and returns the best
     ``(ReleaseChannel, objective)``.  Ties break to the first candidate in
-    lexicographic enumeration order.
+    lexicographic enumeration order (first row most significant).
+
+    A candidate's joint is the sum of its rows' contributions, so each
+    row's contribution is computed once; a block of candidates decodes only
+    the prefix rows 0..|W|-2 and adds the last row's whole grid by
+    broadcasting.
     """
+    block = 1 << 15  # about this many candidates are scored at once
     nfree = free_parameter_count(world)
     if nfree > 4:
         raise ValidationError(
             f"grid oracle limited to 4 free parameters, instance has {nfree}"
         )
     rows = enumerate_grid_rows(world.num_symbols, resolution)
-    nrows = world.size("W")
-    counts = [rows.shape[0]] * nrows
-    total = int(np.prod(counts))
-    best_obj = np.inf
-    best_index = -1
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        # mixed-radix decode: row choice per w, first row = most significant
-        combos = np.empty((idx.size, nrows), dtype=np.int64)
-        rem = idx.copy()
-        for w in range(nrows - 1, -1, -1):
-            combos[:, w] = rem % counts[w]
-            rem //= counts[w]
-        channels = rows[combos]  # (n, |W|, |Z|)
-        values = _batch_objective(world, channels, cfg)
-        local = int(np.argmin(values))
-        if values[local] < best_obj:
-            best_obj = float(values[local])
-            best_index = int(idx[local])
-    rem = best_index
-    choice = [0] * nrows
-    for w in range(nrows - 1, -1, -1):
-        choice[w] = rem % counts[w]
-        rem //= counts[w]
-    channel = ReleaseChannel(rows[np.array(choice)])
-    return channel, best_obj
+    nr, nw = rows.shape[0], world.size("W")
+    # parts[w, x, cell, r] = p(x, w[, s]) rows[r, z]; dist[w, r] = sum_z rows[r, z] C[w, z]
+    parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(nw, len(world._xws), -1, nr)
+    dist = world._cost @ rows.T
+    nprefix = nr ** (nw - 1)
+    per, span = max(1, block // nr), min(nr, block)
+    best_obj, best_index = np.inf, -1
+    for p0 in range(0, nprefix, per):
+        prefix = _decode(np.arange(p0, min(p0 + per, nprefix)), nr, nw - 1)
+        base = np.zeros(parts.shape[1:3] + (len(prefix),))
+        base_dist = np.zeros(len(prefix))
+        for w in range(nw - 1):
+            base += parts[w][:, :, prefix[:, w]]
+            base_dist += dist[w, prefix[:, w]]
+        for r0 in range(0, nr, span):
+            last = slice(r0, min(r0 + span, nr))
+            values = base_dist[:, None] + dist[-1, last]
+            if cfg.lam != 0.0:
+                tables = base[:, :, :, None] + parts[-1][:, :, None, last]
+                values = values - cfg.lam * _arimoto_entropy(tables, cfg.alpha)
+            local = int(np.argmin(values))
+            if values.flat[local] < best_obj:
+                best_obj = float(values.flat[local])
+                i, r = divmod(local, values.shape[1])
+                best_index = (p0 + i) * nr + r0 + r
+    choice = _decode(np.array([best_index]), nr, nw)[0]
+    return ReleaseChannel(rows[choice]), best_obj
+
+
+def _decode(index, radix, ndigits):
+    """Mixed-radix digits of candidate indices, most significant first."""
+    digits = np.empty((len(index), ndigits), dtype=np.int64)
+    rem = index.copy()
+    for d in range(ndigits - 1, -1, -1):
+        digits[:, d] = rem % radix
+        rem //= radix
+    return digits

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .channel import ChannelOptConfig, WorldModel, expected_distortion, optimize_channel, releaser_objective
 from .datasets import BatchStream, SynthConfig, train_eval_split
 from .errors import DataFormatError, DivergenceError, ValidationError
+from .fileio import write_text_atomic
 from .losses import DistortionSpec
 from .measures import (
     JointPmf,
@@ -64,19 +64,6 @@ def _out_dir(args):
     out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_text_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_json(path):
@@ -138,7 +125,7 @@ def cmd_measures(args):
             row.append(f"{rec['mutual_information_x_z_given_s']:>12.6f}")
         print("  ".join(row))
     out = os.path.join(_out_dir(args), "measures.json")
-    _write_text_atomic(out, json.dumps({"joint": args.joint, "measures": records}, indent=2))
+    write_text_atomic(out, json.dumps({"joint": args.joint, "measures": records}, indent=2))
     print(f"wrote {out}")
     return 0
 
@@ -164,7 +151,7 @@ def cmd_optimize(args):
         "trace": result.trace,
     }
     out = os.path.join(_out_dir(args), "channel.json")
-    _write_text_atomic(out, json.dumps(doc, indent=2))
+    write_text_atomic(out, json.dumps(doc, indent=2))
     status = "converged" if result.converged else "hit max_iters"
     print(
         f"objective {objective:.6f} (E[d] {doc['expected_distortion']:.6f}) "
@@ -219,7 +206,7 @@ def cmd_train(args):
             log_stream=log_stream,
         )
     checkpoint = os.path.join(out_dir, "system.json")
-    _write_text_atomic(checkpoint, json.dumps(system.to_dict()))
+    write_text_atomic(checkpoint, json.dumps(system.to_dict()))
     ne = normalized_error(system.release(eval_data), eval_data.y)
     print(f"final releaser loss {system.releaser_history[-1]:.6f}, held-out NE {ne:.6f}")
     print(f"wrote {checkpoint} and {log_path}")
@@ -279,7 +266,7 @@ def cmd_sweep(args):
     }
     results_path = os.path.join(out_dir, "results.json")
     save_results(points, results_path, metadata=metadata)
-    _write_text_atomic(os.path.join(out_dir, "results.csv"), _points_csv(points))
+    write_text_atomic(os.path.join(out_dir, "results.csv"), _points_csv(points))
     failed = sum(p.failed for p in points)
     print(f"wrote {results_path} ({len(points)} points, {failed} failed)")
     return 0
@@ -290,8 +277,8 @@ def cmd_plot(args):
     out_dir = _out_dir(args)
     svg_path = os.path.join(out_dir, "put_curves.svg")
     csv_path = os.path.join(out_dir, "put_curves.csv")
-    _write_text_atomic(svg_path, tradeoff_svg(points))
-    _write_text_atomic(csv_path, curves_csv(points))
+    write_text_atomic(svg_path, tradeoff_svg(points))
+    write_text_atomic(csv_path, curves_csv(points))
     print(f"wrote {svg_path} and {csv_path}")
     return 0
 

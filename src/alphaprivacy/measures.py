@@ -171,47 +171,75 @@ def _logsumexp(a, axis=-1):
         return np.log(s) + np.squeeze(amax, axis=axis)
 
 
-def _log_alpha_norm(p, alpha, axis=-1):
-    """log ||p||_alpha along ``axis`` in log space: (1/alpha) LSE(alpha log p)."""
-    return _logsumexp(alpha * _masked_log(p), axis=axis) / alpha
-
-
-def _shannon(p, axis=None):
-    """Shannon entropy -sum p log p in nats, zeros masked."""
-    logp = _masked_log(p)
+def _shannon(p, axis=None, logp=None):
+    """Shannon entropy -sum p log p in nats, zeros masked; ``logp`` may pass
+    in ``_masked_log(p)`` when the caller already has it."""
+    if logp is None:
+        logp = _masked_log(p)
     terms = np.zeros_like(p)
     np.multiply(p, logp, out=terms, where=np.isfinite(logp))
     return -np.sum(terms, axis=axis)
 
 
+def _arimoto_entropy(table, alpha, grad=False):
+    """Arimoto conditional alpha-entropy of X given the conditioning cells,
+    one value per batch element, for a table laid out ``(X, cells, *batch)``.
+
+    The table need not be normalized (a sub-table of a joint works), by
+
+        sum_c p(c) ||p_{X|c}||_alpha  =  sum_c ||J(., c)||_alpha
+
+    so cells with zero mass drop out.  With the private axis first, both
+    log-sum-exp reductions (over X, then over the cells) run over leading
+    axes of a C-ordered array, i.e. as sums of contiguous slabs that are
+    vectorized across the trailing batch.
+
+    With ``grad`` the result is ``(value, dH/dtable)``.  Boundary
+    convention: entries whose mass is zero get gradient 0 (they are flat
+    from inside the feasible set for alpha >= 1 and are pinned for
+    alpha < 1 as well).
+    """
+    logj = _masked_log(table)
+    if alpha == 1.0:
+        # H(X | cells) = H(joint) - H(cells)
+        cond = table.sum(axis=0)
+        log_cond = _masked_log(cond)
+        value = _shannon(table, axis=(0, 1), logp=logj) - _shannon(cond, axis=0, logp=log_cond)
+        if not grad:
+            return value
+        finite = np.isfinite(logj)
+        dj = np.zeros_like(table)
+        np.subtract(np.broadcast_to(log_cond, table.shape), logj, out=dj, where=finite)
+        return value, dj
+    log_norms = _logsumexp(alpha * logj, axis=0) / alpha  # (cells, *batch)
+    log_total = _logsumexp(log_norms, axis=0)
+    value = alpha / (1.0 - alpha) * log_total
+    if not grad:
+        return value
+    finite = np.isfinite(logj)
+    logj_safe = np.where(finite, logj, 0.0)
+    norms_safe = np.where(np.isfinite(log_norms), log_norms, 0.0)
+    expo = (1.0 - alpha) * norms_safe + (alpha - 1.0) * logj_safe - log_total
+    dj = np.zeros_like(table)
+    np.exp(expo, out=dj, where=finite)
+    dj *= alpha / (1.0 - alpha)
+    return value, dj
+
+
+def _x_first(joint: JointPmf):
+    """The joint's table as (X, cells): private axis first, the rest flat."""
+    table = np.moveaxis(joint.probs, joint.axis("X"), 0)
+    return table.reshape(table.shape[0], -1)
+
+
 def renyi_entropy(p: Pmf, alpha) -> float:
-    """Renyi entropy of order alpha in nats.
+    """Renyi entropy of order alpha in nats: H_alpha(X) given one trivial cell.
 
     Equals (alpha / (1 - alpha)) * log ||p||_alpha for alpha != 1, and the
     Shannon entropy for alpha = 1.
     """
     alpha = _check_alpha(alpha)
-    if alpha == 1.0:
-        return float(_shannon(p.probs))
-    return float(alpha / (1.0 - alpha) * _log_alpha_norm(p.probs, alpha))
-
-
-def _arimoto_conditional_from_table(joint_table, target_axis, alpha):
-    """Arimoto conditional alpha-entropy of the ``target_axis`` variable given
-    all remaining axes, from an unnormalized-joint-safe identity:
-
-        sum_z p(z) ||p_{X|z}||_alpha  =  sum_z ||J(., z)||_alpha
-
-    so conditioning cells with zero mass drop out naturally.
-    """
-    table = np.moveaxis(joint_table, target_axis, -1)
-    flat = table.reshape(-1, table.shape[-1])
-    if alpha == 1.0:
-        # H(X | conditioning) = H(joint) - H(conditioning)
-        cond = flat.sum(axis=1)
-        return float(_shannon(flat) - _shannon(cond))
-    log_norms = _log_alpha_norm(flat, alpha, axis=1)
-    return float(alpha / (1.0 - alpha) * _logsumexp(log_norms, axis=0))
+    return float(_arimoto_entropy(p.probs[:, None], alpha))
 
 
 def arimoto_conditional_entropy(joint: JointPmf, alpha) -> float:
@@ -225,15 +253,14 @@ def arimoto_conditional_entropy(joint: JointPmf, alpha) -> float:
         raise ValidationError(
             f"arimoto_conditional_entropy: expected axes X and Z, got {joint.axis_labels}"
         )
-    return _arimoto_conditional_from_table(joint.probs, joint.axis("X"), alpha)
+    return float(_arimoto_entropy(_x_first(joint), alpha))
 
 
 def alpha_mutual_information(joint: JointPmf, alpha) -> float:
     """Arimoto alpha-mutual information I^A_alpha(X; Z) = H_alpha(X) - H^A_alpha(X|Z)."""
     alpha = _check_alpha(alpha)
     h_x = renyi_entropy(joint.marginal(("X",)), alpha)
-    h_x_given_z = _arimoto_conditional_from_table(joint.probs, joint.axis("X"), alpha)
-    return h_x - h_x_given_z
+    return h_x - float(_arimoto_entropy(_x_first(joint), alpha))
 
 
 def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
@@ -245,10 +272,8 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
         raise ValidationError(
             f"conditional_alpha_mi_given_s: expected axes X, Z, S, got {joint.axis_labels}"
         )
-    xs = joint.marginal(("X", "S"))
-    h_x_given_s = _arimoto_conditional_from_table(xs.probs, 0, alpha)
-    h_x_given_zs = _arimoto_conditional_from_table(joint.probs, joint.axis("X"), alpha)
-    return h_x_given_s - h_x_given_zs
+    h_x_given_s = _arimoto_entropy(joint.marginal(("X", "S")).probs, alpha)
+    return float(h_x_given_s - _arimoto_entropy(_x_first(joint), alpha))
 
 
 def batch_sequence_arimoto_entropy(posteriors: PosteriorBatch, alpha) -> float:
@@ -270,7 +295,7 @@ def batch_sequence_arimoto_entropy(posteriors: PosteriorBatch, alpha) -> float:
     if alpha == 1.0:
         return float(_shannon(p, axis=2).mean())
     # log prod_t ||p_bt||_alpha, one value per batch element
-    log_seq_norms = _log_alpha_norm(p, alpha, axis=2).sum(axis=1)
+    log_seq_norms = (_logsumexp(alpha * _masked_log(p), axis=2) / alpha).sum(axis=1)
     log_mean = _logsumexp(log_seq_norms, axis=0) - np.log(nbatch)
     return float(alpha / (1.0 - alpha) * log_mean / nsteps)
 

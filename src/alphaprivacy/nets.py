@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import write_text_atomic
 
 ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid", "softmax")
 
@@ -249,8 +250,7 @@ class Network:
         return cls(layers, seed=doc.get("seed"))
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_dict()))
 
     @classmethod
     def from_json(cls, path):

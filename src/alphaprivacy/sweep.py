@@ -11,8 +11,6 @@ fan points out over a process pool.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -21,6 +19,7 @@ import numpy as np
 
 from .datasets import BatchStream, SynthConfig, _derive_seed, train_eval_split
 from .errors import DivergenceError, ValidationError
+from .fileio import write_text_atomic
 from .losses import DistortionSpec
 from .metrics import balanced_accuracy
 from .training import HyperParams, evaluate_system, train, train_attacker
@@ -211,17 +210,7 @@ def points_to_records(points):
 def save_results(points, path, metadata=None):
     """Write the sweep outcome as JSON, atomically (temp file + rename)."""
     doc = {"metadata": metadata or {}, "points": points_to_records(points)}
-    payload = json.dumps(doc, indent=2, allow_nan=True)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=True))
 
 
 def load_results(path):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
 from .errors import DivergenceError, ValidationError
+from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .measures import _check_alpha
 from .metrics import balanced_accuracy, normalized_error
@@ -59,6 +60,12 @@ class HyperParams:
             raise ValidationError("batch_size, adversary_steps and num_steps must be >= 1")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
+        if self.lr_decay < 0:
+            raise ValidationError(f"lr_decay must be >= 0, got {self.lr_decay}")
+        if min(self.hidden_releaser, self.hidden_adversary, self.hidden_utility) < 1:
+            raise ValidationError(
+                "hidden_releaser, hidden_adversary and hidden_utility must be >= 1"
+            )
         if self.observed_mode not in OBSERVED_MODES:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
         if not 0.0 <= self.average_tail < 1.0:
@@ -169,8 +176,7 @@ class TrainedSystem:
         )
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_dict()))
 
     @classmethod
     def from_json(cls, path):

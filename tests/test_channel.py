@@ -1,9 +1,12 @@
 """Tests for the exact release-channel optimizer and its grid oracle."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaprivacy.channel import (
     ChannelOptConfig,
@@ -327,3 +330,111 @@ class TestGridOracle:
         assert free_parameter_count(world) == 5
         with pytest.raises(ValidationError):
             grid_oracle(world, ChannelOptConfig(), resolution=11)
+
+
+def _world(table, labels, distortion):
+    return WorldModel(JointPmf(table / table.sum(), labels), distortion)
+
+
+def side_world():
+    """|X| = 3, |W| = 2, |Y| = 2 and an S axis, all cells populated."""
+    rng = np.random.default_rng(23)
+    return _world(rng.random((3, 2, 2, 2)) + 0.05, ("X", "W", "Y", "S"), HAMMING)
+
+
+def wide_world():
+    """|W| = 4, |Z| = 2, near one-hot: X = 0 almost surely."""
+    rng = np.random.default_rng(29)
+    table = rng.random((2, 4, 2)) + 0.1
+    table[1] *= 1e-9
+    return _world(table, ("X", "W", "Y"), HAMMING)
+
+
+def single_row_world():
+    """|W| = 1, |Z| = |Y| = 3: one channel row over a 3-symbol release."""
+    rng = np.random.default_rng(31)
+    distortion = np.ones((3, 3)) - np.eye(3)
+    return _world(rng.random((3, 1, 3)) + 0.05, ("X", "W", "Y"), distortion)
+
+
+def brute_force_oracle(world, cfg, resolution):
+    """First strict minimum of releaser_objective over all grid channels, in
+    lexicographic order of the per-row grid choices."""
+    rows = enumerate_grid_rows(world.num_symbols, resolution)
+    best_channel, best = None, np.inf
+    for combo in itertools.product(range(len(rows)), repeat=world.size("W")):
+        channel = ReleaseChannel(rows[list(combo)])
+        value = releaser_objective(world, channel, cfg)
+        if value < best:
+            best_channel, best = channel, value
+    return best_channel, best
+
+
+class TestGridOracleAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "make_world, resolution",
+        [(side_world, 11), (wide_world, 5), (single_row_world, 11)],
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0, 50.0])
+    def test_matches_brute_force(self, make_world, resolution, alpha):
+        world = make_world()
+        cfg = ChannelOptConfig(alpha=alpha, lam=0.7)
+        channel, obj = grid_oracle(world, cfg, resolution)
+        want_channel, want = brute_force_oracle(world, cfg, resolution)
+        assert np.isfinite(obj)
+        assert obj == pytest.approx(want, abs=1e-12)
+        assert releaser_objective(world, channel, cfg) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("num_w, num_z, resolution", [(2, 2, 301), (1, 3, 257)])
+    def test_blocked_scan_matches_batch_objective(self, num_w, num_z, resolution):
+        # more candidates than one block holds: prefix blocks (|W| = 2) and
+        # slices of the last row's grid (|W| = 1, 33153 rows)
+        rng = np.random.default_rng(37)
+        distortion = np.ones((num_z, num_z)) - np.eye(num_z)
+        world = _world(rng.random((2, num_w, num_z)) + 0.05, ("X", "W", "Y"), distortion)
+        cfg = ChannelOptConfig(alpha=2.0, lam=0.9)
+        channel, obj = grid_oracle(world, cfg, resolution)
+        rows = enumerate_grid_rows(num_z, resolution)
+        combos = itertools.product(range(len(rows)), repeat=num_w)
+        values = _batch_objective(world, rows[np.array(list(combos))], cfg)
+        assert obj == pytest.approx(values.min(), abs=1e-12)
+        assert releaser_objective(world, channel, cfg) == pytest.approx(obj, abs=1e-12)
+
+    def test_exact_tie_returns_first_candidate(self):
+        # every candidate scores exactly 0.0; 41^3 candidates span several blocks
+        table = np.random.default_rng(41).random((2, 3, 2)) + 0.05
+        world = _world(table, ("X", "W", "Y"), np.zeros((2, 2)))
+        channel, obj = grid_oracle(world, ChannelOptConfig(alpha=2.0, lam=0.0), 41)
+        assert obj == 0.0
+        np.testing.assert_array_equal(channel.probs, [[0.0, 1.0]] * 3)
+
+
+def _random_square_world(seed, n, with_side_info):
+    rng = np.random.default_rng(seed)
+    distortion = np.ones((n, n)) - np.eye(n)
+    if with_side_info:
+        return _world(rng.random((2, n, n, 2)) + 0.02, ("X", "W", "Y", "S"), distortion)
+    return _world(rng.random((2, n, n)) + 0.02, ("X", "W", "Y"), distortion)
+
+
+class TestOptimizerProperties:
+    @settings(max_examples=12)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 3),
+        with_side_info=st.booleans(),
+        lam=st.floats(0.0, 2.0),
+    )
+    def test_shannon_optimum_beats_identity_and_constant_channels(
+        self, seed, n, with_side_info, lam
+    ):
+        # at alpha = 1 the objective is E[d] + lam * I(X; Z[| S]) + const,
+        # convex in p(z|w), so the optimizer reaches the global minimum
+        world = _random_square_world(seed, n, with_side_info)
+        cfg = ChannelOptConfig(alpha=1.0, lam=lam)
+        result = optimize_channel(world, cfg, seed=seed)
+        got = releaser_objective(world, result.channel, cfg)
+        q = np.random.default_rng(seed).dirichlet(np.ones(n))
+        rivals = [np.eye(n), np.tile(q, (n, 1))] + [np.tile(row, (n, 1)) for row in np.eye(n)]
+        for rival in rivals:
+            assert got <= releaser_objective(world, ReleaseChannel(rival), cfg) + 1e-6

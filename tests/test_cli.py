@@ -212,6 +212,17 @@ class TestTrainCommand:
         assert len(lines) == 10
         assert lines[0].startswith("iteration=0 ")
 
+    @pytest.mark.parametrize("field, value", [("lr_decay", -1), ("hidden_releaser", 0)])
+    def test_out_of_range_hyper_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
+        config = json.loads(json.dumps(SWEEP_CONFIG))
+        config["hyper"][field] = value
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and field in err
+        assert err.count("\n") == 1
+
 
 class TestPlotCommand:
     def test_golden_svg_and_reference_line(self, tmp_path):

@@ -1,13 +1,18 @@
 """Unit and property tests for the discrete alpha-information measures."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alphaprivacy.errors import ValidationError
 from alphaprivacy.measures import (
     JointPmf,
     Pmf,
     PosteriorBatch,
+    _arimoto_entropy,
     alpha_mutual_information,
     arimoto_conditional_entropy,
     batch_sequence_arimoto_entropy,
@@ -27,6 +32,10 @@ from oracles import (
 )
 
 ALPHAS = [0.5, 0.9, 1.0, 1.1, 2.0, 3.0]
+
+# alpha = 1 exactly (the Shannon branch) or anywhere in [0.1, 50]
+ANY_ALPHA = st.one_of(st.just(1.0), st.floats(0.1, 50.0))
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def random_posteriors(rng, nbatch, nsteps, nsym):
@@ -380,3 +389,47 @@ def _raw_batch_entropy(probs, alpha):
     """Evaluate the estimator on a possibly unnormalized table (for FD)."""
     value, _ = batch_sequence_arimoto_entropy_grad(probs, alpha)
     return value
+
+
+def sparse_table(rng, shape, sparsity):
+    """A random non-negative table with about ``sparsity`` of its entries
+    exactly zero and a skewed rest (never all zero), normalized to 1."""
+    table = rng.random(shape) ** 3
+    table[rng.random(shape) < sparsity] = 0.0
+    table.flat[rng.integers(table.size)] += 0.1
+    return table / table.sum()
+
+
+class TestMeasureProperties:
+    @given(seed=SEEDS, nx=st.integers(2, 5), nz=st.integers(1, 5), nz_out=st.integers(1, 5),
+           sparsity=st.sampled_from([0.0, 0.4]), alpha=ANY_ALPHA)
+    def test_garbling_the_release_never_lowers_conditional_entropy(
+        self, seed, nx, nz, nz_out, sparsity, alpha
+    ):
+        rng = np.random.default_rng(seed)
+        table = sparse_table(rng, (nx, nz), sparsity)
+        garble = rng.dirichlet(np.ones(nz_out), size=nz)  # g(z' | z)
+        before = arimoto_conditional_entropy(JointPmf(table, ("X", "Z")), alpha)
+        after = arimoto_conditional_entropy(JointPmf(table @ garble, ("X", "Z")), alpha)
+        assert after >= before - 1e-10
+
+    @given(seed=SEEDS, nx=st.integers(2, 5), nz=st.integers(1, 5),
+           sparsity=st.sampled_from([0.0, 0.4]), alpha=ANY_ALPHA)
+    def test_information_lies_between_zero_and_prior_entropy(
+        self, seed, nx, nz, sparsity, alpha
+    ):
+        joint = JointPmf(sparse_table(np.random.default_rng(seed), (nx, nz), sparsity),
+                         ("X", "Z"))
+        info = alpha_mutual_information(joint, alpha)
+        assert -1e-10 <= info <= renyi_entropy(joint.marginal(("X",)), alpha) + 1e-10
+
+    @given(seed=SEEDS, nx=st.integers(1, 4), ncells=st.integers(1, 4),
+           batch=st.tuples(st.integers(1, 3), st.integers(1, 3)), alpha=ANY_ALPHA)
+    def test_batched_kernel_equals_scalar_calls(self, seed, nx, ncells, batch, alpha):
+        tables = sparse_table(np.random.default_rng(seed), (nx, ncells) + batch, 0.3)
+        values, grads = _arimoto_entropy(tables, alpha, grad=True)
+        assert values.shape == batch and grads.shape == tables.shape
+        for i, j in itertools.product(range(batch[0]), range(batch[1])):
+            value, grad = _arimoto_entropy(tables[:, :, i, j], alpha, grad=True)
+            assert values[i, j] == pytest.approx(float(value), rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grads[:, :, i, j], grad, rtol=1e-12, atol=1e-12)

@@ -172,6 +172,17 @@ class TestCheckpoint:
         assert back.releaser_history == system.releaser_history
 
 
+class TestHyperParamsValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr_decay", -1.0), ("hidden_releaser", 0), ("hidden_adversary", 0),
+         ("hidden_utility", 0)],
+    )
+    def test_out_of_range_values_are_typed_errors(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            HyperParams(**{field: value})
+
+
 class TestReferenceConfigurations:
     def test_typical_batch_and_step_configurations_are_accepted(self):
         static = HyperParams(batch_size=256, adversary_steps=3)
