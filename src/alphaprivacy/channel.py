@@ -137,7 +137,7 @@ class WorldModel:
             shape = tuple(int(sizes[a]) for a in axes)
             flat = np.asarray(doc["joint"], dtype=np.float64)
             table = np.asarray(doc["distortion"], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"world document missing/invalid field: {exc}") from exc
         if flat.size != int(np.prod(shape)):
             raise DataFormatError(

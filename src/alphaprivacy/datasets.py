@@ -70,14 +70,16 @@ class DatasetBatch:
         return self.y.shape[1]
 
     def take(self, idx):
-        """Sub-batch at the given indices."""
-        return DatasetBatch(
-            y=self.y[idx],
-            x=self.x[idx],
-            u=self.u[idx],
-            s=None if self.s is None else self.s[idx],
-            c=None if self.c is None else self.c[idx],
-        )
+        """Sub-batch at the given 1-D indices.
+
+        Rows of a validated batch are valid, so the sub-batch is built
+        without re-running ``__post_init__``.
+        """
+        sub = object.__new__(DatasetBatch)
+        sub.y, sub.x, sub.u = self.y[idx], self.x[idx], self.u[idx]
+        sub.s = None if self.s is None else self.s[idx]
+        sub.c = None if self.c is None else self.c[idx]
+        return sub
 
 
 class BatchStream:
@@ -87,13 +89,21 @@ class BatchStream:
         self.data = data
         self.rng = np.random.default_rng(seed)
 
-    def draw(self, nbatch: int) -> DatasetBatch:
+    def draw(self, nbatch: int, count: int = 1) -> DatasetBatch:
+        """``count`` successive mini-batches of ``nbatch`` rows, stacked.
+
+        Each mini-batch is sampled without replacement by its own RNG call,
+        so the rows equal those of ``count`` separate ``draw(nbatch)`` calls.
+        """
         if nbatch < 1 or nbatch > self.data.size:
             raise ValidationError(
                 f"cannot draw {nbatch} samples from a pool of {self.data.size}"
             )
-        idx = self.rng.choice(self.data.size, size=nbatch, replace=False)
-        return self.data.take(idx)
+        if count < 1:
+            raise ValidationError(f"count must be >= 1, got {count}")
+        idx = [self.rng.choice(self.data.size, size=nbatch, replace=False)
+               for _ in range(count)]
+        return self.data.take(np.concatenate(idx))
 
 
 @dataclass

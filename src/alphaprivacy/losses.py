@@ -134,13 +134,13 @@ def adversary_loss(posterior_probs, labels) -> LossValue:
     if labels.min() < 0 or labels.max() >= probs.shape[2]:
         raise ValidationError("labels outside the private alphabet")
     nbatch, nsteps = probs.shape[0], probs.shape[1]
-    bidx, tidx = np.meshgrid(np.arange(nbatch), np.arange(nsteps), indexing="ij")
-    picked = probs[bidx, tidx, labels]
+    index = labels[:, :, None]
+    picked = np.take_along_axis(probs, index, axis=2)[:, :, 0]
     clamped = int((picked < ZERO_PROB).sum())
     safe = np.maximum(picked, ZERO_PROB)
     value = float(-np.log(safe).mean())
     grad = np.zeros_like(probs)
-    grad[bidx, tidx, labels] = -1.0 / (safe * nbatch * nsteps)
+    np.put_along_axis(grad, index, (-1.0 / (safe * nbatch * nsteps))[:, :, None], axis=2)
     return LossValue(value=value, grad_posteriors=grad, clamped=clamped)
 
 

@@ -1,7 +1,8 @@
 """Minimal feedforward/recurrent networks with exact reverse-mode gradients.
 
 Everything operates on float64 batches of shape (B, T, features).  Dense
-layers act per time step; the recurrent layer is a single-gate tanh cell
+layers act per time step, as one 2-D matrix product over the (B*T, d) view
+of the batch; the recurrent layer is a single-gate tanh cell
 whose stacked weight matrix holds the input-to-hidden block on top of the
 hidden-to-hidden block.  Recurrent state starts at zero and runs strictly
 forward, so outputs at time t never depend on inputs after t.
@@ -167,8 +168,8 @@ class Network:
                 d = layer.in_dim
                 out = elman_forward(out, layer.w[:d], layer.w[d:], layer.b)
             else:
-                pre = out @ layer.w + layer.b
-                out = _activate(pre, layer.activation)
+                pre = out.reshape(-1, out.shape[2]) @ layer.w + layer.b
+                out = _activate(pre, layer.activation).reshape(*out.shape[:2], -1)
             outputs.append(out)
         return out, Trace(inputs, outputs, self._version)
 
@@ -196,22 +197,13 @@ class Network:
                 flat_x = x.reshape(-1, x.shape[2])
                 flat_g = gpre.reshape(-1, gpre.shape[2])
                 grads[i] = (flat_x.T @ flat_g, flat_g.sum(axis=0))
-                g = gpre @ layer.w.T
+                g = (flat_g @ layer.w.T).reshape(x.shape)
         return grads, g
 
     # --- parameter updates ----------------------------------------------
 
     def zero_grads(self):
         return [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in self.layers]
-
-    def apply_update(self, deltas):
-        """Subtract per-layer (dw, db) deltas in place; invalidates traces."""
-        for layer, (dw, db) in zip(self.layers, deltas):
-            if dw.shape != layer.w.shape or db.shape != layer.b.shape:
-                raise ValidationError("update shape does not match parameters")
-            layer.w -= dw
-            layer.b -= db
-        self._version += 1
 
     def copy(self):
         net = Network(
@@ -292,23 +284,27 @@ def sgd_step(network: Network, grads, learning_rate, momentum=0.0, velocity=None
     """One SGD-with-classical-momentum update, in place.
 
     ``velocity`` carries the momentum buffers between calls (created on
-    first use); the updated buffers are returned.
+    first use); they are updated in place and returned.  ``grads`` is only
+    read.
     """
     if learning_rate <= 0:
         raise ValidationError("learning_rate must be positive")
     if velocity is None:
         velocity = network.zero_grads()
-    deltas = []
-    new_velocity = []
-    for (vw, vb), (dw, db) in zip(velocity, grads):
-        if vw.shape != dw.shape or vb.shape != db.shape:
+    steps = list(zip(network.layers, velocity, grads))
+    for layer, (vw, vb), (dw, db) in steps:
+        want = (layer.w.shape, layer.b.shape)
+        if (vw.shape, vb.shape) != want or (dw.shape, db.shape) != want:
             raise ValidationError("gradient shape does not match parameters")
-        vw = momentum * vw + dw
-        vb = momentum * vb + db
-        new_velocity.append((vw, vb))
-        deltas.append((learning_rate * vw, learning_rate * vb))
-    network.apply_update(deltas)
-    return new_velocity
+    for layer, (vw, vb), (dw, db) in steps:
+        vw *= momentum
+        vw += dw
+        vb *= momentum
+        vb += db
+        layer.w -= learning_rate * vw
+        layer.b -= learning_rate * vb
+    network._version += 1
+    return velocity
 
 
 class SgdMomentum:

@@ -203,13 +203,9 @@ def calibrate_si_correlation(
 # --- results persistence -----------------------------------------------------
 
 
-def points_to_records(points):
-    return [asdict(p) for p in points]
-
-
 def save_results(points, path, metadata=None):
     """Write the sweep outcome as JSON, atomically (temp file + rename)."""
-    doc = {"metadata": metadata or {}, "points": points_to_records(points)}
+    doc = {"metadata": metadata or {}, "points": [asdict(p) for p in points]}
     write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=True))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -70,6 +71,9 @@ class HyperParams:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
         if not 0.0 <= self.average_tail < 1.0:
             raise ValidationError("average_tail must lie in [0, 1)")
+        attack = self.attacker_iterations
+        if attack is not None and (not isinstance(attack, Integral) or attack < 1):
+            raise ValidationError("attacker_iterations must be None or an integer >= 1")
 
 
 def assemble_observed(y, x, noise=None, si=None, mode="y_only"):
@@ -221,7 +225,9 @@ def train(
 
     Per iteration: ``adversary_steps`` repetitions of {fresh batch, release,
     adversary update, utility update when enabled}, then one releaser update
-    on another fresh batch with the other networks frozen.  Emits one
+    on another fresh batch with the other networks frozen.  The releaser is
+    frozen through the adversary steps, so their batches are drawn and
+    released in one pass and each step trains on its own rows.  Emits one
     machine-parseable log line per iteration when ``log_stream`` is given.
     Fully deterministic given the hyperparameter seed and the stream.
     """
@@ -282,20 +288,22 @@ def train(
         # the alternation settles instead of orbiting the equilibrium
         opt_r.learning_rate = hyper.lr_releaser / (1.0 + hyper.lr_decay * iteration)
         adv_value = np.nan
-        for _ in range(hyper.adversary_steps):
-            batch = data.draw(hyper.batch_size)
-            w = assemble_observed(batch.y, batch.x, batch.u, None, hyper.observed_mode)
-            z, _ = releaser.forward(w)
-            probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled))
-            adv = adversary_loss(probs, batch.x)
+        rows = data.draw(hyper.batch_size, count=hyper.adversary_steps)
+        w = assemble_observed(rows.y, rows.x, rows.u, None, hyper.observed_mode)
+        z_rows = releaser.forward(w)[0]
+        adv_in = _with_side_info(z_rows, rows.s, si_enabled)
+        for step in range(hyper.adversary_steps):
+            part = slice(step * hyper.batch_size, (step + 1) * hyper.batch_size)
+            probs, trace_a = adversary.forward(adv_in[part])
+            adv = adversary_loss(probs, rows.x[part])
             _guard(adv.value, iteration, "adversary")
             grads_a, _ = adversary.backward(adv.grad_posteriors, trace_a)
             opt_a.step(grads_a)
             system.adversary_history.append(adv.value)
             adv_value = adv.value
             if utility_enabled:
-                probs_u, trace_u = utility.forward(z)
-                util = adversary_loss(probs_u, batch.c[:, None])
+                probs_u, trace_u = utility.forward(z_rows[part])
+                util = adversary_loss(probs_u, rows.c[part, None])
                 _guard(util.value, iteration, "utility")
                 grads_u, _ = utility.backward(util.grad_posteriors, trace_u)
                 opt_u.step(grads_u)
@@ -376,7 +384,9 @@ def train_attacker(
         system.hyper.hidden_adversary, seed,
     )
     opt = SgdMomentum(attacker, system.hyper.lr_adversary, system.hyper.momentum)
-    iters = system.hyper.attacker_iterations or system.hyper.iterations
+    iters = system.hyper.attacker_iterations
+    if iters is None:
+        iters = system.hyper.iterations
     for iteration in range(iters):
         batch = data.draw(system.hyper.batch_size)
         z = system.release(batch)

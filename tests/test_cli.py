@@ -108,6 +108,29 @@ class TestOptimizeCommand:
         assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("joint", [0.5, 0, 0, 0, 0, 0, 0, "half"]),
+        ("distortion", [[0, 1], [1]]),
+    ])
+    def test_malformed_world_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
+        world = {
+            "axes": ["X", "W", "Y"],
+            "sizes": {"X": 2, "W": 2, "Y": 2, "Z": 2},
+            "joint": [0.5, 0, 0, 0, 0, 0, 0, 0.5],
+            "distortion": [[0, 1], [1, 0]],
+            field: value,
+        }
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world))
+        rc = main(["optimize", "--world", str(path), "--alpha", "2", "--lambda", "0",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_single_zero_lambda_point_reaches_full_utility(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -212,7 +235,10 @@ class TestTrainCommand:
         assert len(lines) == 10
         assert lines[0].startswith("iteration=0 ")
 
-    @pytest.mark.parametrize("field, value", [("lr_decay", -1), ("hidden_releaser", 0)])
+    @pytest.mark.parametrize("field, value", [("lr_decay", -1), ("hidden_releaser", 0),
+                                              ("attacker_iterations", 0),
+                                              ("attacker_iterations", -5),
+                                              ("attacker_iterations", 2.5)])
     def test_out_of_range_hyper_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
         config = json.loads(json.dumps(SWEEP_CONFIG))
         config["hyper"][field] = value

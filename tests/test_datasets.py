@@ -143,6 +143,40 @@ class TestBatchStream:
         with pytest.raises(ValidationError):
             BatchStream(data, seed=0).draw(9)
 
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(total=64, seed=2),
+        SynthConfig(generator="markov_load", total=40, num_steps=5, d_y=1, seed=6),
+    ])
+    def test_stacked_draw_equals_successive_draws(self, cfg):
+        data = generate(cfg)
+        stacked_stream, single_stream = BatchStream(data, seed=8), BatchStream(data, seed=8)
+        stacked = stacked_stream.draw(12, count=3)
+        singles = [single_stream.draw(12) for _ in range(3)]
+        for field in ("y", "x", "u", "s", "c"):
+            parts = [getattr(b, field) for b in singles]
+            if parts[0] is None:
+                assert getattr(stacked, field) is None
+            else:
+                np.testing.assert_array_equal(getattr(stacked, field), np.concatenate(parts))
+        # both streams are left at the same position
+        np.testing.assert_array_equal(stacked_stream.draw(12).y, single_stream.draw(12).y)
+
+    def test_draw_count_below_one_rejected(self):
+        data = generate(SynthConfig(total=8, seed=2))
+        with pytest.raises(ValidationError):
+            BatchStream(data, seed=0).draw(4, count=0)
+
+    def test_take_sub_batch_is_a_valid_batch(self):
+        data = generate(SynthConfig(generator="markov_load", total=30, num_steps=4,
+                                    d_y=2, seed=5))
+        sub = data.take(np.array([7, 0, 29, 3]))
+        rebuilt = DatasetBatch(y=sub.y, x=sub.x, u=sub.u, s=sub.s, c=sub.c)
+        for field in ("y", "x", "u", "s"):
+            got, want = getattr(sub, field), getattr(rebuilt, field)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert sub.c is None and rebuilt.c is None
+
 
 class TestSplit:
     def test_split_sizes_and_distinct_streams(self):

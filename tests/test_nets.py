@@ -256,6 +256,34 @@ class TestSgd:
         with pytest.raises(ValidationError):
             sgd_step(net, [(np.zeros((3, 3)), np.zeros(2))], learning_rate=0.1)
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_in_place_step_matches_reference_formula(self, momentum):
+        net = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], seed=12)
+        ref_params = [(l.w.copy(), l.b.copy()) for l in net.layers]
+        ref_velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref_params]
+        rng = np.random.default_rng(4)
+        velocity = None
+        for _ in range(4):
+            grads = [(rng.normal(size=l.w.shape), rng.normal(size=l.b.shape))
+                     for l in net.layers]
+            snapshot = [(dw.copy(), db.copy()) for dw, db in grads]
+            returned = sgd_step(net, grads, 0.05, momentum, velocity)
+            if velocity is not None:
+                assert all(r[0] is v[0] and r[1] is v[1]
+                           for r, v in zip(returned, velocity))
+            velocity = returned
+            for (dw, db), (sw, sb) in zip(grads, snapshot):
+                np.testing.assert_array_equal(dw, sw)
+                np.testing.assert_array_equal(db, sb)
+            ref_velocity = [(momentum * vw + dw, momentum * vb + db)
+                            for (vw, vb), (dw, db) in zip(ref_velocity, grads)]
+            for (w, b), (vw, vb) in zip(ref_params, ref_velocity):
+                w -= 0.05 * vw
+                b -= 0.05 * vb
+            for layer, (w, b) in zip(net.layers, ref_params):
+                np.testing.assert_array_equal(layer.w, w)
+                np.testing.assert_array_equal(layer.b, b)
+
 
 class TestSerialization:
     def test_checkpoint_round_trip_is_exact(self, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from alphaprivacy.datasets import BatchStream, DatasetBatch, SynthConfig, generate
 from alphaprivacy.errors import DivergenceError, ValidationError
 from alphaprivacy.losses import DistortionSpec
+from alphaprivacy.nets import Network, dense, recurrent
 from alphaprivacy.training import (
     HyperParams,
     TrainedSystem,
@@ -176,11 +177,16 @@ class TestHyperParamsValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("lr_decay", -1.0), ("hidden_releaser", 0), ("hidden_adversary", 0),
-         ("hidden_utility", 0)],
+         ("hidden_utility", 0), ("attacker_iterations", 0), ("attacker_iterations", -5),
+         ("attacker_iterations", 2.5)],
     )
     def test_out_of_range_values_are_typed_errors(self, field, value):
         with pytest.raises(ValidationError, match=field):
             HyperParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [None, 1, 40])
+    def test_attacker_iterations_accepts_none_or_positive(self, value):
+        assert HyperParams(attacker_iterations=value).attacker_iterations == value
 
 
 class TestReferenceConfigurations:
@@ -237,6 +243,29 @@ class TestAttacker:
         assert scores["ne"] >= 0.0
         assert 0.0 <= scores["attacker_accuracy"] <= 1.0
         assert 0.0 <= scores["utility_accuracy"] <= 1.0
+
+
+class TestStackedRelease:
+    """The k adversary batches of one iteration are released in one pass;
+    that must equal releasing each batch on its own, bit for bit."""
+
+    @pytest.mark.parametrize("make_data, specs, nbatch, steps", [
+        (lambda: clusters_data(total=4096, seed=3),
+         [dense(4, 16, "tanh"), dense(16, 3, "linear")], 256, 10),
+        (lambda: markov_data(total=600, seed=4, num_steps=24),
+         [recurrent(3, 16), dense(16, 1, "linear")], 128, 4),
+    ])
+    def test_one_release_equals_per_batch_releases(self, make_data, specs, nbatch, steps):
+        data = make_data()
+        releaser = Network.build(specs, seed=17)
+        mode = "concat_xy" if data.num_steps > 1 else "y_only"
+        rows = BatchStream(data, 9).draw(nbatch, count=steps)
+        z_rows, _ = releaser.forward(assemble_observed(rows.y, rows.x, rows.u, None, mode))
+        single = BatchStream(data, 9)
+        for step in range(steps):
+            batch = single.draw(nbatch)
+            z, _ = releaser.forward(assemble_observed(batch.y, batch.x, batch.u, None, mode))
+            np.testing.assert_array_equal(z_rows[step * nbatch:(step + 1) * nbatch], z)
 
 
 class TestParameterFreezing:
