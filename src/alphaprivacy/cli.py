@@ -5,7 +5,8 @@ Subcommands: ``measures`` (exact information measures of a stored joint),
 ``sweep`` (privacy-utility grid) and ``plot`` (SVG/CSV curves from sweep
 results).  All outputs are plain text (JSON/CSV/SVG) written atomically.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure
+(including any unexpected exception, reported as one line).
 Failed sweep points are recorded in the results, not an exit condition.
 """
 
@@ -346,6 +347,9 @@ def main(argv=None):
         return 2
     except (DivergenceError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect, not a bad input: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

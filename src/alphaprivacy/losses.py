@@ -133,14 +133,15 @@ def adversary_loss(posterior_probs, labels) -> LossValue:
         )
     if labels.min() < 0 or labels.max() >= probs.shape[2]:
         raise ValidationError("labels outside the private alphabet")
-    nbatch, nsteps = probs.shape[0], probs.shape[1]
-    index = labels[:, :, None]
-    picked = np.take_along_axis(probs, index, axis=2)[:, :, 0]
+    nbatch, nsteps, nclass = probs.shape
+    rows = np.arange(labels.size)
+    cols = labels.reshape(-1)
+    picked = probs.reshape(-1, nclass)[rows, cols]
     clamped = int((picked < ZERO_PROB).sum())
     safe = np.maximum(picked, ZERO_PROB)
     value = float(-np.log(safe).mean())
-    grad = np.zeros_like(probs)
-    np.put_along_axis(grad, index, (-1.0 / (safe * nbatch * nsteps))[:, :, None], axis=2)
+    grad = np.zeros(probs.shape)
+    grad.reshape(-1, nclass)[rows, cols] = -1.0 / (safe * nbatch * nsteps)
     return LossValue(value=value, grad_posteriors=grad, clamped=clamped)
 
 

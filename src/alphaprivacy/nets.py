@@ -1,11 +1,14 @@
 """Minimal feedforward/recurrent networks with exact reverse-mode gradients.
 
-Everything operates on float64 batches of shape (B, T, features).  Dense
-layers act per time step, as one 2-D matrix product over the (B*T, d) view
-of the batch; the recurrent layer is a single-gate tanh cell
-whose stacked weight matrix holds the input-to-hidden block on top of the
-hidden-to-hidden block.  Recurrent state starts at zero and runs strictly
-forward, so outputs at time t never depend on inputs after t.
+The public interface takes and returns float64 batches of shape
+(B, T, features).  Inside, :class:`Network` runs time-major: it transposes
+its input to (T, B, d) once, so step t of a sequence is one contiguous
+(B, d) slab, and transposes its output back once.  Dense layers act per
+row, as one 2-D matrix product over the (T*B, d) view; the recurrent layer
+is a single-gate tanh cell whose stacked weight matrix holds the
+input-to-hidden block on top of the hidden-to-hidden block.  Recurrent
+state starts at zero and runs strictly forward, so outputs at time t never
+depend on inputs after t.
 
 No framework: the training losses of this project need only these few
 layer types, and keeping the arithmetic explicit is what makes the
@@ -26,44 +29,58 @@ ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid", "softmax")
 
 
 def elman_forward(x, w_in, w_rec, bias):
-    """Run the tanh recurrent cell over all time steps.
+    """Batch-major adapter: (B, T, D) inputs to (B, T, H) hidden states."""
+    h = _elman_scan(_swap_bt(np.asarray(x, dtype=np.float64)), w_in, w_rec, bias)
+    return _swap_bt(h)
 
-    x: (B, T, D) inputs; w_in: (D, H); w_rec: (H, H); bias: (H,).
-    Returns the hidden states, shape (B, T, H).
+
+def _elman_scan(x, w_in, w_rec, bias):
+    """Run the tanh recurrent cell over time-major inputs.
+
+    x: (T, B, D) contiguous; w_in: (D, H); w_rec: (H, H); bias: (H,).
+    The input projection and the bias are one GEMM over all T*B rows; the
+    time loop adds only the recurrent product and applies tanh in place.
+    Returns the hidden states, shape (T, B, H).
     """
-    nbatch, nsteps, _ = x.shape
-    nhid = w_rec.shape[0]
-    h = np.empty((nbatch, nsteps, nhid), dtype=np.float64)
-    prev = np.zeros((nbatch, nhid), dtype=np.float64)
-    for t in range(nsteps):
-        prev = np.tanh(x[:, t] @ w_in + prev @ w_rec + bias)
-        h[:, t] = prev
+    nsteps, nbatch, ndim = x.shape
+    h = x.reshape(-1, ndim) @ w_in
+    h += bias
+    h = h.reshape(nsteps, nbatch, -1)
+    np.tanh(h[0], out=h[0])
+    rec = np.empty_like(h[0])
+    for t in range(1, nsteps):
+        h[t] += np.matmul(h[t - 1], w_rec, out=rec)
+        np.tanh(h[t], out=h[t])
     return h
 
 
 def elman_backward(x, h, w_in, w_rec, grad_h):
-    """Backpropagation through time for :func:`elman_forward`.
+    """Backpropagation through time for the time-major cell.
 
-    ``h`` is the forward output and ``grad_h`` the loss gradient at every
-    hidden state.  Returns ``(grad_x, grad_w_in, grad_w_rec, grad_bias)``.
+    ``x`` (T, B, D) is the cell input, ``h`` (T, B, H) its output and
+    ``grad_h`` the loss gradient at every hidden state, all time-major and
+    contiguous.  Only the recurrence runs per step; the input and weight
+    gradients are one flat product each after the loop, the bias gradient
+    one :func:`_row_sum`.  Returns ``(grad_x, grad_w_in, grad_w_rec,
+    grad_bias)``.
     """
-    nbatch, nsteps, _ = x.shape
     nhid = w_rec.shape[0]
-    grad_x = np.empty_like(x)
-    grad_w_in = np.zeros_like(w_in)
-    grad_w_rec = np.zeros_like(w_rec)
-    grad_bias = np.zeros(nhid, dtype=np.float64)
-    carry = np.zeros((nbatch, nhid), dtype=np.float64)
-    for t in range(nsteps - 1, -1, -1):
-        total = grad_h[:, t] + carry
-        gpre = total * (1.0 - h[:, t] ** 2)
-        grad_w_in += x[:, t].T @ gpre
-        if t > 0:
-            grad_w_rec += h[:, t - 1].T @ gpre
-        grad_bias += gpre.sum(axis=0)
-        grad_x[:, t] = gpre @ w_in.T
-        carry = gpre @ w_rec.T
-    return grad_x, grad_w_in, grad_w_rec, grad_bias
+    # in place: ``1.0 - h * h`` makes NumPy check whether it may reuse the
+    # large temporary, which cost about 200 us per call here
+    gpre = h * h
+    np.subtract(1.0, gpre, out=gpre)
+    gpre[-1] *= grad_h[-1]
+    w_rec_t = np.ascontiguousarray(w_rec.T)
+    carry = np.empty_like(gpre[0])
+    for t in range(h.shape[0] - 1, 0, -1):
+        np.matmul(gpre[t], w_rec_t, out=carry)
+        carry += grad_h[t - 1]
+        gpre[t - 1] *= carry
+    flat = gpre.reshape(-1, nhid)
+    grad_x = (flat @ w_in.T).reshape(x.shape)
+    grad_w_in = x.reshape(-1, x.shape[2]).T @ flat
+    grad_w_rec = h[:-1].reshape(-1, nhid).T @ gpre[1:].reshape(-1, nhid)
+    return grad_x, grad_w_in, grad_w_rec, _row_sum(gpre)
 
 
 @dataclass
@@ -152,8 +169,11 @@ class Network:
     # --- forward / backward -------------------------------------------------
 
     def forward(self, x):
-        """Run the stack on a (B, T, d) batch; returns (output, trace)."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        """Run the stack on a (B, T, d) batch; returns (output, trace).
+
+        The trace holds every layer's input and output time-major.
+        """
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValidationError(f"expected (B, T, d) input, got shape {x.shape}")
         if x.shape[2] != self.in_dim:
@@ -161,44 +181,47 @@ class Network:
                 f"network expects {self.in_dim} features, got {x.shape[2]}"
             )
         inputs, outputs = [], []
-        out = x
+        out = _swap_bt(x)
         for layer in self.layers:
             inputs.append(out)
             if layer.recurrent:
                 d = layer.in_dim
-                out = elman_forward(out, layer.w[:d], layer.w[d:], layer.b)
+                out = _elman_scan(out, layer.w[:d], layer.w[d:], layer.b)
             else:
-                pre = out.reshape(-1, out.shape[2]) @ layer.w + layer.b
+                pre = out.reshape(-1, out.shape[2]) @ layer.w
+                pre += layer.b
                 out = _activate(pre, layer.activation).reshape(*out.shape[:2], -1)
             outputs.append(out)
-        return out, Trace(inputs, outputs, self._version)
+        return _swap_bt(out), Trace(inputs, outputs, self._version)
 
     def backward(self, grad_output, trace):
-        """Exact gradients of a scalar loss given its gradient at the output.
+        """Exact gradients of a scalar loss given its (B, T, K) gradient at
+        the output.
 
         Returns ``(grads, grad_input)`` where ``grads`` is a list of
-        (dw, db) aligned with the layers.  Raises if the trace was taken
-        before the parameters last changed.
+        (dw, db) aligned with the layers and ``grad_input`` is (B, T, d).
+        Raises if the trace was taken before the parameters last changed.
         """
         if trace.version != self._version:
             raise ValidationError("stale trace: parameters changed since forward()")
         grads = [None] * len(self.layers)
-        g = np.asarray(grad_output, dtype=np.float64)
+        g = _swap_bt(np.asarray(grad_output, dtype=np.float64))
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             x, out = trace.inputs[i], trace.outputs[i]
             if layer.recurrent:
                 d = layer.in_dim
-                gx, dw_in, dw_rec, db = elman_backward(x, out, layer.w[:d], layer.w[d:], g)
+                g, dw_in, dw_rec, db = elman_backward(x, out, layer.w[:d], layer.w[d:], g)
                 grads[i] = (np.concatenate([dw_in, dw_rec], axis=0), db)
-                g = gx
             else:
-                gpre = _activation_grad(g, out, layer.activation)
+                width = out.shape[2]
+                gpre = _activation_grad(
+                    g.reshape(-1, width), out.reshape(-1, width), layer.activation
+                )
                 flat_x = x.reshape(-1, x.shape[2])
-                flat_g = gpre.reshape(-1, gpre.shape[2])
-                grads[i] = (flat_x.T @ flat_g, flat_g.sum(axis=0))
-                g = (flat_g @ layer.w.T).reshape(x.shape)
-        return grads, g
+                grads[i] = (flat_x.T @ gpre, _row_sum(gpre.reshape(out.shape)))
+                g = (gpre @ layer.w.T).reshape(x.shape)
+        return grads, _swap_bt(g)
 
     # --- parameter updates ----------------------------------------------
 
@@ -250,7 +273,24 @@ class Network:
             return cls.from_dict(json.load(fh))
 
 
+def _swap_bt(a):
+    """(B, T, d) <-> (T, B, d) as a contiguous array; no copy when either
+    leading axis has length 1."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
+def _row_sum(a):
+    """Sum a time-major (T, B, k) array over its T*B rows.
+
+    A flat ``(T*B, k).sum(axis=0)`` runs a k-wide inner loop per row, slow
+    for the few features here; summing over time first runs B*k-wide loops.
+    At T = 1 this is the plain batch sum.
+    """
+    return (a.sum(axis=0) if len(a) > 1 else a[0]).sum(axis=0)
+
+
 def _activate(pre, activation):
+    """Apply the activation to a 2-D (rows, features) pre-activation."""
     if activation == "linear":
         return pre
     if activation == "relu":
@@ -260,13 +300,14 @@ def _activate(pre, activation):
     if activation == "sigmoid":
         return 1.0 / (1.0 + np.exp(-pre))
     # softmax over the feature axis, shifted for stability
-    shifted = pre - pre.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = pre - _fold_columns(np.maximum, pre)[:, None]
+    np.exp(e, out=e)
+    e /= _fold_columns(np.add, e)[:, None]
+    return e
 
 
 def _activation_grad(g, out, activation):
-    """Pull the output gradient back through the activation."""
+    """Pull a 2-D output gradient back through the activation."""
     if activation == "linear":
         return g
     if activation == "relu":
@@ -276,8 +317,27 @@ def _activation_grad(g, out, activation):
     if activation == "sigmoid":
         return g * out * (1.0 - out)
     # softmax Jacobian: p * (g - <g, p>)
-    inner = (g * out).sum(axis=-1, keepdims=True)
-    return out * (g - inner)
+    inner = _fold_columns(np.add, g * out)
+    return out * (g - inner[:, None])
+
+
+def _fold_columns(op, a):
+    """Reduce each row of a 2-D (rows, K) array with K - 1 elementwise
+    calls of the ufunc ``op``, combining the columns left to right.
+
+    Over a few classes this is much cheaper than ``a.max(axis=-1)`` or
+    ``a.sum(axis=-1)``.  The maximum is exact in any order; the sum is
+    bit-identical to ``a.sum(axis=-1)`` for K < 8, where NumPy also adds
+    left to right, and may differ by about 1 ulp for K >= 8, where NumPy
+    sums pairwise.
+    """
+    cols = a.T
+    if len(cols) == 1:
+        return cols[0].copy()
+    acc = op(cols[0], cols[1])
+    for col in cols[2:]:
+        op(acc, col, out=acc)
+    return acc
 
 
 def sgd_step(network: Network, grads, learning_rate, momentum=0.0, velocity=None):

@@ -31,6 +31,11 @@ LOSS_CEILING = 1e6
 
 OBSERVED_MODES = ("y_only", "concat_xy")
 
+COUNT_FIELDS = (
+    "batch_size", "adversary_steps", "iterations", "num_steps",
+    "hidden_releaser", "hidden_adversary", "hidden_utility",
+)
+
 
 @dataclass
 class HyperParams:
@@ -57,23 +62,24 @@ class HyperParams:
         _check_alpha(self.alpha)
         if self.lam < 0:
             raise ValidationError("lambda must be >= 0")
-        if self.batch_size < 1 or self.adversary_steps < 1 or self.num_steps < 1:
-            raise ValidationError("batch_size, adversary_steps and num_steps must be >= 1")
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.lr_decay < 0:
             raise ValidationError(f"lr_decay must be >= 0, got {self.lr_decay}")
-        if min(self.hidden_releaser, self.hidden_adversary, self.hidden_utility) < 1:
-            raise ValidationError(
-                "hidden_releaser, hidden_adversary and hidden_utility must be >= 1"
-            )
         if self.observed_mode not in OBSERVED_MODES:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
         if not 0.0 <= self.average_tail < 1.0:
             raise ValidationError("average_tail must lie in [0, 1)")
         attack = self.attacker_iterations
-        if attack is not None and (not isinstance(attack, Integral) or attack < 1):
+        if attack is not None and not _is_count(attack):
             raise ValidationError("attacker_iterations must be None or an integer >= 1")
+
+
+def _is_count(value):
+    """An integer >= 1; ``bool`` and integral floats such as 2.0 are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def assemble_observed(y, x, noise=None, si=None, mode="y_only"):

@@ -11,6 +11,7 @@ import time
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 from alphaprivacy.channel import (
     ChannelOptConfig,
@@ -270,6 +271,7 @@ def test_criterion_6_full_utility_limit():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_7_full_privacy_limit():
     """Saturated lambda confines the post-hoc attacker to chance, while the
     lambda = 0 release stays fully attackable."""
@@ -297,6 +299,7 @@ def test_criterion_7_full_privacy_limit():
     assert open_acc > 0.9
 
 
+@pytest.mark.slow
 def test_criterion_8_tradeoff_monotonicity():
     """Six-point lambda sweeps anticorrelate NE and attacker accuracy
     (Spearman <= -0.8) at every alpha in {0.9, 1, 3}."""
@@ -320,6 +323,7 @@ def test_criterion_8_tradeoff_monotonicity():
         assert rho <= -0.8, f"alpha={alpha}: Spearman {rho}"
 
 
+@pytest.mark.slow
 def test_criterion_9_side_information_floor():
     """With SI calibrated to the 0.578 baseline, the saturated system's
     attacker-with-SI converges to that floor: distortion cannot erase

@@ -250,6 +250,31 @@ class TestTrainCommand:
         assert err.count("\n") == 1
 
 
+class TestSweepHyperValidation:
+    @pytest.mark.parametrize("field, value", [("batch_size", 16.5), ("iterations", 2.5)])
+    def test_non_integer_count_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
+        config = json.loads(json.dumps(SWEEP_CONFIG))
+        config["hyper"][field] = value
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and field in err
+        assert err.count("\n") == 1
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_one_line_exit_3(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr("alphaprivacy.cli.cmd_measures", broken)
+        joint = tmp_path / "joint.json"
+        write_joint(joint)
+        assert main(["measures", "--joint", str(joint)]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: simulated defect\n"
+
+
 class TestPlotCommand:
     def test_golden_svg_and_reference_line(self, tmp_path):
         rc = main(["plot", "--results", str(DATA_DIR / "fixture_results.json"),

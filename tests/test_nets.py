@@ -44,6 +44,78 @@ def max_rel_error(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))))
 
 
+def batch_major_reference(net, x, grad_output):
+    """Forward and backward of ``net`` with plain batch-major loops: one
+    product per time step in the recurrent cell, (B, T, d) arrays
+    throughout.  Returns ``(output, grads, grad_input)``."""
+    inputs, outputs = [], []
+    out = x
+    for layer in net.layers:
+        inputs.append(out)
+        if layer.recurrent:
+            d = layer.in_dim
+            h = np.empty(out.shape[:2] + (layer.out_dim,))
+            prev = np.zeros((out.shape[0], layer.out_dim))
+            for t in range(out.shape[1]):
+                prev = np.tanh(out[:, t] @ layer.w[:d] + prev @ layer.w[d:] + layer.b)
+                h[:, t] = prev
+            out = h
+        else:
+            pre = out @ layer.w + layer.b
+            if layer.activation == "tanh":
+                out = np.tanh(pre)
+            elif layer.activation == "softmax":
+                e = np.exp(pre - pre.max(axis=-1, keepdims=True))
+                out = e / e.sum(axis=-1, keepdims=True)
+            else:
+                out = pre
+        outputs.append(out)
+    grads = [None] * len(net.layers)
+    g = grad_output
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer, x_in, out = net.layers[i], inputs[i], outputs[i]
+        if layer.recurrent:
+            d = layer.in_dim
+            w_in, w_rec = layer.w[:d], layer.w[d:]
+            gx = np.empty_like(x_in)
+            dw_in, dw_rec = np.zeros_like(w_in), np.zeros_like(w_rec)
+            db = np.zeros_like(layer.b)
+            carry = np.zeros((x_in.shape[0], layer.out_dim))
+            for t in range(x_in.shape[1] - 1, -1, -1):
+                gpre = (g[:, t] + carry) * (1.0 - out[:, t] ** 2)
+                dw_in += x_in[:, t].T @ gpre
+                if t > 0:
+                    dw_rec += out[:, t - 1].T @ gpre
+                db += gpre.sum(axis=0)
+                gx[:, t] = gpre @ w_in.T
+                carry = gpre @ w_rec.T
+            grads[i] = (np.concatenate([dw_in, dw_rec]), db)
+            g = gx
+        else:
+            if layer.activation == "tanh":
+                gpre = g * (1.0 - out**2)
+            elif layer.activation == "softmax":
+                gpre = out * (g - (g * out).sum(axis=-1, keepdims=True))
+            else:
+                gpre = g
+            flat_x = x_in.reshape(-1, x_in.shape[2])
+            flat_g = gpre.reshape(-1, gpre.shape[2])
+            grads[i] = (flat_x.T @ flat_g, flat_g.sum(axis=0))
+            g = gpre @ layer.w.T
+    return outputs[-1], grads, g
+
+
+def with_random_biases(net, rng):
+    for layer in net.layers:
+        layer.b[:] = rng.normal(scale=0.5, size=layer.b.shape)
+    return net
+
+
+def softmax_formula(pre):
+    e = np.exp(pre - pre.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestElmanCell:
     def test_forward_matches_per_element_recurrence(self):
         rng = np.random.default_rng(50)
@@ -80,6 +152,89 @@ class TestElmanCell:
         for (dw1, db1), (dw2, db2) in zip(grads1, grads2):
             np.testing.assert_array_equal(dw1, dw2)
             np.testing.assert_array_equal(db1, db2)
+
+
+class TestTimeMajorEngine:
+    """The time-major engine against batch-major formulas and finite
+    differences, with B != T and non-zero biases so that an axis swap or a
+    misplaced bias cannot cancel out."""
+
+    def test_recurrent_softmax_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(60)
+        net = with_random_biases(
+            Network.build([recurrent(3, 4), dense(4, 3, "softmax")], seed=61), rng
+        )
+        x = rng.normal(size=(5, 7, 3))
+        labels = rng.integers(0, 3, size=(5, 7))
+
+        def loss():
+            out, _ = net.forward(x)
+            return adversary_loss(out, labels).value
+
+        out, trace = net.forward(x)
+        grads, gx = net.backward(adversary_loss(out, labels).grad_posteriors, trace)
+        assert gx.shape == x.shape
+        for layer, (dw, db) in zip(net.layers, grads):
+            assert max_rel_error(fd_gradient(loss, layer.w), dw) < 1e-6
+            assert max_rel_error(fd_gradient(loss, layer.b), db) < 1e-6
+        assert max_rel_error(fd_gradient(loss, x), gx) < 1e-6
+
+    def test_recurrent_network_matches_batch_major_reference(self):
+        rng = np.random.default_rng(62)
+        net = with_random_biases(
+            Network.build(
+                [recurrent(3, 6), dense(6, 5, "tanh"), recurrent(5, 4), dense(4, 2, "softmax")],
+                seed=63,
+            ),
+            rng,
+        )
+        x = rng.normal(size=(9, 24, 3))
+        g = rng.normal(size=(9, 24, 2))
+        out, trace = net.forward(x)
+        grads, gx = net.backward(g, trace)
+        want_out, want_grads, want_gx = batch_major_reference(net, x, g)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+        for (dw, db), (want_dw, want_db) in zip(grads, want_grads):
+            np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-12)
+
+    def test_elman_forward_adapter_matches_network(self):
+        rng = np.random.default_rng(64)
+        net = with_random_biases(Network.build([recurrent(2, 3)], seed=65), rng)
+        x = rng.normal(size=(4, 6, 2))
+        layer = net.layers[0]
+        got = elman_forward(x, layer.w[:2], layer.w[2:], layer.b)
+        np.testing.assert_array_equal(got, net.forward(x)[0])
+
+    def test_single_step_dense_net_is_bit_identical_to_formula(self):
+        rng = np.random.default_rng(66)
+        net = with_random_biases(
+            Network.build([dense(3, 16, "tanh"), dense(16, 2, "linear")], seed=67), rng
+        )
+        x = rng.normal(size=(256, 1, 3))
+        out, _ = net.forward(x)
+        (w1, b1), (w2, b2) = [(l.w, l.b) for l in net.layers]
+        np.testing.assert_array_equal(out[:, 0], np.tanh(x[:, 0] @ w1 + b1) @ w2 + b2)
+
+    @pytest.mark.parametrize("nclass", [2, 3, 4, 7, 8, 10])
+    def test_softmax_column_fold_matches_axis_reductions(self, nclass):
+        # an identity layer makes the pre-activation the input and the input
+        # gradient the softmax Jacobian-vector product, both exactly
+        rng = np.random.default_rng(68 + nclass)
+        net = Network([Layer(np.eye(nclass), np.zeros(nclass), "softmax")])
+        x = rng.normal(size=(64, 3, nclass), scale=4.0)
+        g = rng.normal(size=x.shape)
+        out, trace = net.forward(x)
+        _, jvp = net.backward(g, trace)
+        want = softmax_formula(x)
+        want_jvp = want * (g - (g * want).sum(axis=-1, keepdims=True))
+        if nclass < 8:
+            np.testing.assert_array_equal(out, want)
+            np.testing.assert_array_equal(jvp, want_jvp)
+        else:
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(jvp, want_jvp, rtol=0, atol=1e-15)
 
 
 class TestForward:
@@ -378,6 +533,23 @@ class TestAdversaryLoss:
         grad = adversary_loss(probs, labels).grad_posteriors
         fd = fd_gradient(lambda: adversary_loss(probs, labels).value, probs)
         assert max_rel_error(fd, grad) < 1e-4
+
+    @pytest.mark.parametrize("nsteps", [1, 24])
+    def test_matches_take_along_axis_formula_bit_for_bit(self, nsteps):
+        rng = np.random.default_rng(70 + nsteps)
+        probs = rng.random((37, nsteps, 3))
+        probs /= probs.sum(axis=2, keepdims=True)
+        labels = rng.integers(0, 3, size=(37, nsteps))
+        probs[:4, 0] = 0.0  # four clamped picks
+        index = labels[:, :, None]
+        picked = np.take_along_axis(probs, index, axis=2)[:, :, 0]
+        safe = np.maximum(picked, 1e-15)
+        want_grad = np.zeros_like(probs)
+        np.put_along_axis(want_grad, index, (-1.0 / (safe * 37 * nsteps))[:, :, None], axis=2)
+        got = adversary_loss(probs, labels)
+        assert got.value == float(-np.log(safe).mean())
+        assert got.clamped == int((picked < 1e-15).sum()) == 4
+        np.testing.assert_array_equal(got.grad_posteriors, want_grad)
 
 
 class TestReleaserLoss:

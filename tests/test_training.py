@@ -14,6 +14,7 @@ from alphaprivacy.errors import DivergenceError, ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.nets import Network, dense, recurrent
 from alphaprivacy.training import (
+    COUNT_FIELDS,
     HyperParams,
     TrainedSystem,
     assemble_observed,
@@ -187,6 +188,16 @@ class TestHyperParamsValidation:
     @pytest.mark.parametrize("value", [None, 1, 40])
     def test_attacker_iterations_accepts_none_or_positive(self, value):
         assert HyperParams(attacker_iterations=value).attacker_iterations == value
+
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 16.0, True, "16"])
+    def test_non_integer_counts_are_typed_errors(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            HyperParams(**{field: value})
+
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_numpy_integer_counts_are_accepted(self, field):
+        assert getattr(HyperParams(**{field: np.int64(3)}), field) == 3
 
 
 class TestReferenceConfigurations:
