@@ -19,11 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, is_count
 from .fileio import write_text_atomic
 from .measures import NORMALIZATION_TOL, JointPmf, Pmf, _arimoto_entropy, _check_alpha
 
 MAX_EXACT_ALPHABET = 16
+
+
+def _check_channel_rows(probs):
+    """Reject a channel, or a stack ``(..., |W|, |Z|)`` of channels, whose
+    rows are not finite, non-negative and normalized within
+    ``NORMALIZATION_TOL``."""
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        raise ValidationError("ReleaseChannel: rows must be non-negative and finite")
+    worst = np.abs(probs.sum(axis=-1) - 1.0).max()
+    if worst > NORMALIZATION_TOL:
+        raise ValidationError(f"ReleaseChannel: row normalization off by {worst:g}")
 
 
 class ReleaseChannel:
@@ -39,12 +50,7 @@ class ReleaseChannel:
             raise ValidationError(
                 f"ReleaseChannel: expected |W| x |Z| matrix, got shape {probs.shape}"
             )
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-            raise ValidationError("ReleaseChannel: rows must be non-negative and finite")
-        rowsums = probs.sum(axis=1)
-        worst = np.abs(rowsums - 1.0).max()
-        if worst > NORMALIZATION_TOL:
-            raise ValidationError(f"ReleaseChannel: row normalization off by {worst:g}")
+        _check_channel_rows(probs)
         self.probs = probs
 
     @property
@@ -179,12 +185,12 @@ class ChannelOptConfig:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if self.step_size <= 0:
             raise ValidationError("step_size must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
+        for name in ("max_iters", "restarts"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -208,8 +214,7 @@ class ChannelOptResult:
     converged: bool
 
 
-def _private_joint_table(world: WorldModel, channel_probs: np.ndarray):
-    """Induced joint over (X, Z[, S]) given the channel, as a raw table."""
+def _check_channel_shape(world: WorldModel, channel_probs: np.ndarray):
     if channel_probs.shape[0] != world.size("W"):
         raise ValidationError(
             f"channel has {channel_probs.shape[0]} rows, |W| = {world.size('W')}"
@@ -218,6 +223,11 @@ def _private_joint_table(world: WorldModel, channel_probs: np.ndarray):
         raise ValidationError(
             f"channel has {channel_probs.shape[1]} columns, |Z| = {world.num_symbols}"
         )
+
+
+def _private_joint_table(world: WorldModel, channel_probs: np.ndarray):
+    """Induced joint over (X, Z[, S]) given the channel, as a raw table."""
+    _check_channel_shape(world, channel_probs)
     if world.has_side_information:
         return np.einsum("xws,wz->xzs", world._xws, channel_probs)
     return np.einsum("xw,wz->xz", world._xws[:, :, 0], channel_probs)
@@ -253,12 +263,10 @@ def releaser_objective(
     world: WorldModel, channel: ReleaseChannel, cfg: ChannelOptConfig
 ) -> float:
     """Expected distortion minus lambda times the adversary's residual
-    alpha-entropy about X, at the exact Bayes best response."""
-    value = expected_distortion(world, channel)
-    if cfg.lam != 0.0:
-        table = _private_joint_table(world, channel.probs)
-        value -= cfg.lam * float(_arimoto_entropy(table.reshape(len(table), -1), cfg.alpha))
-    return value
+    alpha-entropy about X, at the exact Bayes best response (the n = 1 view
+    of :func:`_batch_objective`)."""
+    _check_channel_shape(world, channel.probs)
+    return float(_batch_objective(world, channel.probs[None], cfg)[0])
 
 
 def project_to_simplex(v) -> Pmf:
@@ -287,14 +295,34 @@ def objective_gradient(world: WorldModel, channel: ReleaseChannel, cfg: ChannelO
     """Analytic gradient of :func:`releaser_objective` in the channel entries,
     treating the Bayes adversary as re-solved at the current channel.
     Zero-mass joint entries contribute 0 (finite-difference cross-checks
-    run on strictly positive channels)."""
-    grad = world._cost.copy()
-    if cfg.lam != 0.0:
-        table = _private_joint_table(world, channel.probs)
-        _, dj = _arimoto_entropy(table.reshape(len(table), -1), cfg.alpha, grad=True)
-        dj = dj.reshape(len(table), world.num_symbols, -1)
-        grad -= cfg.lam * np.einsum("xzs,xws->wz", dj, world._xws)
-    return grad
+    run on strictly positive channels).  The n = 1 view of
+    :func:`_batch_gradient`."""
+    _check_channel_shape(world, channel.probs)
+    return _batch_gradient(world, channel.probs[None], cfg)[0]
+
+
+def _joint_tables(world: WorldModel, channels):
+    """Induced joints of a channel stack (n, |W|, |Z|), laid out
+    ``(X, cells, n)`` for the entropy kernel."""
+    tables = np.einsum("xws,nwz->xzsn", world._xws, channels, order="C")
+    return tables.reshape(len(tables), -1, len(channels))
+
+
+def _batch_objective(world: WorldModel, channels, cfg: ChannelOptConfig):
+    """releaser_objective evaluated on a stack of channels (n, |W|, |Z|)."""
+    values = (channels * world._cost).reshape(len(channels), -1).sum(axis=1)
+    if cfg.lam == 0.0:
+        return values
+    return values - cfg.lam * _arimoto_entropy(_joint_tables(world, channels), cfg.alpha)
+
+
+def _batch_gradient(world: WorldModel, channels, cfg: ChannelOptConfig):
+    """objective_gradient evaluated on a stack of channels (n, |W|, |Z|)."""
+    if cfg.lam == 0.0:
+        return np.broadcast_to(world._cost, channels.shape).copy()
+    _, dj = _arimoto_entropy(_joint_tables(world, channels), cfg.alpha, grad=True)
+    dj = dj.reshape(len(dj), world.num_symbols, -1, len(channels))
+    return world._cost - cfg.lam * np.einsum("xzsn,xws->nwz", dj, world._xws, order="C")
 
 
 def optimize_channel(
@@ -310,6 +338,17 @@ def optimize_channel(
     trace belongs to the winning start and is non-increasing.  A start
     stops once the per-iteration improvement falls below ``cfg.tolerance``;
     ``converged`` is False if the winner ran out of iterations instead.
+    Ties go to the lowest restart index.
+
+    The starts run as one ``(R, |W|, |Z|)`` stack: each iteration takes one
+    batched gradient over the live starts, and each backtracking trial
+    projects, validates and scores the starts still halving their own
+    step in one call each.  Numerics: NumPy reduces a stack's entries in
+    order, but a lone channel's contiguous sums pairwise from 8 entries on,
+    and its gradient contraction in another order from |X| * |S| >= 6
+    terms.  So with alpha = 1 and |X| * |Z| * |S| >= 8, or a side-information
+    gradient over |X| * |S| >= 6 terms, the result can differ from restarts
+    run one at a time by a few ulps; elsewhere it is bit-identical.
     """
     for lbl in world.joint.axis_labels:
         if world.size(lbl) > MAX_EXACT_ALPHABET:
@@ -319,34 +358,46 @@ def optimize_channel(
     if world.num_symbols > MAX_EXACT_ALPHABET:
         raise ValidationError("release alphabet larger than the exact regime allows")
 
-    best = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart]))
-        probs = rng.dirichlet(np.ones(world.num_symbols), size=world.size("W"))
-        channel = ReleaseChannel(probs)
-        obj = releaser_objective(world, channel, cfg)
-        trace = [obj]
-        converged = False
-        for _ in range(cfg.max_iters):
-            grad = objective_gradient(world, channel, cfg)
-            step = cfg.step_size
-            cand, cand_obj = channel, obj
-            for _ in range(40):
-                trial = ReleaseChannel(_project_rows(channel.probs - step * grad))
-                trial_obj = releaser_objective(world, trial, cfg)
-                if trial_obj <= obj:
-                    cand, cand_obj = trial, trial_obj
-                    break
-                step *= 0.5
-            improvement = obj - cand_obj
-            channel, obj = cand, cand_obj
-            trace.append(obj)
-            if improvement < cfg.tolerance:
-                converged = True
+    nw, nz = world.size("W"), world.num_symbols
+    probs = np.stack([
+        np.random.default_rng(np.random.SeedSequence([int(seed), r])).dirichlet(
+            np.ones(nz), size=nw
+        )
+        for r in range(cfg.restarts)
+    ])
+    _check_channel_rows(probs)
+    obj = _batch_objective(world, probs, cfg)
+    traces = [[value] for value in obj.tolist()]
+    converged = np.zeros(cfg.restarts, dtype=bool)
+    active = np.arange(cfg.restarts)
+    for _ in range(cfg.max_iters):
+        grad = _batch_gradient(world, probs[active], cfg)
+        step, new_obj = cfg.step_size, obj[active]
+        pending = np.arange(len(active))  # positions in `active` still backtracking
+        for _ in range(40):
+            rows = active[pending]
+            trial = probs[rows] - step * grad[pending]
+            trial = _project_rows(trial.reshape(-1, nz)).reshape(trial.shape)
+            _check_channel_rows(trial)
+            trial_obj = _batch_objective(world, trial, cfg)
+            accept = trial_obj <= obj[rows]
+            probs[rows[accept]] = trial[accept]
+            new_obj[pending[accept]] = trial_obj[accept]
+            pending = pending[~accept]
+            if not len(pending):
                 break
-        if best is None or obj < best.trace[-1]:
-            best = ChannelOptResult(channel, trace, converged)
-    return best
+            step *= 0.5  # every pending restart has failed the same trials
+        improvement = obj[active] - new_obj
+        obj[active] = new_obj
+        for r, value in zip(active.tolist(), new_obj.tolist()):
+            traces[r].append(value)
+        done = improvement < cfg.tolerance
+        converged[active[done]] = True
+        active = active[~done]
+        if not len(active):
+            break
+    best = int(np.argmin(obj))  # the first of equal minima
+    return ChannelOptResult(ReleaseChannel(probs[best]), traces[best], bool(converged[best]))
 
 
 def free_parameter_count(world: WorldModel) -> int:
@@ -371,17 +422,6 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
     keep = remainder >= -1e-12
     rows = np.concatenate([lead[keep], np.clip(remainder[keep], 0.0, None)[:, None]], axis=1)
     return rows
-
-
-def _batch_objective(world: WorldModel, channels, cfg: ChannelOptConfig):
-    """releaser_objective evaluated on a stack of channels (n, |W|, |Z|)."""
-    values = np.einsum("nwz,wz->n", channels, world._cost)
-    if cfg.lam == 0.0:
-        return values
-    tables = np.einsum("xws,nwz->xzsn", world._xws, channels)
-    return values - cfg.lam * _arimoto_entropy(
-        tables.reshape(len(tables), -1, len(channels)), cfg.alpha
-    )
 
 
 def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):

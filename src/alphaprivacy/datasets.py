@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, is_count
 
 
 @dataclass
@@ -133,8 +133,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.generator not in ("labeled_clusters", "markov_load"):
             raise ValidationError(f"unknown generator {self.generator!r}")
-        if self.total < 1 or self.num_steps < 1 or self.d_y < 1 or self.noise_dim < 1:
-            raise ValidationError("total, num_steps, d_y and noise_dim must be >= 1")
+        for name in ("total", "num_steps", "d_y", "noise_dim", "num_classes"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.si_correlation <= 1.0:
             raise ValidationError("si_correlation must lie in [0, 1]")
         if self.separation < 0.0:

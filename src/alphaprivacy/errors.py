@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rule for counts."""
+
+from numbers import Integral
+
+
+def is_count(value):
+    """An integer >= 1; ``bool`` and integral floats such as 2.0 are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 class ValidationError(ValueError):

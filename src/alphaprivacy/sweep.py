@@ -11,6 +11,7 @@ fan points out over a process pool.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -203,14 +204,31 @@ def calibrate_si_correlation(
 # --- results persistence -----------------------------------------------------
 
 
+# scores a failed point holds as NaN, stored as JSON null
+_NULLABLE_SCORES = ("ne", "attacker_balanced_accuracy")
+
+
 def save_results(points, path, metadata=None):
-    """Write the sweep outcome as JSON, atomically (temp file + rename)."""
-    doc = {"metadata": metadata or {}, "points": [asdict(p) for p in points]}
+    """Write the sweep outcome as JSON, atomically (temp file + rename).
+
+    A failed point's NaN scores are written as ``null``, not as the
+    non-standard ``NaN`` token."""
+    records = [asdict(p) for p in points]
+    for rec in records:
+        for key in _NULLABLE_SCORES:
+            if math.isnan(rec[key]):
+                rec[key] = None
+    doc = {"metadata": metadata or {}, "points": records}
     write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=True))
 
 
 def load_results(path):
     with open(path) as fh:
         doc = json.load(fh)
-    points = [TradeoffPoint(**rec) for rec in doc["points"]]
+    points = []
+    for rec in doc["points"]:
+        for key in _NULLABLE_SCORES:
+            if key in rec and rec[key] is None:
+                rec[key] = float("nan")
+        points.append(TradeoffPoint(**rec))
     return points, doc.get("metadata", {})

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, is_count
 from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .measures import _check_alpha
@@ -64,7 +63,7 @@ class HyperParams:
             raise ValidationError("lambda must be >= 0")
         for name in COUNT_FIELDS:
             value = getattr(self, name)
-            if not _is_count(value):
+            if not is_count(value):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.lr_decay < 0:
             raise ValidationError(f"lr_decay must be >= 0, got {self.lr_decay}")
@@ -73,13 +72,8 @@ class HyperParams:
         if not 0.0 <= self.average_tail < 1.0:
             raise ValidationError("average_tail must lie in [0, 1)")
         attack = self.attacker_iterations
-        if attack is not None and not _is_count(attack):
+        if attack is not None and not is_count(attack):
             raise ValidationError("attacker_iterations must be None or an integer >= 1")
-
-
-def _is_count(value):
-    """An integer >= 1; ``bool`` and integral floats such as 2.0 are not."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def assemble_observed(y, x, noise=None, si=None, mode="y_only"):

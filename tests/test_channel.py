@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from alphaprivacy.channel import (
     ChannelOptConfig,
+    ChannelOptResult,
     ReleaseChannel,
     WorldModel,
     _batch_objective,
+    _check_channel_rows,
     bayes_posterior,
     enumerate_grid_rows,
     expected_distortion,
@@ -184,6 +187,26 @@ class TestReleaserObjective:
         for i in range(32):
             scalar = releaser_objective(world, ReleaseChannel(channels[i]), cfg)
             assert batch[i] == pytest.approx(scalar, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_zero_lambda_objective_is_expected_distortion_bit_for_bit(self, n):
+        world = _random_square_world(13, n, False)
+        cfg = ChannelOptConfig(alpha=2.0, lam=0.0)
+        channels = np.random.default_rng(19).dirichlet(np.ones(n), size=(8, n))
+        batch = _batch_objective(world, channels, cfg)
+        for i, probs in enumerate(channels):
+            channel = ReleaseChannel(probs)
+            assert releaser_objective(world, channel, cfg) == expected_distortion(world, channel)
+            assert batch[i] == expected_distortion(world, channel)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    def test_stacked_objective_equals_single_channel_bit_for_bit(self, alpha):
+        world = noisy_world(0.45, 0.3)
+        cfg = ChannelOptConfig(alpha=alpha, lam=0.4)
+        channels = np.random.default_rng(7).dirichlet(np.ones(2), size=(32, 2))
+        batch = _batch_objective(world, channels, cfg)
+        for i in range(32):
+            assert batch[i] == releaser_objective(world, ReleaseChannel(channels[i]), cfg)
 
 
 class TestSimplexProjection:
@@ -438,3 +461,165 @@ class TestOptimizerProperties:
         rivals = [np.eye(n), np.tile(q, (n, 1))] + [np.tile(row, (n, 1)) for row in np.eye(n)]
         for rival in rivals:
             assert got <= releaser_objective(world, ReleaseChannel(rival), cfg) + 1e-6
+
+
+class TestChannelOptConfigValidation:
+    @pytest.mark.parametrize("field", ["max_iters", "restarts"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 2.0, True, "4", None])
+    def test_non_count_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1"):
+            ChannelOptConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iters", "restarts"])
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3)])
+    def test_integer_counts_accepted(self, field, value):
+        assert getattr(ChannelOptConfig(**{field: value}), field) == value
+
+
+def serial_optimize(world, cfg, seed):
+    """optimize_channel one restart at a time through the public
+    single-channel functions: the reference for the stacked engine.
+
+    Returns the winning result and every restart's trace."""
+    best, traces = None, []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), restart]))
+        channel = ReleaseChannel(rng.dirichlet(np.ones(world.num_symbols), size=world.size("W")))
+        obj = releaser_objective(world, channel, cfg)
+        trace, converged = [obj], False
+        for _ in range(cfg.max_iters):
+            grad = objective_gradient(world, channel, cfg)
+            step, cand, cand_obj = cfg.step_size, channel, obj
+            for _ in range(40):
+                moved = channel.probs - step * grad
+                trial = ReleaseChannel([project_to_simplex(row).probs for row in moved])
+                trial_obj = releaser_objective(world, trial, cfg)
+                if trial_obj <= obj:
+                    cand, cand_obj = trial, trial_obj
+                    break
+                step *= 0.5
+            improvement = obj - cand_obj
+            channel, obj = cand, cand_obj
+            trace.append(obj)
+            if improvement < cfg.tolerance:
+                converged = True
+                break
+        traces.append(trace)
+        if best is None or obj < best.trace[-1]:
+            best = ChannelOptResult(channel, trace, converged)
+    return best, traces
+
+
+def assert_same_result(got, want):
+    np.testing.assert_array_equal(got.channel.probs, want.channel.probs)
+    assert got.trace == want.trace
+    assert got.converged is want.converged
+
+
+CRITERION5_WORLDS = [
+    (0.5, 0.0), (0.5, 0.2), (0.6, 0.1), (0.3, 0.15), (0.7, 0.25),
+    (0.45, 0.05), (0.55, 0.3), (0.5, 0.1), (0.65, 0.0),
+]
+
+
+class TestStackedRestarts:
+    """optimize_channel runs its restarts as one stack; it must return what
+    the restarts run one at a time return."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_criterion5_family_matches_serial_bit_for_bit(self, alpha, lam):
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam, max_iters=150)
+        for p0, flip in CRITERION5_WORLDS:
+            world = noisy_world(p0, flip)
+            want, _ = serial_optimize(world, cfg, seed=7)
+            assert_same_result(optimize_channel(world, cfg, seed=7), want)
+
+    @pytest.mark.parametrize(
+        "alpha, lam",
+        [(0.5, 0.0), (0.5, 0.7), (1.0, 0.0), (2.0, 0.0), (2.0, 0.7), (3.0, 0.0), (3.0, 0.7)],
+    )
+    def test_side_information_world_matches_serial_bit_for_bit(self, alpha, lam):
+        # |X| = 2, |Z| = |S| = 2: below 8 entries in every kernel reduction
+        # except the alpha = 1 Shannon sum (see the pairwise test below)
+        world = _random_square_world(3, 2, True)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam, max_iters=150)
+        for seed in (1, 2):
+            want, _ = serial_optimize(world, cfg, seed)
+            assert_same_result(optimize_channel(world, cfg, seed), want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_three_symbol_world_matches_serial_bit_for_bit(self, alpha, lam):
+        # |W| = |Z| = 3: the distortion sums 9 entries, pairwise in both paths
+        world = _random_square_world(5, 3, False)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam, max_iters=150)
+        want, _ = serial_optimize(world, cfg, seed=6)
+        assert_same_result(optimize_channel(world, cfg, seed=6), want)
+
+    @pytest.mark.parametrize(
+        "make_world", [lambda: _random_square_world(3, 2, True), side_world]
+    )
+    def test_pairwise_sums_agree_within_1e_9(self, make_world):
+        # at alpha = 1 the Shannon sum spans |X| * |Z| * |S| >= 8 entries, and
+        # the |X| = 3 world's gradient sums |X| * |S| = 6 terms: a lone
+        # channel sums pairwise, a stack in entry order
+        world = make_world()
+        cfg = ChannelOptConfig(alpha=1.0, lam=0.7, max_iters=300)
+        want, _ = serial_optimize(world, cfg, seed=4)
+        got = optimize_channel(world, cfg, seed=4)
+        assert got.trace[-1] == pytest.approx(want.trace[-1], abs=1e-9)
+        assert releaser_objective(world, got.channel, cfg) == pytest.approx(
+            want.trace[-1], abs=1e-9
+        )
+
+    def test_single_restart(self):
+        world = noisy_world(0.6, 0.1)
+        cfg = ChannelOptConfig(alpha=2.0, lam=0.7, restarts=1)
+        want, traces = serial_optimize(world, cfg, seed=3)
+        assert len(traces) == 1
+        assert_same_result(optimize_channel(world, cfg, seed=3), want)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_single_iteration(self, lam):
+        world = noisy_world(0.55, 0.3)
+        cfg = ChannelOptConfig(alpha=2.0, lam=lam, max_iters=1)
+        want, _ = serial_optimize(world, cfg, seed=5)
+        got = optimize_channel(world, cfg, seed=5)
+        assert len(got.trace) == 2
+        assert_same_result(got, want)
+
+    def test_restarts_converging_at_different_iterations(self):
+        world = noisy_world(0.7, 0.25)
+        cfg = ChannelOptConfig(alpha=3.0, lam=0.7, restarts=6)
+        want, traces = serial_optimize(world, cfg, seed=11)
+        assert len({len(t) for t in traces}) > 1
+        assert_same_result(optimize_channel(world, cfg, seed=11), want)
+
+    def test_tie_goes_to_lowest_restart_index(self):
+        # lam = 0 and an all-zero distortion: every channel scores exactly 0
+        world = _world(np.random.default_rng(43).random((2, 3, 2)) + 0.05,
+                       ("X", "W", "Y"), np.zeros((2, 2)))
+        cfg = ChannelOptConfig(alpha=2.0, lam=0.0, restarts=4)
+        got = optimize_channel(world, cfg, seed=9)
+        first = optimize_channel(world, replace(cfg, restarts=1), seed=9)
+        assert got.trace == [0.0, 0.0] and got.converged
+        np.testing.assert_array_equal(got.channel.probs, first.channel.probs)
+        assert_same_result(got, serial_optimize(world, cfg, seed=9)[0])
+
+
+class TestChannelRowCheck:
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 0.9])
+    def test_stack_check_raises_the_release_channel_message(self, bad):
+        row = [bad, 1.0 - bad] if bad == -0.25 else [bad, 0.5]
+        stack = np.full((3, 2, 2), 0.5)
+        stack[1, 1] = row
+        with pytest.raises(ValidationError) as single:
+            ReleaseChannel(stack[1])
+        with pytest.raises(ValidationError) as stacked:
+            _check_channel_rows(stack)
+        assert str(stacked.value) == str(single.value)
+        assert str(single.value).startswith("ReleaseChannel: ")
+
+    def test_valid_stack_passes(self):
+        _check_channel_rows(np.random.default_rng(0).dirichlet(np.ones(3), size=(4, 2)))

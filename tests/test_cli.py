@@ -262,6 +262,16 @@ class TestSweepHyperValidation:
         assert err.startswith("data error: ") and field in err
         assert err.count("\n") == 1
 
+    def test_non_integer_data_size_is_a_one_line_data_error(self, tmp_path, capsys):
+        config = json.loads(json.dumps(SWEEP_CONFIG))
+        config["data"]["total"] = 1280.5
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "total" in err
+        assert err.count("\n") == 1
+
 
 class TestInternalErrors:
     def test_unexpected_exception_is_one_line_exit_3(self, tmp_path, monkeypatch, capsys):

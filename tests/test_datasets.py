@@ -44,6 +44,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SynthConfig(generator="mystery")
 
+    @pytest.mark.parametrize("field", ["total", "num_steps", "d_y", "noise_dim", "num_classes"])
+    @pytest.mark.parametrize("value", [0, -2, 1280.5, 2.0, True, "16"])
+    def test_non_count_sizes_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1"):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["total", "num_steps", "d_y", "noise_dim", "num_classes"])
+    def test_numpy_integer_sizes_accepted(self, field):
+        assert getattr(SynthConfig(**{field: np.int64(3)}), field) == 3
+
     def test_si_correlation_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             SynthConfig(generator="markov_load", si_correlation=1.5)

@@ -433,3 +433,28 @@ class TestMeasureProperties:
             value, grad = _arimoto_entropy(tables[:, :, i, j], alpha, grad=True)
             assert values[i, j] == pytest.approx(float(value), rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(grads[:, :, i, j], grad, rtol=1e-12, atol=1e-12)
+
+
+# Orders away from alpha = 1, where the closed form's 1 / (1 - alpha) factor
+# would amplify rounding past the 1e-12 slack; alpha = 1 itself is always added.
+ORDERS = st.lists(st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 50.0)), max_size=6)
+
+
+class TestMonotoneInAlpha:
+    """H_alpha(X) and Arimoto's H_alpha(X | Z) do not increase with alpha
+    (Fehr & Berens, IEEE TIT 2014)."""
+
+    @given(seed=SEEDS, nx=st.integers(2, 5), sparsity=st.sampled_from([0.0, 0.4]),
+           orders=ORDERS)
+    def test_renyi_entropy(self, seed, nx, sparsity, orders):
+        p = Pmf(sparse_table(np.random.default_rng(seed), (nx,), sparsity))
+        values = [renyi_entropy(p, a) for a in sorted(orders + [1.0])]
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    @given(seed=SEEDS, nx=st.integers(2, 5), nz=st.integers(1, 5),
+           sparsity=st.sampled_from([0.0, 0.4]), orders=ORDERS)
+    def test_arimoto_conditional_entropy(self, seed, nx, nz, sparsity, orders):
+        joint = JointPmf(sparse_table(np.random.default_rng(seed), (nx, nz), sparsity),
+                         ("X", "Z"))
+        values = [arimoto_conditional_entropy(joint, a) for a in sorted(orders + [1.0])]
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))

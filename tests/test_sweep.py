@@ -109,6 +109,27 @@ class TestResultsPersistence:
         assert back[0] == points[0]
         assert back[1].failed and np.isnan(back[1].ne)
 
+    def test_failed_scores_are_written_as_null(self, tmp_path):
+        points = [
+            TradeoffPoint(alpha=1.0, lam=0.5, ne=0.1, attacker_balanced_accuracy=0.9,
+                          utility_accuracy=None, seed=7),
+            TradeoffPoint(alpha=3.0, lam=2.0, ne=float("nan"),
+                          attacker_balanced_accuracy=float("nan"),
+                          utility_accuracy=None, seed=8, failed=True, error="diverged"),
+        ]
+        path = tmp_path / "results.json"
+        save_results(points, path)
+
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        failed = doc["points"][1]
+        assert failed["ne"] is None and failed["attacker_balanced_accuracy"] is None
+        back, _ = load_results(path)
+        assert back[0] == points[0]
+        assert np.isnan(back[1].ne) and np.isnan(back[1].attacker_balanced_accuracy)
+
     def test_write_is_atomic_no_stray_temp_files(self, tmp_path):
         points = [TradeoffPoint(alpha=1.0, lam=0.0, ne=0.0,
                                 attacker_balanced_accuracy=0.5,
