@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, is_count
-from .fileio import write_text_atomic
+from .errors import DataFormatError, ValidationError, check_real, is_count
+from .fileio import read_json, write_text_atomic
 from .measures import NORMALIZATION_TOL, JointPmf, Pmf, _arimoto_entropy, _check_alpha
 
 MAX_EXACT_ALPHABET = 16
@@ -52,14 +52,6 @@ class ReleaseChannel:
             )
         _check_channel_rows(probs)
         self.probs = probs
-
-    @property
-    def num_observations(self):
-        return self.probs.shape[0]
-
-    @property
-    def num_symbols(self):
-        return self.probs.shape[1]
 
     def __repr__(self):
         return f"ReleaseChannel(shape={self.probs.shape})"
@@ -157,12 +149,7 @@ class WorldModel:
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path))
 
     def to_json(self, path):
         write_text_atomic(path, json.dumps(self.to_dict(), indent=2))
@@ -181,12 +168,9 @@ class ChannelOptConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
-        if self.step_size <= 0:
-            raise ValidationError("step_size must be positive")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        check_real("lam", self.lam, 0.0)
+        check_real("step_size", self.step_size, 0.0, strict=True)
+        check_real("tolerance", self.tolerance, 0.0, strict=True)
         for name in ("max_iters", "restarts"):
             value = getattr(self, name)
             if not is_count(value):
@@ -225,31 +209,25 @@ def _check_channel_shape(world: WorldModel, channel_probs: np.ndarray):
         )
 
 
-def _private_joint_table(world: WorldModel, channel_probs: np.ndarray):
-    """Induced joint over (X, Z[, S]) given the channel, as a raw table."""
-    _check_channel_shape(world, channel_probs)
-    if world.has_side_information:
-        return np.einsum("xws,wz->xzs", world._xws, channel_probs)
-    return np.einsum("xw,wz->xz", world._xws[:, :, 0], channel_probs)
-
-
 def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterior:
     """Exact posterior p(X | Z[, S]) induced by the world and the channel.
 
     This is the minimizer of the KL divergence from the true posterior,
     i.e. the best possible adversary for the given release mechanism.
     """
-    table = _private_joint_table(world, channel.probs)
+    _check_channel_shape(world, channel.probs)
+    table = _joint_tables(world, channel.probs[None]).reshape(
+        len(world._xws), world.num_symbols, -1
+    )
+    if not world.has_side_information:
+        table = table[:, :, 0]
     cond_mass = table.sum(axis=0)
     support = cond_mass > 0.0
-    prior = world._prior
-    cond = np.empty_like(table)
-    safe = np.where(support, cond_mass, 1.0)
-    cond[:] = table / safe
+    cond = table / np.where(support, cond_mass, 1.0)
     # dead cells: fall back to the prior, flagged via `support`
     if not support.all():
-        shape = (len(prior),) + (1,) * (table.ndim - 1)
-        cond = np.where(support, cond, prior.reshape(shape))
+        prior = world._prior.reshape((-1,) + (1,) * (table.ndim - 1))
+        cond = np.where(support, cond, prior)
     labels = ("X", "Z", "S") if world.has_side_information else ("X", "Z")
     return BayesPosterior(JointPmf(table, labels), cond, support)
 
@@ -413,9 +391,6 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
     if resolution < 2:
         raise ValidationError("grid resolution must be >= 2")
     pts = np.linspace(0.0, 1.0, resolution)
-    if num_symbols == 2:
-        rows = np.stack([pts, 1.0 - pts], axis=1)
-        return np.clip(rows, 0.0, 1.0)
     grids = np.meshgrid(*([pts] * (num_symbols - 1)), indexing="ij")
     lead = np.stack([g.ravel() for g in grids], axis=1)
     remainder = 1.0 - lead.sum(axis=1)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .channel import ChannelOptConfig, WorldModel, expected_distortion, optimize_channel, releaser_objective
 from .datasets import BatchStream, SynthConfig, train_eval_split
-from .errors import DataFormatError, DivergenceError, ValidationError
-from .fileio import write_text_atomic
+from .errors import DataFormatError, DivergenceError, ValidationError, is_count
+from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .measures import (
     JointPmf,
@@ -67,18 +67,8 @@ def _out_dir(args):
     return out
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
-
-
 def _load_joint(path):
-    doc = _load_json(path)
+    doc = read_json(path)
     try:
         axes = tuple(doc["axes"])
         shape = tuple(int(n) for n in doc["shape"])
@@ -163,13 +153,15 @@ def cmd_optimize(args):
 
 
 def _config_from_file(args):
-    config = _load_json(args.config) if args.config else {}
+    config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise DataFormatError(f"{args.config}: expected a JSON object")
     return config
 
 
 def _build_run_pieces(args, config):
+    si_enabled = bool(config.get("si", False)) or args.si
+    utility_enabled = bool(config.get("utility_net", False)) or args.utility_net
     try:
         data_cfg = SynthConfig(**config.get("data", {}))
         hyper_doc = dict(config.get("hyper", {}))
@@ -179,12 +171,10 @@ def _build_run_pieces(args, config):
         spec = (
             DistortionSpec(**config["distortion"])
             if "distortion" in config
-            else None
+            else default_distortion(utility_enabled)
         )
     except TypeError as exc:
         raise DataFormatError(f"config: {exc}") from None
-    si_enabled = bool(config.get("si", False)) or args.si
-    utility_enabled = bool(config.get("utility_net", False)) or args.utility_net
     if hyper.num_steps != data_cfg.num_steps:
         hyper = HyperParams(**{**hyper_doc, "num_steps": data_cfg.num_steps})
     return data_cfg, hyper, spec, si_enabled, utility_enabled
@@ -193,7 +183,6 @@ def _build_run_pieces(args, config):
 def cmd_train(args):
     config = _config_from_file(args)
     data_cfg, hyper, spec, si_enabled, utility_enabled = _build_run_pieces(args, config)
-    spec = spec or default_distortion(data_cfg, utility_enabled)
     out_dir = _out_dir(args)
     train_data, eval_data = train_eval_split(data_cfg)
     log_path = os.path.join(out_dir, "train_log.txt")
@@ -207,7 +196,7 @@ def cmd_train(args):
             log_stream=log_stream,
         )
     checkpoint = os.path.join(out_dir, "system.json")
-    write_text_atomic(checkpoint, json.dumps(system.to_dict()))
+    system.to_json(checkpoint)
     ne = normalized_error(system.release(eval_data), eval_data.y)
     print(f"final releaser loss {system.releaser_history[-1]:.6f}, held-out NE {ne:.6f}")
     print(f"wrote {checkpoint} and {log_path}")
@@ -225,18 +214,31 @@ def _points_csv(points):
     return "\n".join(lines) + "\n"
 
 
+def _config_grid(config, key, default=None):
+    """A grid from the config: absent gives ``default``; the values
+    themselves are checked by :func:`sweep`."""
+    grid = config.get(key, default)
+    if grid is not None and not (isinstance(grid, list) and grid):
+        raise DataFormatError(f"config: {key} must be a non-empty list of numbers, got {grid!r}")
+    return grid
+
+
 def cmd_sweep(args):
     config = _config_from_file(args)
     data_cfg, hyper, spec, si_enabled, utility_enabled = _build_run_pieces(args, config)
-    lambdas = _float_list(args.lambda_grid) if args.lambda_grid else config.get(
-        "lambda_grid"
+    lambdas = _float_list(args.lambda_grid) if args.lambda_grid else _config_grid(
+        config, "lambda_grid"
     )
-    alphas = _float_list(args.alpha) if args.alpha else config.get(
-        "alpha_grid", list(DEFAULT_ALPHAS)
+    alphas = _float_list(args.alpha) if args.alpha else _config_grid(
+        config, "alpha_grid", list(DEFAULT_ALPHAS)
     )
-    if not lambdas:
+    if lambdas is None:
         raise UsageError("sweep needs --lambda-grid or a lambda_grid config entry")
-    workers = args.workers or int(config.get("workers", 1))
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    workers = config.get("workers", 1) if args.workers is None else args.workers
+    if not is_count(workers):
+        raise DataFormatError(f"config: workers must be an integer >= 1, got {workers!r}")
     out_dir = _out_dir(args)
     points = sweep(
         hyper,

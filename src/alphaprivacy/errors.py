@@ -1,11 +1,25 @@
-"""Exception types shared across the package, and the input rule for counts."""
+"""Exception types shared across the package, and the input rules for
+counts and real-valued settings."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 def is_count(value):
     """An integer >= 1; ``bool`` and integral floats such as 2.0 are not."""
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+
+
+def check_real(name, value, low, strict=False):
+    """Return ``value`` if it is a finite real >= ``low`` (> ``low`` when
+    ``strict``), else raise a ValidationError naming ``name``; ``bool`` is
+    not a real here."""
+    # an int is finite however large; math.isfinite would overflow on it
+    finite = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
+    if isinstance(value, bool) or not finite or not (value > low if strict else value >= low):
+        bound = f"{'>' if strict else '>='} {low:g}"
+        raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
+    return value
 
 
 class ValidationError(ValueError):

@@ -1,9 +1,24 @@
-"""Atomic text output, shared by every file the package writes."""
+"""Atomic text output, shared by every file the package writes, and the
+JSON reader shared by every document it reads."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+
+from .errors import DataFormatError
+
+
+def read_json(path):
+    """Parse a JSON file; a missing file or invalid JSON is a DataFormatError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DataFormatError(f"{path}: no such file") from None
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def write_text_atomic(path, text):

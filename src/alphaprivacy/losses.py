@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .measures import ZERO_PROB, _check_alpha, batch_sequence_arimoto_entropy_grad
 
 DISTORTION_KINDS = ("p_norm", "composite_img", "ts_l2")
@@ -25,30 +25,35 @@ class DistortionSpec:
 
     ``p_norm`` is the per-sample (1/T) p-norm of the flattened difference;
     ``composite_img`` adds the utility classifier's cross-entropy to an L1
-    norm; ``ts_l2`` is the p = 2 special case used for time series.
-    ``utility_weight`` scales the classifier term of the composite.
+    norm; ``ts_l2``, the time-series name, is read as ``p_norm`` with
+    p = 2.  ``utility_weight`` scales the classifier term of the composite.
     """
 
-    kind: str = "ts_l2"
+    kind: str = "p_norm"
     p: float = 2.0
     utility_weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in DISTORTION_KINDS:
             raise ValidationError(f"unknown distortion kind {self.kind!r}")
-        if self.p < 1.0:
-            raise ValidationError(f"p-norms need p >= 1, got {self.p}")
-
-    @property
-    def norm_order(self):
-        return 1.0 if self.kind == "composite_img" else (2.0 if self.kind == "ts_l2" else self.p)
+        check_real("p", self.p, 1.0)
+        check_real("utility_weight", self.utility_weight, 0.0)
+        if self.kind == "ts_l2":
+            self.kind, self.p = "p_norm", 2.0
+        elif self.kind == "composite_img":
+            self.p = 1.0
 
     @property
     def needs_utility(self):
         return self.kind == "composite_img"
 
 
-def _check_batch_pair(released, target):
+def _norm_distortion(spec, released, target, grad=False):
+    """Batch mean of the per-sample (1/T) p-norm of ``released - target``.
+
+    With ``grad`` the result is ``(value, d value / d released)``;
+    zero-difference samples get a zero (sub)gradient.
+    """
     released = np.asarray(released, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if released.shape != target.shape or released.ndim != 3:
@@ -56,53 +61,42 @@ def _check_batch_pair(released, target):
             f"released/target must share a (B, T, d) shape, got "
             f"{released.shape} vs {target.shape}"
         )
-    return released, target
+    nbatch, nsteps = released.shape[0], released.shape[1]
+    flat = (released - target).reshape(nbatch, -1)
+    mag = np.abs(flat)
+    p = spec.p
+    norms = (mag**p).sum(axis=1) ** (1.0 / p)
+    value = float(norms.mean() / nsteps)
+    if not grad:
+        return value
+    safe = np.where(norms > 0.0, norms, 1.0)
+    g = np.sign(flat) * mag ** (p - 1.0) / safe[:, None] ** (p - 1.0)
+    g[norms == 0.0] = 0.0
+    return value, g.reshape(released.shape) * (1.0 / (nbatch * nsteps))
+
+
+def _utility_term(spec, utility_loss):
+    """The composite's weighted utility cross-entropy, 0 for the norms; the
+    loss is required for the composite and rejected elsewhere."""
+    if spec.needs_utility and utility_loss is None:
+        raise ValidationError("composite_img distortion requires utility_loss")
+    if not spec.needs_utility and utility_loss is not None:
+        raise ValidationError(f"{spec.kind} distortion does not take utility_loss")
+    return spec.utility_weight * float(utility_loss) if spec.needs_utility else 0.0
 
 
 def compute_distortion(spec: DistortionSpec, released, target, utility_loss=None):
     """Batch-mean distortion between released and original data.
 
     For the composite measure the caller supplies the utility network's
-    cross-entropy as ``utility_loss``; it is required there and rejected
-    elsewhere.
+    cross-entropy as ``utility_loss``.
     """
-    released, target = _check_batch_pair(released, target)
-    if spec.needs_utility and utility_loss is None:
-        raise ValidationError("composite_img distortion requires utility_loss")
-    if not spec.needs_utility and utility_loss is not None:
-        raise ValidationError(f"{spec.kind} distortion does not take utility_loss")
-    value = _norm_distortion(spec, released, target)
-    if spec.needs_utility:
-        value += spec.utility_weight * float(utility_loss)
-    return value
-
-
-def _norm_distortion(spec, released, target):
-    nsteps = released.shape[1]
-    diff = (released - target).reshape(released.shape[0], -1)
-    p = spec.norm_order
-    norms = np.abs(diff).sum(axis=1) if p == 1.0 else (np.abs(diff) ** p).sum(axis=1) ** (1.0 / p)
-    return float(norms.mean() / nsteps)
+    return _norm_distortion(spec, released, target) + _utility_term(spec, utility_loss)
 
 
 def norm_distortion_grad(spec: DistortionSpec, released, target):
-    """Gradient of the norm part of the distortion w.r.t. ``released``.
-
-    Zero-difference samples get a zero (sub)gradient.
-    """
-    released, target = _check_batch_pair(released, target)
-    nbatch, nsteps = released.shape[0], released.shape[1]
-    diff = released - target
-    flat = diff.reshape(nbatch, -1)
-    p = spec.norm_order
-    scale = 1.0 / (nbatch * nsteps)
-    if p == 1.0:
-        return np.sign(diff) * scale
-    norms = (np.abs(flat) ** p).sum(axis=1) ** (1.0 / p)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    g = np.sign(flat) * np.abs(flat) ** (p - 1.0) / safe[:, None] ** (p - 1.0)
-    g[norms == 0.0] = 0.0
-    return g.reshape(released.shape) * scale
+    """Gradient of the norm part of the distortion w.r.t. ``released``."""
+    return _norm_distortion(spec, released, target, grad=True)[1]
 
 
 @dataclass
@@ -163,12 +157,11 @@ def releaser_loss(
     utility network) by the caller, since those paths depend on networks
     this function never sees.
     """
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    check_real("lam", lam, 0.0)
     alpha = _check_alpha(alpha)
     probs = np.asarray(posterior_probs, dtype=np.float64)
-    value = compute_distortion(spec, released, target, utility_loss)
-    grad_released = norm_distortion_grad(spec, released, target)
+    value, grad_released = _norm_distortion(spec, released, target, grad=True)
+    value += _utility_term(spec, utility_loss)
     if lam == 0.0:
         return LossValue(value=value, grad_released=grad_released,
                          grad_posteriors=np.zeros_like(probs))

@@ -58,9 +58,6 @@ class Pmf:
             raise ValidationError(f"Pmf: entries sum to {total!r}, not 1")
         self.probs = probs
 
-    def __len__(self):
-        return self.probs.size
-
     def __repr__(self):
         return f"Pmf({self.probs!r})"
 
@@ -145,14 +142,6 @@ class PosteriorBatch:
             )
         self.probs = probs
 
-    @property
-    def batch_size(self):
-        return self.probs.shape[0]
-
-    @property
-    def num_steps(self):
-        return self.probs.shape[1]
-
 
 def _masked_log(p):
     """log p with entries <= ZERO_PROB mapped to -inf (excluded from sums)."""
@@ -226,6 +215,43 @@ def _arimoto_entropy(table, alpha, grad=False):
     return value, dj
 
 
+def _sequence_entropy(p, logp, alpha, grad=False):
+    """Batch estimate of the sequence conditional alpha-entropy of (B, T, |X|)
+    per-step posteriors ``p`` whose logs are ``logp``.
+
+    Uses the product decomposition of the per-step posteriors, under which
+    the alpha-norm of the length-T sequence posterior factorizes into the
+    product of per-step alpha-norms:
+
+        (1/T) * alpha/(1-alpha) * log[ (1/B) sum_b prod_t ||p_{bt}||_alpha ]
+
+    and, at alpha = 1, the batch-mean Shannon conditional entropy rate (its
+    zeros masked by :func:`_shannon`, whatever ``logp`` holds).  The batch
+    mean plays the role of the expectation over released sequences and is
+    exact as B grows.  With ``grad`` the result is ``(value, dH/dp)``,
+    which needs every ``logp`` finite.
+    """
+    nbatch, nsteps = p.shape[0], p.shape[1]
+    if alpha == 1.0:
+        value = float(_shannon(p, axis=2).mean())
+        if not grad:
+            return value
+        return value, -(logp + 1.0) / (nbatch * nsteps)
+    log_step_sums = _logsumexp(alpha * logp, axis=2)  # (B, T): log sum_x p^alpha
+    log_seq_norms = log_step_sums.sum(axis=1) / alpha  # (B,): log prod_t ||p_bt||_alpha
+    log_total = _logsumexp(log_seq_norms, axis=0)
+    value = float(alpha / (1.0 - alpha) * (log_total - np.log(nbatch)) / nsteps)
+    if not grad:
+        return value
+    # d value / d p_btx = (1/T) * alpha/(1-alpha) * w_b * p^(alpha-1) / S_bt
+    # with w_b the batch softmax of the per-sequence log norms.
+    w = np.exp(log_seq_norms - log_total)  # sums to 1
+    coeff = alpha / (1.0 - alpha) / nsteps
+    return value, coeff * w[:, None, None] * np.exp(
+        (alpha - 1.0) * logp - log_step_sums[:, :, None]
+    )
+
+
 def _x_first(joint: JointPmf):
     """The joint's table as (X, cells): private axis first, the rest flat."""
     table = np.moveaxis(joint.probs, joint.axis("X"), 0)
@@ -277,27 +303,11 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
 
 
 def batch_sequence_arimoto_entropy(posteriors: PosteriorBatch, alpha) -> float:
-    """Per-time-step batch estimate of the sequence conditional alpha-entropy.
-
-    Uses the product decomposition of the per-step posteriors, under which
-    the alpha-norm of the length-T sequence posterior factorizes into the
-    product of per-step alpha-norms:
-
-        (1/T) * alpha/(1-alpha) * log[ (1/B) sum_b prod_t ||p_{bt}||_alpha ]
-
-    and, at alpha = 1, the batch-mean Shannon conditional entropy rate.
-    The batch mean plays the role of the expectation over released
-    sequences and is exact as B grows.
-    """
+    """Per-time-step batch estimate of the sequence conditional alpha-entropy
+    (see :func:`_sequence_entropy`), with exact zeros masked."""
     alpha = _check_alpha(alpha)
     p = posteriors.probs
-    nbatch, nsteps = p.shape[0], p.shape[1]
-    if alpha == 1.0:
-        return float(_shannon(p, axis=2).mean())
-    # log prod_t ||p_bt||_alpha, one value per batch element
-    log_seq_norms = (_logsumexp(alpha * _masked_log(p), axis=2) / alpha).sum(axis=1)
-    log_mean = _logsumexp(log_seq_norms, axis=0) - np.log(nbatch)
-    return float(alpha / (1.0 - alpha) * log_mean / nsteps)
+    return _sequence_entropy(p, _masked_log(p), alpha)
 
 
 def batch_sequence_arimoto_entropy_grad(probs, alpha):
@@ -307,25 +317,8 @@ def batch_sequence_arimoto_entropy_grad(probs, alpha):
     ``probs`` is the raw (B, T, |X|) array (assumed valid; training code
     feeds softmax outputs).  Returns ``(value, grad)`` with ``grad`` the
     same shape as ``probs``.  Probabilities are floored at ``ZERO_PROB``
-    before differentiation, matching the forward masking.
+    before differentiation, so every log is finite.
     """
     alpha = _check_alpha(alpha)
-    p = np.maximum(np.asarray(probs, dtype=np.float64), ZERO_PROB)
-    nbatch, nsteps = p.shape[0], p.shape[1]
-    if alpha == 1.0:
-        value = float(_shannon(p, axis=2).mean())
-        grad = -(np.log(p) + 1.0) / (nbatch * nsteps)
-        return value, grad
-    logp = np.log(p)
-    log_step_sums = _logsumexp(alpha * logp, axis=2)  # (B, T): log sum_x p^alpha
-    log_seq_norms = log_step_sums.sum(axis=1) / alpha  # (B,)
-    log_mean = _logsumexp(log_seq_norms, axis=0) - np.log(nbatch)
-    value = float(alpha / (1.0 - alpha) * log_mean / nsteps)
-    # d value / d p_btx = (1/T) * alpha/(1-alpha) * w_b * p^(alpha-1) / S_bt
-    # with w_b the batch softmax of the per-sequence log norms.
-    w = np.exp(log_seq_norms - _logsumexp(log_seq_norms, axis=0))  # sums to 1
-    coeff = alpha / (1.0 - alpha) / nsteps
-    grad = coeff * w[:, None, None] * np.exp(
-        (alpha - 1.0) * logp - log_step_sums[:, :, None]
-    )
-    return value, grad
+    q = np.maximum(np.asarray(probs, dtype=np.float64), ZERO_PROB)
+    return _sequence_entropy(q, np.log(q), alpha, grad=True)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .fileio import write_text_atomic
 
-ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid", "softmax")
+ACTIVATIONS = ("linear", "tanh", "softmax")
 
 
 def elman_forward(x, w_in, w_rec, bias):
@@ -223,18 +223,6 @@ class Network:
                 g = (gpre @ layer.w.T).reshape(x.shape)
         return grads, _swap_bt(g)
 
-    # --- parameter updates ----------------------------------------------
-
-    def zero_grads(self):
-        return [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in self.layers]
-
-    def copy(self):
-        net = Network(
-            [Layer(l.w.copy(), l.b.copy(), l.activation, l.recurrent) for l in self.layers],
-            seed=self.seed,
-        )
-        return net
-
     # --- serialization -----------------------------------------------------
 
     def to_dict(self):
@@ -293,12 +281,8 @@ def _activate(pre, activation):
     """Apply the activation to a 2-D (rows, features) pre-activation."""
     if activation == "linear":
         return pre
-    if activation == "relu":
-        return np.maximum(pre, 0.0)
     if activation == "tanh":
         return np.tanh(pre)
-    if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
     # softmax over the feature axis, shifted for stability
     e = pre - _fold_columns(np.maximum, pre)[:, None]
     np.exp(e, out=e)
@@ -310,12 +294,8 @@ def _activation_grad(g, out, activation):
     """Pull a 2-D output gradient back through the activation."""
     if activation == "linear":
         return g
-    if activation == "relu":
-        return g * (out > 0.0)
     if activation == "tanh":
         return g * (1.0 - out**2)
-    if activation == "sigmoid":
-        return g * out * (1.0 - out)
     # softmax Jacobian: p * (g - <g, p>)
     inner = _fold_columns(np.add, g * out)
     return out * (g - inner[:, None])
@@ -340,37 +320,15 @@ def _fold_columns(op, a):
     return acc
 
 
-def sgd_step(network: Network, grads, learning_rate, momentum=0.0, velocity=None):
-    """One SGD-with-classical-momentum update, in place.
-
-    ``velocity`` carries the momentum buffers between calls (created on
-    first use); they are updated in place and returned.  ``grads`` is only
-    read.
-    """
-    if learning_rate <= 0:
-        raise ValidationError("learning_rate must be positive")
-    if velocity is None:
-        velocity = network.zero_grads()
-    steps = list(zip(network.layers, velocity, grads))
-    for layer, (vw, vb), (dw, db) in steps:
-        want = (layer.w.shape, layer.b.shape)
-        if (vw.shape, vb.shape) != want or (dw.shape, db.shape) != want:
-            raise ValidationError("gradient shape does not match parameters")
-    for layer, (vw, vb), (dw, db) in steps:
-        vw *= momentum
-        vw += dw
-        vb *= momentum
-        vb += db
-        layer.w -= learning_rate * vw
-        layer.b -= learning_rate * vb
-    network._version += 1
-    return velocity
-
-
 class SgdMomentum:
-    """Stateful wrapper around :func:`sgd_step` for one network."""
+    """SGD with classical momentum for one network, updated in place.
+
+    The velocity buffers are created on the first step and updated in
+    place after that; the gradients passed to :meth:`step` are only read.
+    """
 
     def __init__(self, network, learning_rate, momentum=0.9):
+        check_real("learning_rate", learning_rate, 0.0, strict=True)
         self.network = network
         self.learning_rate = learning_rate
         self.momentum = momentum
@@ -378,7 +336,18 @@ class SgdMomentum:
         self.steps = 0
 
     def step(self, grads):
-        self.velocity = sgd_step(
-            self.network, grads, self.learning_rate, self.momentum, self.velocity
-        )
+        layers = self.network.layers
+        for layer, (dw, db) in zip(layers, grads):
+            if (dw.shape, db.shape) != (layer.w.shape, layer.b.shape):
+                raise ValidationError("gradient shape does not match parameters")
+        if self.velocity is None:
+            self.velocity = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in layers]
+        for layer, (vw, vb), (dw, db) in zip(layers, self.velocity, grads):
+            vw *= self.momentum
+            vw += dw
+            vb *= self.momentum
+            vb += db
+            layer.w -= self.learning_rate * vw
+            layer.b -= self.learning_rate * vb
+        self.network._version += 1
         self.steps += 1

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, SynthConfig, _derive_seed, train_eval_split
-from .errors import DivergenceError, ValidationError
-from .fileio import write_text_atomic
+from .errors import DataFormatError, DivergenceError, ValidationError, check_real
+from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .metrics import balanced_accuracy
 from .training import HyperParams, evaluate_system, train, train_attacker
@@ -40,11 +40,9 @@ class TradeoffPoint:
     error: Optional[str] = None
 
 
-def default_distortion(data_cfg: SynthConfig, utility_enabled: bool) -> DistortionSpec:
+def default_distortion(utility_enabled: bool) -> DistortionSpec:
     if utility_enabled:
         return DistortionSpec("composite_img")
-    if data_cfg.generator == "markov_load":
-        return DistortionSpec("ts_l2")
     return DistortionSpec("p_norm", p=2.0)
 
 
@@ -96,10 +94,6 @@ def run_point(
     )
 
 
-def _run_point_args(args):
-    return run_point(*args)
-
-
 def sweep(
     base_hyper: HyperParams,
     lambdas,
@@ -115,11 +109,11 @@ def sweep(
     Points are independent jobs; with ``workers > 1`` they run in a process
     pool and are merged back in grid order.
     """
-    lambdas = sorted(float(v) for v in lambdas)
-    alphas = sorted(float(v) for v in alphas)
+    lambdas = sorted(float(check_real("lambda_grid entry", v, 0.0)) for v in lambdas)
+    alphas = sorted(float(check_real("alpha_grid entry", v, 0.0, strict=True)) for v in alphas)
     if not lambdas or not alphas:
         raise ValidationError("sweep needs non-empty alpha and lambda grids")
-    spec = distortion or default_distortion(data_cfg, utility_enabled)
+    spec = distortion or default_distortion(utility_enabled)
     jobs = [
         (base_hyper, alpha, lam, data_cfg, spec, si_enabled, utility_enabled)
         for alpha in alphas
@@ -127,8 +121,8 @@ def sweep(
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_point_args, jobs))
-    return [_run_point_args(job) for job in jobs]
+            return list(pool.map(run_point, *zip(*jobs)))
+    return [run_point(*job) for job in jobs]
 
 
 # --- side-information calibration -------------------------------------------
@@ -223,12 +217,19 @@ def save_results(points, path, metadata=None):
 
 
 def load_results(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read what :func:`save_results` wrote; a document that is not a
+    ``points`` list of complete point records is a DataFormatError."""
+    doc = read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
+        raise DataFormatError(f"{path}: expected an object with a 'points' list")
     points = []
-    for rec in doc["points"]:
+    for i, rec in enumerate(doc["points"]):
+        try:
+            point = TradeoffPoint(**rec)
+        except TypeError as exc:
+            raise DataFormatError(f"{path}: point {i}: {exc}") from None
         for key in _NULLABLE_SCORES:
-            if key in rec and rec[key] is None:
-                rec[key] = float("nan")
-        points.append(TradeoffPoint(**rec))
+            if getattr(point, key) is None:
+                setattr(point, key, float("nan"))
+        points.append(point)
     return points, doc.get("metadata", {})

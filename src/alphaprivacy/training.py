@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
-from .errors import DivergenceError, ValidationError, is_count
+from .errors import DivergenceError, ValidationError, check_real, is_count
 from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .measures import _check_alpha
@@ -59,14 +59,15 @@ class HyperParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.lam < 0:
-            raise ValidationError("lambda must be >= 0")
+        check_real("lam", self.lam, 0.0)
+        for name in ("lr_releaser", "lr_adversary", "lr_utility"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        check_real("lr_decay", self.lr_decay, 0.0)
+        check_real("momentum", self.momentum, 0.0)
         for name in COUNT_FIELDS:
             value = getattr(self, name)
             if not is_count(value):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.lr_decay < 0:
-            raise ValidationError(f"lr_decay must be >= 0, got {self.lr_decay}")
         if self.observed_mode not in OBSERVED_MODES:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
         if not 0.0 <= self.average_tail < 1.0:
@@ -188,22 +189,12 @@ class TrainedSystem:
             return cls.from_dict(json.load(fh))
 
 
-def _releaser_net(hyper, d_in, d_out, seed):
-    if hyper.num_steps == 1:
-        specs = [dense(d_in, hyper.hidden_releaser, "tanh"),
-                 dense(hyper.hidden_releaser, d_out, "linear")]
-    else:
-        specs = [recurrent(d_in, hyper.hidden_releaser),
-                 dense(hyper.hidden_releaser, d_out, "linear")]
-    return Network.build(specs, seed)
-
-
-def _classifier_net(num_steps, d_in, n_classes, hidden, seed):
-    if num_steps == 1:
-        specs = [dense(d_in, hidden, "tanh"), dense(hidden, n_classes, "softmax")]
-    else:
-        specs = [recurrent(d_in, hidden), dense(hidden, n_classes, "softmax")]
-    return Network.build(specs, seed)
+def _two_layer_net(num_steps, d_in, hidden, d_out, head, seed):
+    """A tanh hidden layer (dense at T = 1, the recurrent cell otherwise)
+    under a dense output layer with activation ``head``: the releaser's
+    shape with a linear head, every classifier's with softmax."""
+    first = dense(d_in, hidden, "tanh") if num_steps == 1 else recurrent(d_in, hidden)
+    return Network.build([first, dense(hidden, d_out, head)], seed)
 
 
 def _guard(value, iteration, who):
@@ -211,6 +202,17 @@ def _guard(value, iteration, who):
         raise DivergenceError(
             f"{who} loss diverged at iteration {iteration}: {value!r}", iteration
         )
+
+
+def _classifier_step(opt, inputs, labels, iteration, who):
+    """One cross-entropy update of the softmax classifier ``opt`` trains;
+    returns the loss before the update."""
+    probs, trace = opt.network.forward(inputs)
+    loss = adversary_loss(probs, labels)
+    _guard(loss.value, iteration, who)
+    grads, _ = opt.network.backward(loss.grad_posteriors, trace)
+    opt.step(grads)
+    return loss.value
 
 
 def train(
@@ -252,16 +254,20 @@ def train(
     ).shape[2]
     d_s = pool.s.shape[1] if si_enabled else 0
 
-    releaser = _releaser_net(hyper, d_w, d_y, _derive_seed(hyper.seed, "releaser"))
-    adversary = _classifier_net(
-        hyper.num_steps, d_y + d_s, num_private, hyper.hidden_adversary,
+    releaser = _two_layer_net(
+        hyper.num_steps, d_w, hyper.hidden_releaser, d_y, "linear",
+        _derive_seed(hyper.seed, "releaser"),
+    )
+    adversary = _two_layer_net(
+        hyper.num_steps, d_y + d_s, hyper.hidden_adversary, num_private, "softmax",
         _derive_seed(hyper.seed, "adversary"),
     )
     utility = None
     if utility_enabled:
         n_classes = int(pool.c.max()) + 1
-        utility = _classifier_net(
-            1, d_y, n_classes, hyper.hidden_utility, _derive_seed(hyper.seed, "utility")
+        utility = _two_layer_net(
+            1, d_y, hyper.hidden_utility, n_classes, "softmax",
+            _derive_seed(hyper.seed, "utility"),
         )
 
     opt_r = SgdMomentum(releaser, hyper.lr_releaser, hyper.momentum)
@@ -287,27 +293,20 @@ def train(
         # decayed releaser step damps the releaser/adversary oscillation so
         # the alternation settles instead of orbiting the equilibrium
         opt_r.learning_rate = hyper.lr_releaser / (1.0 + hyper.lr_decay * iteration)
-        adv_value = np.nan
         rows = data.draw(hyper.batch_size, count=hyper.adversary_steps)
         w = assemble_observed(rows.y, rows.x, rows.u, None, hyper.observed_mode)
         z_rows = releaser.forward(w)[0]
         adv_in = _with_side_info(z_rows, rows.s, si_enabled)
         for step in range(hyper.adversary_steps):
             part = slice(step * hyper.batch_size, (step + 1) * hyper.batch_size)
-            probs, trace_a = adversary.forward(adv_in[part])
-            adv = adversary_loss(probs, rows.x[part])
-            _guard(adv.value, iteration, "adversary")
-            grads_a, _ = adversary.backward(adv.grad_posteriors, trace_a)
-            opt_a.step(grads_a)
-            system.adversary_history.append(adv.value)
-            adv_value = adv.value
+            adv_value = _classifier_step(
+                opt_a, adv_in[part], rows.x[part], iteration, "adversary"
+            )
+            system.adversary_history.append(adv_value)
             if utility_enabled:
-                probs_u, trace_u = utility.forward(z_rows[part])
-                util = adversary_loss(probs_u, rows.c[part, None])
-                _guard(util.value, iteration, "utility")
-                grads_u, _ = utility.backward(util.grad_posteriors, trace_u)
-                opt_u.step(grads_u)
-                system.utility_history.append(util.value)
+                system.utility_history.append(_classifier_step(
+                    opt_u, z_rows[part], rows.c[part, None], iteration, "utility"
+                ))
 
         # releaser step: fresh batch, adversary and utility frozen
         batch = data.draw(hyper.batch_size)
@@ -315,7 +314,6 @@ def train(
         z, trace_r = releaser.forward(w)
         probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled))
         utility_value = None
-        util = None
         if spec.needs_utility:
             probs_u, trace_u = utility.forward(z)
             util = adversary_loss(probs_u, batch.c[:, None])
@@ -379,9 +377,9 @@ def train_attacker(
         raise ValidationError("si_enabled but the dataset carries no side information")
     d_s = pool.s.shape[1] if si_enabled else 0
     d_y = pool.y.shape[2]
-    attacker = _classifier_net(
-        system.hyper.num_steps, d_y + d_s, system.num_private,
-        system.hyper.hidden_adversary, seed,
+    attacker = _two_layer_net(
+        system.hyper.num_steps, d_y + d_s, system.hyper.hidden_adversary,
+        system.num_private, "softmax", seed,
     )
     opt = SgdMomentum(attacker, system.hyper.lr_adversary, system.hyper.momentum)
     iters = system.hyper.attacker_iterations
@@ -390,11 +388,9 @@ def train_attacker(
     for iteration in range(iters):
         batch = data.draw(system.hyper.batch_size)
         z = system.release(batch)
-        probs, trace = attacker.forward(_with_side_info(z, batch.s, si_enabled))
-        loss = adversary_loss(probs, batch.x)
-        _guard(loss.value, iteration, "attacker")
-        grads, _ = attacker.backward(loss.grad_posteriors, trace)
-        opt.step(grads)
+        _classifier_step(
+            opt, _with_side_info(z, batch.s, si_enabled), batch.x, iteration, "attacker"
+        )
     return attacker
 
 

@@ -475,6 +475,16 @@ class TestChannelOptConfigValidation:
     def test_integer_counts_accepted(self, field, value):
         assert getattr(ChannelOptConfig(**{field: value}), field) == value
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", float("nan")), ("lam", float("inf")), ("lam", -0.5), ("lam", "1"),
+        ("lam", -10**400),
+        ("step_size", float("nan")), ("step_size", 0.0), ("step_size", True),
+        ("tolerance", float("nan")), ("tolerance", -1e-9),
+    ])
+    def test_bad_real_settings_name_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+            ChannelOptConfig(**{field: value})
+
 
 def serial_optimize(world, cfg, seed):
     """optimize_channel one restart at a time through the public

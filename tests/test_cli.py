@@ -31,6 +31,14 @@ SWEEP_CONFIG = {
 }
 
 
+WORLD = {
+    "axes": ["X", "W", "Y"],
+    "sizes": {"X": 2, "W": 2, "Y": 2, "Z": 2},
+    "joint": [0.5, 0, 0, 0, 0, 0, 0, 0.5],
+    "distortion": [[0, 1], [1, 0]],
+}
+
+
 def write_joint(path, probs=((0.4, 0.1), (0.1, 0.4))):
     doc = {"axes": ["X", "Z"], "shape": [2, 2], "probs": list(np.ravel(probs))}
     path.write_text(json.dumps(doc))
@@ -283,6 +291,88 @@ class TestInternalErrors:
         write_joint(joint)
         assert main(["measures", "--joint", str(joint)]) == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: simulated defect\n"
+
+
+def assert_one_line_error(capsys, prefix, *words):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1, err
+    for word in words:
+        assert word in err, err
+
+
+def sweep_config_file(tmp_path, **changes):
+    config = json.loads(json.dumps(SWEEP_CONFIG))
+    config.update(changes)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("flag, field", [("--lambda", "lam"), ("--step-size", "step_size")])
+    def test_optimize_rejects_nan(self, tmp_path, capsys, flag, field):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(WORLD))
+        rc = main(["optimize", "--world", str(path), flag, "nan", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert_one_line_error(capsys, "data error: ", field)
+
+    def test_train_rejects_nan_lambda(self, tmp_path, capsys):
+        config = json.loads(json.dumps(SWEEP_CONFIG))
+        config["hyper"]["lam"] = float("nan")
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(config))  # json writes the NaN token, Python reads it back
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", "lam")
+
+    def test_sweep_rejects_nan_in_lambda_grid(self, tmp_path, capsys):
+        cfg = sweep_config_file(tmp_path)
+        rc = main(["sweep", "--config", str(cfg), "--lambda-grid", "nan,0.5",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert_one_line_error(capsys, "data error: ", "lambda_grid")
+        assert not (tmp_path / "results.json").exists()
+
+
+class TestSweepGridsAndWorkers:
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_grid", 0.5), ("lambda_grid", ["x"]), ("lambda_grid", []),
+        ("lambda_grid", [0.0, float("inf")]), ("alpha_grid", "1.0"), ("alpha_grid", [0.0]),
+        ("workers", "two"), ("workers", 0), ("workers", 1.5),
+    ])
+    def test_bad_config_entries_are_one_line_data_errors(self, tmp_path, capsys, field, value):
+        cfg = sweep_config_file(tmp_path, **{field: value})
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", field)
+
+    @pytest.mark.parametrize("workers", ["-2", "0"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        cfg = sweep_config_file(tmp_path)
+        rc = main(["sweep", "--config", str(cfg), "--workers", workers,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert_one_line_error(capsys, "usage error: ", "--workers")
+
+
+class TestPlotInputErrors:
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"points": {}}', '{"metadata": {}}',
+        '{"points": [{"alpha": 1.0, "lam": 0.0}]}',
+        '{"points": [{"alpha": 1.0, "lam": 0.0, "ne": 0.1, "attacker_balanced_accuracy": 0.9,'
+        ' "utility_accuracy": null, "seed": 1, "colour": "red"}]}',
+        '{"points": [[1.0, 0.0]]}',
+    ])
+    def test_malformed_results_are_one_line_data_errors(self, tmp_path, capsys, text):
+        results = tmp_path / "results.json"
+        results.write_text(text)
+        assert main(["plot", "--results", str(results), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", str(results))
+
+    def test_missing_results_file_is_a_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["plot", "--results", str(missing), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", "no such file")
 
 
 class TestPlotCommand:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alphaprivacy.errors import ValidationError
 from alphaprivacy.measures import (
+    ZERO_PROB,
     JointPmf,
     Pmf,
     PosteriorBatch,
@@ -383,6 +384,20 @@ class TestBatchEntropyGradient:
                 down = _raw_batch_entropy(bumped, alpha)
                 fd = (up - down) / (2 * h)
                 assert grad[b, t, x] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, 1.1, 3.0, 10.0])
+    def test_masked_value_equals_gradient_value_bit_for_bit(self, alpha):
+        # above ZERO_PROB the masked and floored logs agree, so both views
+        # of the one kernel must return the same float
+        rng = np.random.default_rng(71)
+        for nbatch, nsteps, nsym in ((1, 1, 2), (5, 3, 3), (64, 24, 2), (129, 7, 4)):
+            for power in (1, 6):  # mild, then sharply peaked posteriors
+                probs = random_posteriors(rng, nbatch, nsteps, nsym) ** power
+                probs /= probs.sum(axis=2, keepdims=True)
+                assert probs.min() > ZERO_PROB
+                value, _ = batch_sequence_arimoto_entropy_grad(probs, alpha)
+                assert batch_sequence_arimoto_entropy(PosteriorBatch(probs), alpha) == value
 
 
 def _raw_batch_entropy(probs, alpha):

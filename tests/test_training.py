@@ -173,13 +173,26 @@ class TestCheckpoint:
         assert back.distortion == system.distortion
         assert back.releaser_history == system.releaser_history
 
+    def test_checkpoint_naming_ts_l2_still_loads(self):
+        data = clusters_data()
+        system = train(HyperParams(**QUICK, seed=19), BatchStream(data, 4),
+                       DistortionSpec("p_norm", p=2.0))
+        doc = system.to_dict()
+        doc["distortion"]["kind"] = "ts_l2"
+        back = TrainedSystem.from_dict(doc)
+        assert back.distortion == DistortionSpec("p_norm", p=2.0)
+        np.testing.assert_array_equal(system.release(data), back.release(data))
+
 
 class TestHyperParamsValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("lr_decay", -1.0), ("hidden_releaser", 0), ("hidden_adversary", 0),
          ("hidden_utility", 0), ("attacker_iterations", 0), ("attacker_iterations", -5),
-         ("attacker_iterations", 2.5)],
+         ("attacker_iterations", 2.5),
+         ("lam", float("nan")), ("lam", -1.0), ("lam", "0.1"), ("lr_releaser", 0.0),
+         ("lr_releaser", float("inf")), ("lr_adversary", float("nan")), ("lr_utility", -0.1),
+         ("lr_decay", float("inf")), ("momentum", float("nan")), ("momentum", -0.5)],
     )
     def test_out_of_range_values_are_typed_errors(self, field, value):
         with pytest.raises(ValidationError, match=field):
