@@ -4,6 +4,10 @@ releaser's distortion-minus-weighted-alpha-entropy objective.
 Scalars are batch means in nats (cross-entropies) or data units
 (distortions); gradients carry the same batch normalization so they can be
 fed straight into the network backward passes.
+
+The training losses also take the batches of a stack of G models with a
+leading model axis, (G, B, T, ...), and then return one value per model
+(an array of shape (G,)) computed as that model's batch alone would give.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, check_real
-from .measures import ZERO_PROB, _check_alpha, batch_sequence_arimoto_entropy_grad
+from .measures import (
+    ZERO_PROB,
+    _check_alpha,
+    _per_model,
+    batch_sequence_arimoto_entropy_grad,
+)
 
 DISTORTION_KINDS = ("p_norm", "composite_img", "ts_l2")
 
@@ -56,21 +65,21 @@ def _norm_distortion(spec, released, target, grad=False):
     """
     released = np.asarray(released, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if released.shape != target.shape or released.ndim != 3:
+    if released.shape != target.shape or released.ndim not in (3, 4):
         raise ValidationError(
             f"released/target must share a (B, T, d) shape, got "
             f"{released.shape} vs {target.shape}"
         )
-    nbatch, nsteps = released.shape[0], released.shape[1]
-    flat = (released - target).reshape(nbatch, -1)
+    nbatch, nsteps = released.shape[-3], released.shape[-2]
+    flat = (released - target).reshape(*released.shape[:-2], -1)
     mag = np.abs(flat)
     p = spec.p
-    norms = (mag**p).sum(axis=1) ** (1.0 / p)
-    value = float(norms.mean() / nsteps)
+    norms = (mag**p).sum(axis=-1) ** (1.0 / p)
+    value = _per_model(norms.mean(axis=-1) / nsteps)
     if not grad:
         return value
     safe = np.where(norms > 0.0, norms, 1.0)
-    g = np.sign(flat) * mag ** (p - 1.0) / safe[:, None] ** (p - 1.0)
+    g = np.sign(flat) * mag ** (p - 1.0) / safe[..., None] ** (p - 1.0)
     g[norms == 0.0] = 0.0
     return value, g.reshape(released.shape) * (1.0 / (nbatch * nsteps))
 
@@ -82,7 +91,9 @@ def _utility_term(spec, utility_loss):
         raise ValidationError("composite_img distortion requires utility_loss")
     if not spec.needs_utility and utility_loss is not None:
         raise ValidationError(f"{spec.kind} distortion does not take utility_loss")
-    return spec.utility_weight * float(utility_loss) if spec.needs_utility else 0.0
+    if not spec.needs_utility:
+        return 0.0
+    return spec.utility_weight * _per_model(np.asarray(utility_loss, dtype=np.float64))
 
 
 def compute_distortion(spec: DistortionSpec, released, target, utility_loss=None):
@@ -113,29 +124,32 @@ def adversary_loss(posterior_probs, labels) -> LossValue:
     """Mean negative log-likelihood of the true private labels.
 
     ``posterior_probs`` is the adversary's (B, T, |X|) softmax output and
-    ``labels`` the (B, T) integers.  Probabilities of true labels are
-    clamped at 1e-15 (counted in ``clamped``) rather than erroring, so an
+    ``labels`` the (B, T) integers (both with a leading model axis for a
+    stack).  Probabilities of true labels are clamped at 1e-15 (counted in
+    ``clamped``, over the whole stack) rather than erroring, so an
     overconfident adversary keeps a finite loss.  The returned gradient is
     w.r.t. the posterior probabilities; push it back through the softmax.
     """
     probs = np.asarray(posterior_probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if probs.ndim != 3 or labels.shape != probs.shape[:2]:
+    if probs.ndim not in (3, 4) or labels.shape != probs.shape[:-1]:
         raise ValidationError(
             f"posteriors (B, T, K) and labels (B, T) mismatch: "
             f"{probs.shape} vs {labels.shape}"
         )
-    if labels.min() < 0 or labels.max() >= probs.shape[2]:
+    nbatch, nsteps, nclass = probs.shape[-3:]
+    if labels.min() < 0 or labels.max() >= nclass:
         raise ValidationError("labels outside the private alphabet")
-    nbatch, nsteps, nclass = probs.shape
-    rows = np.arange(labels.size)
-    cols = labels.reshape(-1)
-    picked = probs.reshape(-1, nclass)[rows, cols]
+    # flat index of each true label's probability
+    true = np.arange(0, probs.size, nclass)
+    true += labels.reshape(-1)
+    picked = probs.reshape(-1)[true]
     clamped = int((picked < ZERO_PROB).sum())
     safe = np.maximum(picked, ZERO_PROB)
-    value = float(-np.log(safe).mean())
+    # each model's mean is one contiguous row of the log-likelihoods
+    value = _per_model(-np.log(safe).reshape(*probs.shape[:-3], -1).mean(axis=-1))
     grad = np.zeros(probs.shape)
-    grad.reshape(-1, nclass)[rows, cols] = -1.0 / (safe * nbatch * nsteps)
+    grad.reshape(-1)[true] = -1.0 / (safe * nbatch * nsteps)
     return LossValue(value=value, grad_posteriors=grad, clamped=clamped)
 
 
@@ -156,18 +170,27 @@ def releaser_loss(
     network into the release (and the composite's utility term through the
     utility network) by the caller, since those paths depend on networks
     this function never sees.
+
+    For a stack, ``lam`` holds one weight per model.  A model with
+    lambda = 0 gets the distortion as its value and a zero entropy
+    gradient, exactly as a lone lambda = 0 batch does, which never
+    evaluates the entropy.
     """
-    check_real("lam", lam, 0.0)
+    for weight in (lam,) if np.ndim(lam) == 0 else lam:
+        check_real("lam", weight, 0.0)
+    lam = np.asarray(lam, dtype=np.float64)
     alpha = _check_alpha(alpha)
     probs = np.asarray(posterior_probs, dtype=np.float64)
     value, grad_released = _norm_distortion(spec, released, target, grad=True)
     value += _utility_term(spec, utility_loss)
-    if lam == 0.0:
+    if not lam.any():
         return LossValue(value=value, grad_released=grad_released,
                          grad_posteriors=np.zeros_like(probs))
     entropy, dentropy = batch_sequence_arimoto_entropy_grad(probs, alpha)
+    active = lam != 0.0
     return LossValue(
-        value=value - lam * entropy,
+        value=_per_model(np.where(active, value - lam * entropy, value)),
         grad_released=grad_released,
-        grad_posteriors=-lam * dentropy,
+        grad_posteriors=np.where(active[..., None, None, None],
+                                 -lam[..., None, None, None] * dentropy, 0.0),
     )

@@ -230,26 +230,37 @@ def _sequence_entropy(p, logp, alpha, grad=False):
     mean plays the role of the expectation over released sequences and is
     exact as B grows.  With ``grad`` the result is ``(value, dH/dp)``,
     which needs every ``logp`` finite.
+
+    Posteriors of a stack of models carry a leading model axis, and the
+    value is then one per model.  Every sum runs along a trailing axis of
+    one model's batch, so each model's value and gradient are those of its
+    batch alone.
     """
-    nbatch, nsteps = p.shape[0], p.shape[1]
+    nbatch, nsteps = p.shape[-3], p.shape[-2]
     if alpha == 1.0:
-        value = float(_shannon(p, axis=2).mean())
+        rates = _shannon(p, axis=-1)
+        value = _per_model(rates.reshape(*rates.shape[:-2], -1).mean(axis=-1))
         if not grad:
             return value
         return value, -(logp + 1.0) / (nbatch * nsteps)
-    log_step_sums = _logsumexp(alpha * logp, axis=2)  # (B, T): log sum_x p^alpha
-    log_seq_norms = log_step_sums.sum(axis=1) / alpha  # (B,): log prod_t ||p_bt||_alpha
-    log_total = _logsumexp(log_seq_norms, axis=0)
-    value = float(alpha / (1.0 - alpha) * (log_total - np.log(nbatch)) / nsteps)
+    log_step_sums = _logsumexp(alpha * logp, axis=-1)  # (B, T): log sum_x p^alpha
+    log_seq_norms = log_step_sums.sum(axis=-1) / alpha  # (B,): log prod_t ||p_bt||_alpha
+    log_total = _logsumexp(log_seq_norms, axis=-1)
+    value = _per_model(alpha / (1.0 - alpha) * (log_total - np.log(nbatch)) / nsteps)
     if not grad:
         return value
     # d value / d p_btx = (1/T) * alpha/(1-alpha) * w_b * p^(alpha-1) / S_bt
     # with w_b the batch softmax of the per-sequence log norms.
-    w = np.exp(log_seq_norms - log_total)  # sums to 1
+    w = np.exp(log_seq_norms - log_total[..., None])  # sums to 1
     coeff = alpha / (1.0 - alpha) / nsteps
-    return value, coeff * w[:, None, None] * np.exp(
-        (alpha - 1.0) * logp - log_step_sums[:, :, None]
+    return value, coeff * w[..., None, None] * np.exp(
+        (alpha - 1.0) * logp - log_step_sums[..., None]
     )
+
+
+def _per_model(value):
+    """A float for a single batch, the (G,) array for a stack of models."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _x_first(joint: JointPmf):

@@ -4,8 +4,10 @@ Each grid point trains a full adversarial system plus a distinct post-hoc
 attacker, then reports held-out metrics as a TradeoffPoint.  Points that
 diverge during training are kept with a ``failed`` flag instead of being
 dropped, since instability at particular (alpha, lambda) combinations is
-itself a finding.  Sweeps are deterministic given the base seed and may
-fan points out over a process pool.
+itself a finding.  The lambda points of one alpha are trained in groups,
+each group as one stack of models, and give the same points as separate
+runs.  Sweeps are deterministic given the base seed and may fan groups out
+over a process pool.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -23,7 +26,17 @@ from .errors import DataFormatError, DivergenceError, ValidationError, check_rea
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .metrics import balanced_accuracy
-from .training import HyperParams, evaluate_system, train, train_attacker
+# ``train`` and ``train_attacker`` are not called here: they stay importable
+# under this module's name, where perfbench's traced run hooks them
+from .training import (  # noqa: F401
+    HyperParams,
+    TrainedSystem,
+    evaluate_system,
+    train,
+    train_attacker,
+    train_attacker_group,
+    train_group,
+)
 
 
 @dataclass
@@ -60,38 +73,71 @@ def run_point(
     utility_enabled: bool,
 ) -> TradeoffPoint:
     """Train, attack and evaluate a single grid point."""
-    seed = _point_seed(base_hyper.seed, alpha, lam)
-    hyper = replace(base_hyper, alpha=alpha, lam=lam, seed=seed)
-    train_data, eval_data = train_eval_split(data_cfg)
-    try:
-        system = train(
-            hyper,
-            BatchStream(train_data, _derive_seed(seed, "train-stream")),
-            spec,
-            si_enabled=si_enabled,
-            utility_enabled=utility_enabled,
-        )
-        attacker = train_attacker(
-            system,
-            BatchStream(train_data, _derive_seed(seed, "attacker-stream")),
-            si_enabled,
-            _derive_seed(seed, "attacker-init"),
-        )
-    except DivergenceError as exc:
-        return TradeoffPoint(
-            alpha=alpha, lam=lam, ne=float("nan"),
-            attacker_balanced_accuracy=float("nan"), utility_accuracy=None,
-            seed=seed, failed=True, error=str(exc),
-        )
-    scores = evaluate_system(system, attacker, eval_data, si_enabled)
-    return TradeoffPoint(
-        alpha=alpha,
-        lam=lam,
-        ne=scores["ne"],
-        attacker_balanced_accuracy=scores["attacker_accuracy"],
-        utility_accuracy=scores["utility_accuracy"],
-        seed=seed,
+    (point,) = run_group(
+        base_hyper, alpha, [lam], data_cfg, spec, si_enabled, utility_enabled
     )
+    return point
+
+
+def run_group(
+    base_hyper: HyperParams,
+    alpha: float,
+    lams,
+    data_cfg: SynthConfig,
+    spec: DistortionSpec,
+    si_enabled: bool,
+    utility_enabled: bool,
+):
+    """The :func:`run_point` outcomes of every lambda in ``lams`` at one
+    alpha, trained and attacked as one stack; each point keeps its own
+    seeds, and a diverged one fails alone."""
+    seeds = [_point_seed(base_hyper.seed, alpha, lam) for lam in lams]
+    train_data, eval_data = train_eval_split(data_cfg)
+    outcomes = train_group(
+        [replace(base_hyper, alpha=alpha, lam=lam, seed=seed) for lam, seed in zip(lams, seeds)],
+        [BatchStream(train_data, _derive_seed(seed, "train-stream")) for seed in seeds],
+        spec,
+        si_enabled=si_enabled,
+        utility_enabled=utility_enabled,
+    )
+    trained = [i for i, o in enumerate(outcomes) if isinstance(o, TrainedSystem)]
+    attackers = train_attacker_group(
+        [outcomes[i] for i in trained],
+        [BatchStream(train_data, _derive_seed(seeds[i], "attacker-stream")) for i in trained],
+        si_enabled,
+        [_derive_seed(seeds[i], "attacker-init") for i in trained],
+    ) if trained else []
+    attacker_of = dict(zip(trained, attackers))
+    points = []
+    for i, (lam, seed) in enumerate(zip(lams, seeds)):
+        # a point that failed training has its training error here
+        attacker = attacker_of.get(i, outcomes[i])
+        if isinstance(attacker, DivergenceError):
+            points.append(TradeoffPoint(
+                alpha=alpha, lam=lam, ne=float("nan"),
+                attacker_balanced_accuracy=float("nan"), utility_accuracy=None,
+                seed=seed, failed=True, error=str(attacker),
+            ))
+            continue
+        scores = evaluate_system(outcomes[i], attacker, eval_data, si_enabled)
+        points.append(TradeoffPoint(
+            alpha=alpha,
+            lam=lam,
+            ne=scores["ne"],
+            attacker_balanced_accuracy=scores["attacker_accuracy"],
+            utility_accuracy=scores["utility_accuracy"],
+            seed=seed,
+        ))
+    return points
+
+
+def _chunks(values, count):
+    """``values`` cut into ``count`` contiguous runs whose lengths differ
+    by at most one, the longer runs first (never an empty run)."""
+    count = min(count, len(values))
+    size, extra = divmod(len(values), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def sweep(
@@ -106,8 +152,10 @@ def sweep(
 ):
     """All (alpha, lambda) grid points, sorted by (alpha, lambda).
 
-    Points are independent jobs; with ``workers > 1`` they run in a process
-    pool and are merged back in grid order.
+    Each alpha's sorted lambdas are split into ``ceil(workers / len(alphas))``
+    near-equal contiguous groups, so that a pool has at least one job per
+    worker; each group is one :func:`run_group` job.  With ``workers > 1``
+    the jobs run in a process pool and are merged back in grid order.
     """
     lambdas = sorted(float(check_real("lambda_grid entry", v, 0.0)) for v in lambdas)
     alphas = sorted(float(check_real("alpha_grid entry", v, 0.0, strict=True)) for v in alphas)
@@ -115,14 +163,16 @@ def sweep(
         raise ValidationError("sweep needs non-empty alpha and lambda grids")
     spec = distortion or default_distortion(utility_enabled)
     jobs = [
-        (base_hyper, alpha, lam, data_cfg, spec, si_enabled, utility_enabled)
+        (base_hyper, alpha, group, data_cfg, spec, si_enabled, utility_enabled)
         for alpha in alphas
-        for lam in lambdas
+        for group in _chunks(lambdas, max(1, -(-workers // len(alphas))))
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_point, *zip(*jobs)))
-    return [run_point(*job) for job in jobs]
+            groups = list(pool.map(run_group, *zip(*jobs)))
+    else:
+        groups = [run_group(*job) for job in jobs]
+    return [point for group in groups for point in group]
 
 
 # --- side-information calibration -------------------------------------------
@@ -216,9 +266,33 @@ def save_results(points, path, metadata=None):
     write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=True))
 
 
+def _real(value):
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _real_or_null(value):
+    return value is None or _real(value)
+
+
+# the JSON type each stored point field must have: (description, rule)
+_FIELD_TYPES = {
+    "alpha": ("a number", _real),
+    "lam": ("a number", _real),
+    "ne": ("a number or null", _real_or_null),
+    "attacker_balanced_accuracy": ("a number or null", _real_or_null),
+    "utility_accuracy": ("a number or null", _real_or_null),
+    # is_count's rule, but from 0: a derived seed may be 0
+    "seed": ("an integer >= 0",
+             lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0),
+    "failed": ("true or false", lambda v: isinstance(v, bool)),
+    "error": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def load_results(path):
     """Read what :func:`save_results` wrote; a document that is not a
-    ``points`` list of complete point records is a DataFormatError."""
+    ``points`` list of complete, well-typed point records is a
+    DataFormatError."""
     doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise DataFormatError(f"{path}: expected an object with a 'points' list")
@@ -228,6 +302,10 @@ def load_results(path):
             point = TradeoffPoint(**rec)
         except TypeError as exc:
             raise DataFormatError(f"{path}: point {i}: {exc}") from None
+        for name, (kind, rule) in _FIELD_TYPES.items():
+            value = getattr(point, name)
+            if not rule(value):
+                raise DataFormatError(f"{path}: point {i}: {name} must be {kind}, got {value!r}")
         for key in _NULLABLE_SCORES:
             if getattr(point, key) is None:
                 setattr(point, key, float("nan"))

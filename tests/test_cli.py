@@ -369,6 +369,19 @@ class TestPlotInputErrors:
         assert main(["plot", "--results", str(results), "--out-dir", str(tmp_path)]) == 2
         assert_one_line_error(capsys, "data error: ", str(results))
 
+    @pytest.mark.parametrize("field, value", [
+        ("ne", "abc"), ("alpha", None), ("lam", True), ("attacker_balanced_accuracy", [0.5]),
+        ("utility_accuracy", "0.8"), ("seed", 1.5), ("seed", -1), ("failed", 0), ("error", 3),
+    ])
+    def test_mistyped_point_field_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
+        record = {"alpha": 1.0, "lam": 0.0, "ne": 0.1, "attacker_balanced_accuracy": 0.9,
+                  "utility_accuracy": None, "seed": 1, "failed": False, "error": None}
+        good = dict(record, seed=2)
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"points": [good, dict(record, **{field: value})]}))
+        assert main(["plot", "--results", str(results), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", str(results), f"point 1: {field} must be")
+
     def test_missing_results_file_is_a_data_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["plot", "--results", str(missing), "--out-dir", str(tmp_path)]) == 2

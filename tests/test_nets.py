@@ -4,7 +4,7 @@ optimizer semantics, serialization, and the loss functions."""
 import numpy as np
 import pytest
 
-from alphaprivacy.errors import ValidationError
+from alphaprivacy.errors import DataFormatError, ValidationError
 from alphaprivacy.losses import (
     DistortionSpec,
     adversary_loss,
@@ -17,6 +17,8 @@ from alphaprivacy.nets import (
     Layer,
     Network,
     SgdMomentum,
+    _fold_columns,
+    _row_sum,
     dense,
     elman_forward,
     recurrent,
@@ -367,6 +369,18 @@ class TestBackward:
         _, gx = net.backward(2.0 * (out - target), trace)
         assert max_rel_error(fd_gradient(loss, x), gx) < 1e-4
 
+    @pytest.mark.parametrize("first", [dense(2, 4, "tanh"), recurrent(2, 4)])
+    def test_weight_only_backward_skips_the_input_gradient(self, first):
+        net = Network.build([first, dense(4, 3, "softmax")], seed=4)
+        x = np.random.default_rng(11).normal(size=(5, 3, 2))
+        out, trace = net.forward(x)
+        grads, gx = net.backward(out, trace)
+        weight_grads, none = net.backward(out, trace, input_grad=False)
+        assert none is None and gx.shape == x.shape
+        for (dw, db), (dw2, db2) in zip(grads, weight_grads):
+            np.testing.assert_array_equal(dw, dw2)
+            np.testing.assert_array_equal(db, db2)
+
     def test_stale_trace_rejected(self):
         net = Network.build([dense(2, 2, "linear")], seed=3)
         x = np.zeros((1, 1, 2))
@@ -414,6 +428,17 @@ class TestSgd:
                 [(np.zeros((3, 3)), np.zeros(2))]
             )
 
+    def test_short_gradient_list_rejected_before_any_update(self):
+        net = Network.build([dense(2, 3, "tanh"), dense(3, 2, "linear")], seed=5)
+        before = [(l.w.copy(), l.b.copy()) for l in net.layers]
+        opt = SgdMomentum(net, learning_rate=0.1, momentum=0.9)
+        with pytest.raises(ValidationError, match="1 gradient pairs for 2 layers"):
+            opt.step(zero_grads(net)[:1])
+        assert opt.velocity is None and opt.steps == 0
+        for (w, b), layer in zip(before, net.layers):
+            np.testing.assert_array_equal(layer.w, w)
+            np.testing.assert_array_equal(layer.b, b)
+
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_in_place_step_matches_reference_formula(self, momentum):
         net = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], seed=12)
@@ -457,6 +482,100 @@ class TestSerialization:
             assert a.activation == b.activation and a.recurrent == b.recurrent
         x = np.random.default_rng(0).normal(size=(2, 3, 3))
         np.testing.assert_array_equal(net.forward(x)[0], back.forward(x)[0])
+
+
+    def test_missing_checkpoint_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataFormatError, match="no such file"):
+            Network.from_json(tmp_path / "nope.json")
+
+    def test_invalid_checkpoint_is_a_data_error(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text("{not json")
+        with pytest.raises(DataFormatError, match="invalid JSON"):
+            Network.from_json(path)
+
+
+def stacked_and_members(specs, seeds):
+    nets = [Network.build(specs, seed) for seed in seeds]
+    return Network.stack(nets), nets
+
+
+class TestStack:
+    """A stack of G models computes, slab by slab, exactly what each model
+    computes alone: the products are batched GEMMs of the same shapes and
+    every reduction runs inside one model's slab in the same order."""
+
+    @pytest.mark.parametrize("nsteps, nbatch, head, nout", [
+        (1, 256, "softmax", 2), (1, 64, "linear", 3), (24, 128, "softmax", 2),
+        (24, 128, "linear", 1), (6, 37, "softmax", 4),
+    ])
+    def test_forward_and_backward_equal_each_model_alone(self, nsteps, nbatch, head, nout):
+        first = dense(3, 16, "tanh") if nsteps == 1 else recurrent(3, 16)
+        stack, nets = stacked_and_members([first, dense(16, nout, head)], [3, 4, 5])
+        rng = np.random.default_rng(nsteps + nbatch)
+        x = rng.normal(size=(3, nbatch, nsteps, 3))
+        g = rng.normal(size=(3, nbatch, nsteps, nout))
+        out, trace = stack.forward(x)
+        grads, gx = stack.backward(g, trace)
+        for m, net in enumerate(nets):
+            want_out, want_trace = net.forward(x[m])
+            want_grads, want_gx = net.backward(g[m], want_trace)
+            np.testing.assert_array_equal(out[m], want_out)
+            np.testing.assert_array_equal(gx[m], want_gx)
+            for (dw, db), (want_dw, want_db) in zip(grads, want_grads):
+                np.testing.assert_array_equal(dw[m], want_dw)
+                np.testing.assert_array_equal(db[m], want_db)
+
+    @pytest.mark.parametrize("shape", [(1, 256, 2), (24, 128, 1), (24, 128, 16), (6, 9, 3)])
+    def test_row_sum_and_column_fold_ignore_the_model_axis(self, shape):
+        a = np.random.default_rng(sum(shape)).normal(size=(4,) + shape)
+        sums = _row_sum(a)
+        folds = _fold_columns(np.add, a.reshape(4, -1, shape[-1]))
+        for m in range(4):
+            np.testing.assert_array_equal(sums[m], _row_sum(a[m]))
+            np.testing.assert_array_equal(folds[m], _fold_columns(np.add, a[m].reshape(-1, shape[-1])))
+
+    def test_sgd_steps_each_model_as_alone(self):
+        specs = [recurrent(2, 4), dense(4, 3, "softmax")]
+        stack, nets = stacked_and_members(specs, [7, 8])
+        rng = np.random.default_rng(9)
+        opt = SgdMomentum(stack, 0.05, 0.9)
+        alone = [SgdMomentum(net, 0.05, 0.9) for net in nets]
+        for _ in range(3):
+            grads = [(rng.normal(size=l.w.shape), rng.normal(size=l.b.shape))
+                     for l in stack.layers]
+            opt.step(grads)
+            for m, member_opt in enumerate(alone):
+                member_opt.step([(dw[m], db[m]) for dw, db in grads])
+        for member, net in zip(stack.members(), nets):
+            assert member.seed == net.seed
+            for a, b in zip(member.layers, net.layers):
+                np.testing.assert_array_equal(a.w, b.w)
+                np.testing.assert_array_equal(a.b, b.b)
+
+    def test_select_drops_models_and_their_velocities(self):
+        stack, nets = stacked_and_members([dense(2, 3, "tanh"), dense(3, 2, "linear")], [1, 2, 3])
+        opt = SgdMomentum(stack, 0.1, 0.9)
+        opt.step(zero_grads(stack))
+        _, trace = stack.forward(np.zeros((3, 4, 1, 2)))
+        opt.select([True, False, True])
+        assert stack.seed == [1, 3]
+        assert all(vw.shape[0] == 2 for vw, _ in opt.velocity)
+        np.testing.assert_array_equal(stack.layers[0].w[1], nets[2].layers[0].w)
+        with pytest.raises(ValidationError, match="stale trace"):
+            stack.backward(np.zeros((3, 4, 1, 2)), trace)
+
+    def test_input_without_the_model_axis_rejected(self):
+        stack, _ = stacked_and_members([dense(2, 2, "linear")], [1, 2])
+        with pytest.raises(ValidationError, match=r"\(G, B, T, d\)"):
+            stack.forward(np.zeros((4, 1, 2)))
+        with pytest.raises(ValidationError):
+            stack.forward(np.zeros((3, 4, 1, 2)))
+
+    def test_layers_must_share_the_model_axis(self):
+        with pytest.raises(ValidationError, match="same model axis"):
+            Network([Layer(np.zeros((2, 2, 2)), np.zeros((2, 2)), "tanh"),
+                     Layer(np.zeros((2, 2)), np.zeros(2), "linear")])
 
 
 class TestDistortion:
@@ -616,3 +735,38 @@ class TestReleaserLoss:
             probs,
         )
         assert max_rel_error(fd, out.grad_posteriors) < 1e-4
+
+
+class TestStackedLosses:
+    """Losses over a (G, B, T, ...) stack give each model the value and
+    gradients of its own batch, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.0, 3.0])
+    @pytest.mark.parametrize("nsteps", [1, 24])
+    def test_each_model_matches_its_batch_alone(self, alpha, nsteps):
+        rng = np.random.default_rng(int(10 * alpha) + nsteps)
+        probs = rng.random((3, 64, nsteps, 2)) + 0.05
+        probs /= probs.sum(axis=-1, keepdims=True)
+        labels = rng.integers(0, 2, size=(3, 64, nsteps))
+        released = rng.normal(size=(3, 64, nsteps, 2))
+        target = rng.normal(size=(3, 64, nsteps, 2))
+        lams = [0.0, 20.0, 3.0]
+        spec = DistortionSpec("ts_l2")
+        adv = adversary_loss(probs, labels)
+        rel = releaser_loss(released, target, probs, spec, lams, alpha)
+        assert adv.value.shape == rel.value.shape == (3,)
+        for m, lam in enumerate(lams):
+            want_adv = adversary_loss(probs[m], labels[m])
+            want_rel = releaser_loss(released[m], target[m], probs[m], spec, lam, alpha)
+            assert adv.value[m] == want_adv.value and rel.value[m] == want_rel.value
+            np.testing.assert_array_equal(adv.grad_posteriors[m], want_adv.grad_posteriors)
+            np.testing.assert_array_equal(rel.grad_released[m], want_rel.grad_released)
+            np.testing.assert_array_equal(rel.grad_posteriors[m], want_rel.grad_posteriors)
+        # the lambda = 0 model keeps a lone run's +0.0 gradient, not -0.0 * dH
+        assert not np.signbit(rel.grad_posteriors[0]).any()
+
+    def test_any_negative_lambda_rejected(self):
+        y = np.zeros((2, 1, 1, 1))
+        probs = np.full((2, 1, 1, 2), 0.5)
+        with pytest.raises(ValidationError, match="lam"):
+            releaser_loss(y, y, probs, DistortionSpec("ts_l2"), [1.0, -0.1], 2.0)

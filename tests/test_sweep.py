@@ -12,9 +12,11 @@ from alphaprivacy.errors import ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.sweep import (
     TradeoffPoint,
+    _chunks,
     calibrate_si_correlation,
     load_results,
     measure_si_floor,
+    run_group,
     run_point,
     save_results,
     si_only_accuracy,
@@ -61,6 +63,51 @@ class TestSweep:
                           DistortionSpec("p_norm", p=2.0), False, False)
         assert not point.failed
         assert point.seed != QUICK_HYPER.seed  # derived per grid point
+
+
+class TestRunGroup:
+    """A group of lambda points trained as one stack equals separate
+    ``run_point`` calls, bit for bit."""
+
+    def assert_group_equals_points(self, hyper, alpha, lams, data_cfg, spec, si_enabled):
+        group = run_group(hyper, alpha, lams, data_cfg, spec, si_enabled, False)
+        alone = [run_point(hyper, alpha, lam, data_cfg, spec, si_enabled, False)
+                 for lam in lams]
+        # through JSON, which writes floats exactly and NaN comparably
+        assert json.dumps([asdict(p) for p in group]) == json.dumps([asdict(p) for p in alone])
+        return group
+
+    def test_dense_static_clusters_three_points(self):
+        hyper = replace(QUICK_HYPER, iterations=12, average_tail=0.5, lr_decay=0.002)
+        self.assert_group_equals_points(
+            hyper, 0.9, [0.0, 3.0, 20.0], QUICK_DATA, DistortionSpec("p_norm", p=2.0), False
+        )
+
+    def test_recurrent_with_side_information_two_points(self):
+        data_cfg = SynthConfig(generator="markov_load", total=200, num_steps=24, d_y=1,
+                               seed=5, si_correlation=0.5)
+        hyper = replace(QUICK_HYPER, num_steps=24, observed_mode="concat_xy",
+                        iterations=4, average_tail=0.5)
+        self.assert_group_equals_points(
+            hyper, 3.0, [0.0, 20.0], data_cfg, DistortionSpec("ts_l2"), True
+        )
+
+    def test_a_diverging_point_fails_alone(self):
+        points = self.assert_group_equals_points(
+            QUICK_HYPER, 1.0, [0.0, 1e7, 2.0], QUICK_DATA, DistortionSpec("p_norm"), False
+        )
+        assert [p.failed for p in points] == [False, True, False]
+        assert points[1].error.startswith("releaser loss diverged at iteration 0: ")
+
+    @pytest.mark.parametrize("count, sizes", [(1, [3]), (2, [2, 1]), (3, [1, 1, 1]),
+                                              (5, [1, 1, 1])])
+    def test_lambdas_split_into_near_equal_contiguous_groups(self, count, sizes):
+        groups = _chunks([0.0, 3.0, 20.0], count)
+        assert [len(g) for g in groups] == sizes
+        assert [lam for g in groups for lam in g] == [0.0, 3.0, 20.0]
+
+    def test_six_lambdas_over_three_workers_form_pairs(self):
+        assert _chunks(list(range(6)), 3) == [[0, 1], [2, 3], [4, 5]]
 
 
 class TestSiCalibration:

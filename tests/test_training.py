@@ -5,12 +5,13 @@ the acceptance suite; here the configurations are deliberately tiny.
 """
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alphaprivacy.datasets import BatchStream, DatasetBatch, SynthConfig, generate
-from alphaprivacy.errors import DivergenceError, ValidationError
+from alphaprivacy.errors import DataFormatError, DivergenceError, ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.nets import Network, dense, recurrent
 from alphaprivacy.training import (
@@ -21,6 +22,8 @@ from alphaprivacy.training import (
     evaluate_system,
     train,
     train_attacker,
+    train_attacker_group,
+    train_group,
 )
 
 QUICK = dict(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1, iterations=5,
@@ -182,6 +185,86 @@ class TestCheckpoint:
         back = TrainedSystem.from_dict(doc)
         assert back.distortion == DistortionSpec("p_norm", p=2.0)
         np.testing.assert_array_equal(system.release(data), back.release(data))
+
+
+    def test_missing_checkpoint_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataFormatError, match="no such file"):
+            TrainedSystem.from_json(tmp_path / "nope.json")
+
+    def test_invalid_checkpoint_is_a_data_error(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"hyper": ')
+        with pytest.raises(DataFormatError, match="invalid JSON"):
+            TrainedSystem.from_json(path)
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return exc
+
+
+def same_outcome(got, want):
+    if isinstance(want, DivergenceError):
+        return isinstance(got, DivergenceError) and str(got) == str(want)
+    return not isinstance(got, DivergenceError) and got.to_dict() == want.to_dict()
+
+
+class TestTrainGroup:
+    def test_group_equals_separate_runs_through_every_kind_of_divergence(self):
+        # one infinite row: models whose streams draw it diverge, in the
+        # adversary step, the releaser step or the attacker, at iterations
+        # of their own (attacker blocks of 2 iterations, the last one short);
+        # the rest must not notice
+        data = clusters_data(total=400, seed=4)
+        data.y[0] = np.inf
+        hyper = HyperParams(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1,
+                            iterations=20, batch_size=8, adversary_steps=2,
+                            attacker_iterations=23)
+        hypers = [replace(hyper, seed=m, lam=0.5 * m) for m in range(6)]
+        spec = DistortionSpec("p_norm")
+        with np.errstate(all="ignore"):
+            group = train_group(hypers, [BatchStream(data, m) for m in range(6)], spec)
+            alone = [outcome_of(train, h, BatchStream(data, m), spec)
+                     for m, h in enumerate(hypers)]
+            trained = [m for m, s in enumerate(alone) if isinstance(s, TrainedSystem)]
+            attackers = train_attacker_group(
+                [group[m] for m in trained],
+                [BatchStream(data, 1000 + m) for m in trained], False, trained,
+            )
+            alone_attackers = [
+                outcome_of(train_attacker, alone[m], BatchStream(data, 1000 + m), False, m)
+                for m in trained
+            ]
+        assert all(same_outcome(g, a) for g, a in zip(group, alone))
+        assert all(same_outcome(g, a) for g, a in zip(attackers, alone_attackers))
+
+        def first_error(seed, draws, iterations, names):
+            # the first draw holding the infinite row: its loss is NaN
+            rng = np.random.default_rng(seed)
+            for iteration in range(iterations):
+                for name in names:
+                    if 0 in rng.choice(data.size, size=8, replace=False):
+                        return f"{name} loss diverged at iteration {iteration}: nan"
+            return None
+
+        want = [first_error(m, 3, 20, ["adversary", "adversary", "releaser"]) for m in range(6)]
+        want_attack = [first_error(1000 + m, 1, 23, ["attacker"]) for m in trained]
+        got = [str(o) if isinstance(o, DivergenceError) else None for o in group + attackers]
+        assert got == want + want_attack
+        assert {w.split()[0] for w in want + want_attack if w} == {"adversary", "releaser", "attacker"}
+        assert None in want_attack
+
+    def test_points_may_differ_only_in_lambda_and_seed(self):
+        data = clusters_data()
+        hyper = HyperParams(**QUICK)
+        streams = [BatchStream(data, 1), BatchStream(data, 2)]
+        with pytest.raises(ValidationError, match="only in lam and seed"):
+            train_group([hyper, replace(hyper, iterations=6)], streams, DistortionSpec())
+        with pytest.raises(ValidationError, match="one dataset"):
+            train_group([hyper, hyper], [streams[0], BatchStream(clusters_data(), 2)],
+                        DistortionSpec())
 
 
 class TestHyperParamsValidation:
