@@ -388,8 +388,8 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
     entries ranges over ``resolution`` uniform points in [0, 1]; the last
     entry absorbs the remainder and infeasible combinations are skipped.
     Rows appear in lexicographic order of the leading entries."""
-    if resolution < 2:
-        raise ValidationError("grid resolution must be >= 2")
+    if not is_count(resolution, 2):
+        raise ValidationError(f"grid resolution must be an integer >= 2, got {resolution!r}")
     pts = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([pts] * (num_symbols - 1)), indexing="ij")
     lead = np.stack([g.ravel() for g in grids], axis=1)
@@ -397,6 +397,12 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
     keep = remainder >= -1e-12
     rows = np.concatenate([lead[keep], np.clip(remainder[keep], 0.0, None)[:, None]], axis=1)
     return rows
+
+
+# Entries of one block's candidate tables in grid_oracle (128 KB): small
+# enough that the block's buffers stay in cache and below malloc's mmap
+# threshold.
+GRID_BLOCK_ENTRIES = 1 << 14
 
 
 def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
@@ -409,10 +415,13 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
 
     A candidate's joint is the sum of its rows' contributions, so each
     row's contribution is computed once; a block of candidates decodes only
-    the prefix rows 0..|W|-2 and adds the last row's whole grid by
-    broadcasting.
+    the prefix rows 0..|W|-2 and adds the last row's whole grid (or a slice
+    of it, when that grid alone exceeds a block) by broadcasting.  A block
+    holds ``GRID_BLOCK_ENTRIES // (|X| * cells)`` candidates, and its
+    tables and the entropy kernel's work go to two buffers allocated once
+    per call; a short final block uses a leading part of each, so every
+    block's arrays are C-contiguous, as freshly allocated ones would be.
     """
-    block = 1 << 15  # about this many candidates are scored at once
     nfree = free_parameter_count(world)
     if nfree > 4:
         raise ValidationError(
@@ -424,21 +433,34 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(nw, len(world._xws), -1, nr)
     dist = world._cost @ rows.T
     nprefix = nr ** (nw - 1)
+    nx, ncells = parts.shape[1:3]
+    block = max(1, GRID_BLOCK_ENTRIES // (nx * ncells))
     per, span = max(1, block // nr), min(nr, block)
+    table_buf, work_buf = np.empty((2, nx * ncells * per * span))
+    base, base_dist = np.empty((nx, ncells, per)), np.empty(per)
+    values_buf = np.empty(per * span)
     best_obj, best_index = np.inf, -1
     for p0 in range(0, nprefix, per):
         prefix = _decode(np.arange(p0, min(p0 + per, nprefix)), nr, nw - 1)
-        base = np.zeros(parts.shape[1:3] + (len(prefix),))
-        base_dist = np.zeros(len(prefix))
+        n = len(prefix)
+        base[:, :, :n] = 0.0
+        base_dist[:n] = 0.0
         for w in range(nw - 1):
-            base += parts[w][:, :, prefix[:, w]]
-            base_dist += dist[w, prefix[:, w]]
+            base[:, :, :n] += parts[w][:, :, prefix[:, w]]
+            base_dist[:n] += dist[w, prefix[:, w]]
         for r0 in range(0, nr, span):
             last = slice(r0, min(r0 + span, nr))
-            values = base_dist[:, None] + dist[-1, last]
+            shape = (n, last.stop - r0)
+            values = np.add(base_dist[:n, None], dist[-1, last],
+                            out=values_buf[: n * shape[1]].reshape(shape))
             if cfg.lam != 0.0:
-                tables = base[:, :, :, None] + parts[-1][:, :, None, last]
-                values = values - cfg.lam * _arimoto_entropy(tables, cfg.alpha)
+                size = nx * ncells * values.size
+                tables = np.add(base[:, :, :n, None], parts[-1][:, :, None, last],
+                                out=table_buf[:size].reshape(nx, ncells, *shape))
+                entropy = _arimoto_entropy(
+                    tables, cfg.alpha, work=work_buf[:size].reshape(tables.shape)
+                )
+                values -= cfg.lam * entropy
             local = int(np.argmin(values))
             if values.flat[local] < best_obj:
                 best_obj = float(values.flat[local])

@@ -275,6 +275,9 @@ def save_csv(batch: DatasetBatch, path):
 
 
 def load_csv(path) -> DatasetBatch:
+    """Read what :func:`save_csv` wrote, one column at a time.  A malformed
+    file is a DataFormatError; a bad row is named by its line number, the
+    first in file order when there are several."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -299,23 +302,41 @@ def load_csv(path) -> DatasetBatch:
     u = np.empty((n, nsteps, d_u))
     s = np.empty((n, len(s_cols))) if s_cols else None
     c = np.empty(n, dtype=np.int64) if has_c else None
-    width = len(header)
     col = {name: k for k, name in enumerate(header)}
+    try:
+        # (header column, parser, destination) in the order a row's fields are read
+        fields = []
+        for t in range(nsteps):
+            fields += [(col[f"y{t}_{j}"], float, y[:, t, j]) for j in range(d_y)]
+            fields.append((col[f"x{t}"], int, x[:, t]))
+            fields += [(col[f"u{t}_{j}"], float, u[:, t, j]) for j in range(d_u)]
+        fields += [(col[f"s_{j}"], float, s[:, j]) for j in range(len(s_cols))]
+        if has_c:
+            fields.append((col["c"], int, c))
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: header lacks column {exc}") from None
+    width = len(header)
+    if any(len(row) != width for row in rows):
+        _raise_first_bad_line(path, rows, width, fields)
+    columns = list(zip(*rows))
+    try:
+        for k, parse, dest in fields:
+            dest[:] = np.fromiter(map(parse, columns[k]), dest.dtype, count=n)
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(path, rows, width, fields)
+        raise
+    return DatasetBatch(y=y, x=x, u=u, s=s, c=c)
+
+
+def _raise_first_bad_line(path, rows, width, fields):
+    """Raise the DataFormatError of the first line, in file order, that
+    does not have ``width`` fields or whose fields do not parse."""
     for i, row in enumerate(rows):
         line = i + 2  # 1-based, after the header
         if len(row) != width:
             raise DataFormatError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
         try:
-            for t in range(nsteps):
-                for j in range(d_y):
-                    y[i, t, j] = float(row[col[f"y{t}_{j}"]])
-                x[i, t] = int(row[col[f"x{t}"]])
-                for j in range(d_u):
-                    u[i, t, j] = float(row[col[f"u{t}_{j}"]])
-            for j in range(len(s_cols)):
-                s[i, j] = float(row[col[f"s_{j}"]])
-            if has_c:
-                c[i] = int(row[col["c"]])
-        except ValueError as exc:
+            for k, parse, dest in fields:
+                dest.dtype.type(parse(row[k]))
+        except (ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: line {line}: {exc}") from None
-    return DatasetBatch(y=y, x=x, u=u, s=s, c=c)

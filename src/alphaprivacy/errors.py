@@ -5,9 +5,9 @@ import math
 from numbers import Integral, Real
 
 
-def is_count(value):
-    """An integer >= 1; ``bool`` and integral floats such as 2.0 are not."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+def is_count(value, low=1):
+    """An integer >= ``low``; ``bool`` and integral floats such as 2.0 are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
 def check_real(name, value, low, strict=False):

@@ -143,34 +143,39 @@ class PosteriorBatch:
         self.probs = probs
 
 
-def _masked_log(p):
-    """log p with entries <= ZERO_PROB mapped to -inf (excluded from sums)."""
-    out = np.full(p.shape, -np.inf)
+def _masked_log(p, out=None):
+    """log p with entries <= ZERO_PROB mapped to -inf (excluded from sums),
+    written to ``out`` when given."""
     mask = p > ZERO_PROB
-    np.log(p, out=out, where=mask)
+    out = np.log(p, out=np.empty(p.shape) if out is None else out, where=mask)
+    out[~mask] = -np.inf
     return out
 
 
-def _logsumexp(a, axis=-1):
-    """Stable log(sum(exp(a))) along ``axis``; tolerates -inf entries."""
+def _logsumexp(a, axis=-1, out=None):
+    """Stable log(sum(exp(a))) along ``axis``; tolerates -inf entries.  The
+    shifted exponentials go to ``out`` (which may be ``a`` itself), else to
+    a new array."""
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    s = np.sum(np.exp(a - amax), axis=axis)
+    shifted = np.subtract(a, amax, out=out)
+    s = np.sum(np.exp(shifted, out=shifted), axis=axis)
     with np.errstate(divide="ignore"):
         return np.log(s) + np.squeeze(amax, axis=axis)
 
 
 def _shannon(p, axis=None, logp=None):
-    """Shannon entropy -sum p log p in nats, zeros masked; ``logp`` may pass
-    in ``_masked_log(p)`` when the caller already has it."""
-    if logp is None:
-        logp = _masked_log(p)
-    terms = np.zeros_like(p)
-    np.multiply(p, logp, out=terms, where=np.isfinite(logp))
+    """Shannon entropy -sum p log p in nats, zeros masked.  ``logp`` may
+    pass in ``_masked_log(p)`` when the caller already has it; it then
+    holds the terms p log p afterwards."""
+    terms = _masked_log(p) if logp is None else logp
+    finite = np.isfinite(terms)
+    np.multiply(p, terms, out=terms, where=finite)
+    terms[~finite] = 0.0
     return -np.sum(terms, axis=axis)
 
 
-def _arimoto_entropy(table, alpha, grad=False):
+def _arimoto_entropy(table, alpha, grad=False, work=None):
     """Arimoto conditional alpha-entropy of X given the conditioning cells,
     one value per batch element, for a table laid out ``(X, cells, *batch)``.
 
@@ -183,30 +188,36 @@ def _arimoto_entropy(table, alpha, grad=False):
     axes of a C-ordered array, i.e. as sums of contiguous slabs that are
     vectorized across the trailing batch.
 
+    The table-sized work (masked log, times alpha, minus the max over X,
+    exp) runs in place in one buffer: ``work``, a float64 array of the
+    table's shape that the caller may pass to reuse across calls, else a
+    new one.  The table itself is only read.
+
     With ``grad`` the result is ``(value, dH/dtable)``.  Boundary
     convention: entries whose mass is zero get gradient 0 (they are flat
     from inside the feasible set for alpha >= 1 and are pinned for
     alpha < 1 as well).
     """
-    logj = _masked_log(table)
+    logj = _masked_log(table, out=work)
     if alpha == 1.0:
         # H(X | cells) = H(joint) - H(cells)
         cond = table.sum(axis=0)
         log_cond = _masked_log(cond)
+        if grad:
+            dj = np.zeros_like(table)
+            np.subtract(np.broadcast_to(log_cond, table.shape), logj, out=dj,
+                        where=np.isfinite(logj))
         value = _shannon(table, axis=(0, 1), logp=logj) - _shannon(cond, axis=0, logp=log_cond)
-        if not grad:
-            return value
+        return (value, dj) if grad else value
+    if grad:
         finite = np.isfinite(logj)
-        dj = np.zeros_like(table)
-        np.subtract(np.broadcast_to(log_cond, table.shape), logj, out=dj, where=finite)
-        return value, dj
-    log_norms = _logsumexp(alpha * logj, axis=0) / alpha  # (cells, *batch)
+        logj_safe = np.where(finite, logj, 0.0)
+    np.multiply(logj, alpha, out=logj)
+    log_norms = _logsumexp(logj, axis=0, out=logj) / alpha  # (cells, *batch)
     log_total = _logsumexp(log_norms, axis=0)
     value = alpha / (1.0 - alpha) * log_total
     if not grad:
         return value
-    finite = np.isfinite(logj)
-    logj_safe = np.where(finite, logj, 0.0)
     norms_safe = np.where(np.isfinite(log_norms), log_norms, 0.0)
     expo = (1.0 - alpha) * norms_safe + (alpha - 1.0) * logj_safe - log_total
     dj = np.zeros_like(table)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_real
+from .errors import DataFormatError, ValidationError, check_real
 from .fileio import read_json, write_text_atomic
 
 ACTIVATIONS = ("linear", "tanh", "softmax")
@@ -319,16 +319,12 @@ class Network:
 
     @classmethod
     def from_dict(cls, doc):
-        layers = [
-            Layer(
-                np.asarray(d["w"], dtype=np.float64),
-                np.asarray(d["b"], dtype=np.float64),
-                d["activation"],
-                d["kind"] == "recurrent",
-            )
-            for d in doc["layers"]
-        ]
-        return cls(layers, seed=doc.get("seed"))
+        """Rebuild a network from :meth:`to_dict`'s document; a missing or
+        mistyped field is a DataFormatError that names it."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
+            raise DataFormatError("network: expected an object with a 'layers' list")
+        return cls([_layer_from_dict(i, d) for i, d in enumerate(doc["layers"])],
+                   seed=doc.get("seed"))
 
     def to_json(self, path):
         write_text_atomic(path, json.dumps(self.to_dict()))
@@ -336,6 +332,31 @@ class Network:
     @classmethod
     def from_json(cls, path):
         return cls.from_dict(read_json(path))
+
+
+def _layer_from_dict(i, doc):
+    """One layer of :meth:`Network.from_dict`'s document."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"network: layer {i} is not an object")
+    for key in ("kind", "activation", "w", "b"):
+        if key not in doc:
+            raise DataFormatError(f"network: layer {i}: missing field {key!r}")
+    if doc["kind"] not in ("dense", "recurrent"):
+        raise DataFormatError(f"network: layer {i}: bad field 'kind': {doc['kind']!r}")
+    arrays = []
+    for key in ("w", "b"):
+        try:
+            arrays.append(np.asarray(doc[key], dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"network: layer {i}: bad field {key!r}: {exc}") from None
+    w, b = arrays
+    if w.ndim < 2:
+        raise DataFormatError(f"network: layer {i}: bad field 'w': shape {w.shape} is not a matrix")
+    if b.shape != w.shape[:-2] + w.shape[-1:]:
+        raise DataFormatError(
+            f"network: layer {i}: bad field 'b': shape {b.shape} does not fit 'w' {w.shape}"
+        )
+    return Layer(w, b, doc["activation"], doc["kind"] == "recurrent")
 
 
 def _swap_bt(a):

@@ -16,13 +16,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .datasets import BatchStream, SynthConfig, _derive_seed, train_eval_split
-from .errors import DataFormatError, DivergenceError, ValidationError, check_real
+from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .metrics import balanced_accuracy
@@ -281,9 +281,8 @@ _FIELD_TYPES = {
     "ne": ("a number or null", _real_or_null),
     "attacker_balanced_accuracy": ("a number or null", _real_or_null),
     "utility_accuracy": ("a number or null", _real_or_null),
-    # is_count's rule, but from 0: a derived seed may be 0
-    "seed": ("an integer >= 0",
-             lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0),
+    # from 0: a derived seed may be 0
+    "seed": ("an integer >= 0", lambda v: is_count(v, 0)),
     "failed": ("true or false", lambda v: isinstance(v, bool)),
     "error": ("a string or null", lambda v: v is None or isinstance(v, str)),
 }

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
-from .errors import DivergenceError, ValidationError, check_real, is_count
+from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .measures import _check_alpha
@@ -121,6 +121,21 @@ def _with_side_info(z, s, si_enabled):
     return np.concatenate([z, tiled], axis=-1)
 
 
+def _must(rule, kind):
+    """A checkpoint field reader: the value if ``rule`` holds, else a
+    TypeError saying what it must be."""
+    def check(value):
+        if not rule(value):
+            raise TypeError(f"must be {kind}, got {value!r}")
+        return value
+    return check
+
+
+_BOOL = _must(lambda v: isinstance(v, bool), "true or false")
+_LIST = _must(lambda v: isinstance(v, list), "a list")
+_UPDATES = _must(lambda v: is_count(v, 0), "an integer >= 0")
+
+
 @dataclass
 class TrainedSystem:
     """Outcome of one adversarial training run."""
@@ -171,22 +186,38 @@ class TrainedSystem:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            releaser=Network.from_dict(doc["releaser"]),
-            adversary=Network.from_dict(doc["adversary"]),
-            utility=None if doc["utility"] is None else Network.from_dict(doc["utility"]),
-            hyper=HyperParams(**doc["hyper"]),
-            distortion=DistortionSpec(**doc["distortion"]),
-            si_enabled=doc["si_enabled"],
-            utility_enabled=doc["utility_enabled"],
-            num_private=doc["num_private"],
-            releaser_history=doc["releaser_history"],
-            adversary_history=doc["adversary_history"],
-            utility_history=doc["utility_history"],
-            releaser_updates=doc["updates"]["releaser"],
-            adversary_updates=doc["updates"]["adversary"],
-            utility_updates=doc["updates"]["utility"],
+        """Rebuild a system from :meth:`to_dict`'s document; a missing or
+        mistyped field is a DataFormatError that names it."""
+        if not isinstance(doc, dict):
+            raise DataFormatError("checkpoint: expected a JSON object")
+
+        def read(name, build):
+            if name not in doc:
+                raise DataFormatError(f"checkpoint: missing field {name!r}")
+            try:
+                return build(doc[name])
+            except KeyError as exc:
+                raise DataFormatError(f"checkpoint: field {name!r} lacks {exc}") from None
+            except (TypeError, ValueError) as exc:  # ValueError: the typed errors too
+                raise DataFormatError(f"checkpoint: bad field {name!r}: {exc}") from None
+
+        system = cls(
+            releaser=read("releaser", Network.from_dict),
+            adversary=read("adversary", Network.from_dict),
+            utility=read("utility", lambda v: None if v is None else Network.from_dict(v)),
+            hyper=read("hyper", lambda v: HyperParams(**v)),
+            distortion=read("distortion", lambda v: DistortionSpec(**v)),
+            si_enabled=read("si_enabled", _BOOL),
+            utility_enabled=read("utility_enabled", _BOOL),
+            num_private=read("num_private", _must(is_count, "an integer >= 1")),
+            releaser_history=read("releaser_history", _LIST),
+            adversary_history=read("adversary_history", _LIST),
+            utility_history=read("utility_history", _LIST),
         )
+        system.releaser_updates, system.adversary_updates, system.utility_updates = read(
+            "updates", lambda v: [_UPDATES(v[k]) for k in ("releaser", "adversary", "utility")]
+        )
+        return system
 
     def to_json(self, path):
         write_text_atomic(path, json.dumps(self.to_dict()))

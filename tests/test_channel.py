@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphaprivacy import channel as channel_module
 from alphaprivacy.channel import (
     ChannelOptConfig,
     ChannelOptResult,
     ReleaseChannel,
     WorldModel,
+    _arimoto_entropy,
     _batch_objective,
     _check_channel_rows,
+    _decode,
     bayes_posterior,
     enumerate_grid_rows,
     expected_distortion,
@@ -346,6 +350,16 @@ class TestGridOracle:
         assert fine_obj <= coarse_obj + 1e-12
         assert np.abs(coarse_channel.probs - fine_channel.probs).max() <= 1.0 / 100 + 1e-9
 
+    @pytest.mark.parametrize("resolution", [1, 0, -4, 3.0, 10.5, True, "11", None])
+    def test_bad_resolution_rejected(self, resolution):
+        with pytest.raises(ValidationError, match="grid resolution must be an integer >= 2"):
+            enumerate_grid_rows(2, resolution)
+        with pytest.raises(ValidationError, match="grid resolution must be an integer >= 2"):
+            grid_oracle(noisy_world(), ChannelOptConfig(alpha=2.0, lam=0.7), resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        assert len(enumerate_grid_rows(3, np.int64(4))) == 10
+
     def test_too_many_free_parameters_rejected(self):
         probs = np.full((2, 5, 2), 1.0 / 20)
         joint = JointPmf(probs, ("X", "W", "Y"))
@@ -633,3 +647,90 @@ class TestChannelRowCheck:
 
     def test_valid_stack_passes(self):
         _check_channel_rows(np.random.default_rng(0).dirichlet(np.ones(3), size=(4, 2)))
+
+
+def allocating_grid_oracle(world, cfg, resolution):
+    """grid_oracle as it was before its workspaces: blocks of 2^15
+    candidates, every table and temporary a new array.  The reference for
+    the workspace scan, which must return the same channel and objective
+    bit for bit."""
+    block = 1 << 15
+    rows = enumerate_grid_rows(world.num_symbols, resolution)
+    nr, nw = rows.shape[0], world.size("W")
+    parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(nw, len(world._xws), -1, nr)
+    dist = world._cost @ rows.T
+    nprefix = nr ** (nw - 1)
+    per, span = max(1, block // nr), min(nr, block)
+    best_obj, best_index = np.inf, -1
+    for p0 in range(0, nprefix, per):
+        prefix = _decode(np.arange(p0, min(p0 + per, nprefix)), nr, nw - 1)
+        base = np.zeros(parts.shape[1:3] + (len(prefix),))
+        base_dist = np.zeros(len(prefix))
+        for w in range(nw - 1):
+            base += parts[w][:, :, prefix[:, w]]
+            base_dist += dist[w, prefix[:, w]]
+        for r0 in range(0, nr, span):
+            last = slice(r0, min(r0 + span, nr))
+            values = base_dist[:, None] + dist[-1, last]
+            if cfg.lam != 0.0:
+                tables = base[:, :, :, None] + parts[-1][:, :, None, last]
+                values = values - cfg.lam * _arimoto_entropy(tables, cfg.alpha)
+            local = int(np.argmin(values))
+            if values.flat[local] < best_obj:
+                best_obj = float(values.flat[local])
+                i, r = divmod(local, values.shape[1])
+                best_index = (p0 + i) * nr + r0 + r
+    choice = _decode(np.array([best_index]), nr, nw)[0]
+    return ReleaseChannel(rows[choice]), best_obj
+
+
+# (world, resolution): several workspace blocks with a short last one in
+# every case; single_row_world's 33153-row grid is cut into slices
+ORACLE_WORLDS = (
+    [(lambda p0=p0, flip=flip: noisy_world(p0, flip), 301) for p0, flip in CRITERION5_WORLDS]
+    + [(side_world, 301), (wide_world, 11), (single_row_world, 257)]
+)
+
+
+class TestGridOracleWorkspace:
+    """grid_oracle scores its blocks in buffers allocated once per call; it
+    must return what the allocating block loop returns."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, 50.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_equals_the_allocating_scan_bit_for_bit(self, alpha, lam):
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam)
+        for make_world, resolution in ORACLE_WORLDS:
+            world = make_world()
+            channel, obj = grid_oracle(world, cfg, resolution)
+            want_channel, want = allocating_grid_oracle(world, cfg, resolution)
+            assert obj == want
+            np.testing.assert_array_equal(channel.probs, want_channel.probs)
+
+    def test_single_row_grid_is_scored_in_slices(self, monkeypatch):
+        batches = []
+
+        def recording(tables, alpha, work=None):
+            batches.append(tables.shape[2:])
+            return _arimoto_entropy(tables, alpha, work=work)
+
+        monkeypatch.setattr(channel_module, "_arimoto_entropy", recording)
+        grid_oracle(single_row_world(), ChannelOptConfig(alpha=2.0, lam=0.7), 257)
+        assert len(batches) > 1
+        assert all(n == 1 for n, _ in batches)
+        assert sum(m for _, m in batches) == 33153
+        # every slice but the last is one full block of candidates
+        span = channel_module.GRID_BLOCK_ENTRIES // (3 * 3)
+        assert [m for _, m in batches[:-1]] == [span] * (len(batches) - 1)
+
+    @pytest.mark.parametrize("make_world", [noisy_world, side_world])
+    def test_traced_peak_of_a_resolution_1001_scan_is_small(self, make_world):
+        world = make_world()
+        cfg = ChannelOptConfig(alpha=2.0, lam=0.6)
+        tracemalloc.start()
+        try:
+            grid_oracle(world, cfg, 1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6

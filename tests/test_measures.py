@@ -473,3 +473,69 @@ class TestMonotoneInAlpha:
                          ("X", "Z"))
         values = [arimoto_conditional_entropy(joint, a) for a in sorted(orders + [1.0])]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def allocating_arimoto_entropy(table, alpha):
+    """The value path of ``_arimoto_entropy`` as it was before it ran in
+    place: every step in a new array.  The reference for the in-place
+    chain, which must keep its ufunc sequence and so its every bit."""
+    logj = np.full(table.shape, -np.inf)
+    np.log(table, out=logj, where=table > ZERO_PROB)
+    if alpha == 1.0:
+        cond = table.sum(axis=0)
+        log_cond = np.full(cond.shape, -np.inf)
+        np.log(cond, out=log_cond, where=cond > ZERO_PROB)
+        terms, cond_terms = np.zeros_like(table), np.zeros_like(cond)
+        np.multiply(table, logj, out=terms, where=np.isfinite(logj))
+        np.multiply(cond, log_cond, out=cond_terms, where=np.isfinite(log_cond))
+        return -np.sum(terms, axis=(0, 1)) + np.sum(cond_terms, axis=0)
+
+    def logsumexp(a):
+        amax = np.max(a, axis=0, keepdims=True)
+        amax = np.where(np.isfinite(amax), amax, 0.0)
+        with np.errstate(divide="ignore"):
+            return np.log(np.sum(np.exp(a - amax), axis=0)) + np.squeeze(amax, axis=0)
+
+    log_norms = logsumexp(alpha * logj) / alpha
+    return alpha / (1.0 - alpha) * logsumexp(log_norms)
+
+
+class TestInPlaceValuePath:
+    """``_arimoto_entropy`` runs its table-sized value work in one buffer,
+    the caller's ``work`` when given."""
+
+    ZERO_ALPHAS = [0.5, 0.9, 1.0, 1.1, 3.0, 10.0]
+
+    @staticmethod
+    def tables(seed):
+        # exact zeros, whole zero cells and a batch of two axes
+        rng = np.random.default_rng(seed)
+        tables = sparse_table(rng, (3, 4, 5, 7), 0.4)
+        tables[:, 1] = 0.0
+        return tables
+
+    @pytest.mark.parametrize("alpha", ZERO_ALPHAS)
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_workspace_call_equals_plain_call_bit_for_bit(self, alpha, grad):
+        tables = self.tables(3)
+        work = np.full(tables.shape, np.nan)
+        got = _arimoto_entropy(tables, alpha, grad=grad, work=work)
+        want = _arimoto_entropy(tables, alpha, grad=grad)
+        for g, w in zip(got, want) if grad else [(got, want)]:
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("alpha", ZERO_ALPHAS)
+    def test_equals_the_allocating_chain_bit_for_bit(self, alpha):
+        tables = self.tables(5)
+        np.testing.assert_array_equal(
+            _arimoto_entropy(tables, alpha), allocating_arimoto_entropy(tables, alpha)
+        )
+
+    @pytest.mark.parametrize("alpha", ZERO_ALPHAS)
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_input_table_is_left_unchanged(self, alpha, grad):
+        tables = self.tables(7)
+        before = tables.copy()
+        _arimoto_entropy(tables, alpha, grad=grad)
+        _arimoto_entropy(tables, alpha, grad=grad, work=np.empty_like(tables))
+        np.testing.assert_array_equal(tables, before)

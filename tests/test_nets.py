@@ -1,6 +1,8 @@
 """Tests for the network stack: forward arithmetic, exact gradients,
 optimizer semantics, serialization, and the loss functions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -493,6 +495,31 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(DataFormatError, match="invalid JSON"):
             Network.from_json(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.clear(), "network: expected an object with a 'layers' list"),
+        (lambda d: d.update(layers=5), "network: expected an object with a 'layers' list"),
+        (lambda d: d["layers"].__setitem__(0, [1]), "network: layer 0 is not an object"),
+        (lambda d: d["layers"][1].pop("w"), "network: layer 1: missing field 'w'"),
+        (lambda d: d["layers"][0].pop("kind"), "network: layer 0: missing field 'kind'"),
+        (lambda d: d["layers"][0].update(kind="conv"), "network: layer 0: bad field 'kind'"),
+        (lambda d: d["layers"][0].update(w="abc"), "network: layer 0: bad field 'w'"),
+        (lambda d: d["layers"][0].update(w=[1.0, 2.0]), "layer 0: bad field 'w': shape"),
+        (lambda d: d["layers"][1].update(b=[0.0]), "layer 1: bad field 'b': shape"),
+    ])
+    def test_damaged_document_names_the_field(self, tmp_path, edit, message):
+        doc = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], seed=31).to_dict()
+        edit(doc)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=message):
+            Network.from_json(path)
+
+    def test_stacked_network_round_trips(self):
+        stack = Network.stack([Network.build([dense(3, 2, "tanh")], seed) for seed in (1, 2)])
+        back = Network.from_dict(json.loads(json.dumps(stack.to_dict())))
+        np.testing.assert_array_equal(back.layers[0].w, stack.layers[0].w)
+        np.testing.assert_array_equal(back.layers[0].b, stack.layers[0].b)
 
 
 def stacked_and_members(specs, seeds):

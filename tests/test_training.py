@@ -5,6 +5,7 @@ the acceptance suite; here the configurations are deliberately tiny.
 """
 
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,47 @@ class TestCheckpoint:
         path.write_text('{"hyper": ')
         with pytest.raises(DataFormatError, match="invalid JSON"):
             TrainedSystem.from_json(path)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self):
+        data = clusters_data()
+        return train(HyperParams(**QUICK, seed=19), BatchStream(data, 4),
+                     DistortionSpec("ts_l2")).to_dict()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "checkpoint: missing field 'releaser'"),
+        ({"releaser": 5}, "checkpoint: bad field 'releaser': network: expected an object"),
+        ([1, 2], "checkpoint: expected a JSON object"),
+    ])
+    def test_non_checkpoint_document_names_the_field(self, tmp_path, doc, message):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=message):
+            TrainedSystem.from_json(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["adversary"]["layers"][1].pop("w"),
+         "bad field 'adversary': network: layer 1: missing field 'w'"),
+        (lambda d: d.pop("num_private"), "missing field 'num_private'"),
+        (lambda d: d.update(utility=[]), "bad field 'utility'"),
+        (lambda d: d.update(si_enabled="yes"), "bad field 'si_enabled': must be true or false"),
+        (lambda d: d.update(num_private=2.0), "bad field 'num_private': must be an integer"),
+        (lambda d: d.update(releaser_history=None), "bad field 'releaser_history': must be a list"),
+        (lambda d: d["hyper"].update(colour=1), "bad field 'hyper'.*colour"),
+        (lambda d: d["hyper"].update(batch_size=0), "bad field 'hyper': batch_size"),
+        (lambda d: d["distortion"].update(kind="l7"), "bad field 'distortion'"),
+        (lambda d: d["updates"].pop("adversary"), "field 'updates' lacks 'adversary'"),
+        (lambda d: d["updates"].update(utility=-1), "bad field 'updates': must be an integer"),
+    ])
+    def test_damaged_checkpoint_names_the_field(self, checkpoint, edit, message):
+        doc = json.loads(json.dumps(checkpoint))
+        edit(doc)
+        with pytest.raises(DataFormatError, match=message):
+            TrainedSystem.from_dict(doc)
+
+    def test_round_trip_of_the_document_is_accepted(self, checkpoint):
+        back = TrainedSystem.from_dict(json.loads(json.dumps(checkpoint)))
+        assert back.to_dict() == checkpoint
 
 
 def outcome_of(fn, *args):
