@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, check_real, is_count
+from .errors import DataFormatError, ValidationError, check_count, check_real
 from .fileio import read_json, write_text_atomic
 from .measures import NORMALIZATION_TOL, JointPmf, Pmf, _arimoto_entropy, _check_alpha
 
@@ -172,9 +172,7 @@ class ChannelOptConfig:
         check_real("step_size", self.step_size, 0.0, strict=True)
         check_real("tolerance", self.tolerance, 0.0, strict=True)
         for name in ("max_iters", "restarts"):
-            value = getattr(self, name)
-            if not is_count(value):
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
 
 
 @dataclass
@@ -328,6 +326,7 @@ def optimize_channel(
     gradient over |X| * |S| >= 6 terms, the result can differ from restarts
     run one at a time by a few ulps; elsewhere it is bit-identical.
     """
+    check_count("seed", seed, 0)
     for lbl in world.joint.axis_labels:
         if world.size(lbl) > MAX_EXACT_ALPHABET:
             raise ValidationError(
@@ -388,8 +387,7 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
     entries ranges over ``resolution`` uniform points in [0, 1]; the last
     entry absorbs the remainder and infeasible combinations are skipped.
     Rows appear in lexicographic order of the leading entries."""
-    if not is_count(resolution, 2):
-        raise ValidationError(f"grid resolution must be an integer >= 2, got {resolution!r}")
+    check_count("grid resolution", resolution, 2)
     pts = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([pts] * (num_symbols - 1)), indexing="ij")
     lead = np.stack([g.ravel() for g in grids], axis=1)

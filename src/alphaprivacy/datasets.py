@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, is_count
+from .errors import DataFormatError, ValidationError, check_count, check_real
 
 
 @dataclass
@@ -134,13 +134,15 @@ class SynthConfig:
         if self.generator not in ("labeled_clusters", "markov_load"):
             raise ValidationError(f"unknown generator {self.generator!r}")
         for name in ("total", "num_steps", "d_y", "noise_dim", "num_classes"):
-            value = getattr(self, name)
-            if not is_count(value):
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0.0 <= self.si_correlation <= 1.0:
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
+        # cluster_scale and stay_prob are bounded by the generator that uses them
+        for name in ("class_spread", "class_bias", "cluster_scale", "stay_prob", "base_load",
+                     "occupancy_bump", "load_noise"):
+            check_real(name, getattr(self, name))
+        check_real("separation", self.separation, 0.0)
+        if not 0.0 <= check_real("si_correlation", self.si_correlation) <= 1.0:
             raise ValidationError("si_correlation must lie in [0, 1]")
-        if self.separation < 0.0:
-            raise ValidationError("separation must be >= 0")
 
 
 def generate(cfg: SynthConfig) -> DatasetBatch:

@@ -10,15 +10,25 @@ def is_count(value, low=1):
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
-def check_real(name, value, low, strict=False):
+def check_count(name, value, low=1):
+    """Return ``value`` if it is a count by :func:`is_count`, else raise a
+    ValidationError naming ``name``."""
+    if not is_count(value, low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_real(name, value, low=None, strict=False):
     """Return ``value`` if it is a finite real >= ``low`` (> ``low`` when
-    ``strict``), else raise a ValidationError naming ``name``; ``bool`` is
-    not a real here."""
+    ``strict``; any finite real when ``low`` is None), else raise a
+    ValidationError naming ``name``; ``bool`` is not a real here."""
     # an int is finite however large; math.isfinite would overflow on it
     finite = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
-    if isinstance(value, bool) or not finite or not (value > low if strict else value >= low):
-        bound = f"{'>' if strict else '>='} {low:g}"
-        raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
+    if isinstance(value, bool) or not finite or not (
+        low is None or (value > low if strict else value >= low)
+    ):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise ValidationError(f"{name} must be a finite number{bound}, got {value!r}")
     return value
 
 

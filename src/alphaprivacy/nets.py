@@ -223,14 +223,6 @@ class Network:
             for g, seed in enumerate(self.seed)
         ]
 
-    def select(self, keep):
-        """Keep, in place, the models of a stack where the boolean ``keep``
-        is true."""
-        for layer in self.layers:
-            layer.w, layer.b = layer.w[keep], layer.b[keep]
-        self.seed = [s for s, k in zip(self.seed, keep) if k]
-        self._version += 1
-
     @property
     def in_dim(self):
         return self.layers[0].in_dim
@@ -458,10 +450,3 @@ class SgdMomentum:
             layer.b -= self.learning_rate * vb
         self.network._version += 1
         self.steps += 1
-
-    def select(self, keep):
-        """Keep, in place, the models of a stacked network (and their
-        velocities) where the boolean ``keep`` is true."""
-        self.network.select(keep)
-        if self.velocity is not None:
-            self.velocity = [(vw[keep], vb[keep]) for vw, vb in self.velocity]

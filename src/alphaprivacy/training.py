@@ -26,7 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
-from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count
+from .errors import (
+    DataFormatError, DivergenceError, ValidationError, check_count, check_real, is_count,
+)
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .measures import _check_alpha
@@ -72,9 +74,8 @@ class HyperParams:
         check_real("lr_decay", self.lr_decay, 0.0)
         check_real("momentum", self.momentum, 0.0)
         for name in COUNT_FIELDS:
-            value = getattr(self, name)
-            if not is_count(value):
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
         if self.observed_mode not in OBSERVED_MODES:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
         if not 0.0 <= self.average_tail < 1.0:
@@ -236,11 +237,11 @@ def _two_layer_net(num_steps, d_in, hidden, d_out, head, seed):
 
 
 def _guard(values, iteration, who, failed):
-    """Record in ``failed`` (stack position -> error) each model whose loss
-    is non-finite or beyond the ceiling; a model keeps its first error."""
-    for pos, value in enumerate(values.tolist()):
-        if pos not in failed and (not np.isfinite(value) or abs(value) > LOSS_CEILING):
-            failed[pos] = DivergenceError(
+    """Record in ``failed`` (model index -> error) each model whose loss is
+    non-finite or beyond the ceiling; a model keeps its first error."""
+    for g, value in enumerate(values.tolist()):
+        if g not in failed and (not np.isfinite(value) or abs(value) > LOSS_CEILING):
+            failed[g] = DivergenceError(
                 f"{who} loss diverged at iteration {iteration}: {value!r}", iteration
             )
 
@@ -317,19 +318,6 @@ def _draw(streams, nbatch, count=1):
     return SimpleNamespace(**{name: stacked(name) for name in ("y", "x", "u", "s", "c")})
 
 
-def _retire(failed, live, outcomes, holders):
-    """Store each failed model's error in ``outcomes`` and drop it from the
-    stacks in ``holders`` (optimizers, networks); returns the live list."""
-    if not failed:
-        return live
-    keep = [pos not in failed for pos in range(len(live))]
-    for pos, error in failed.items():
-        outcomes[live[pos]] = error
-    for holder in holders:
-        holder.select(keep)
-    return [m for m, kept in zip(live, keep) if kept]
-
-
 def _check_group(hypers, streams):
     """The shared hyperparameters and training pool of a group."""
     if not hypers or len(streams) != len(hypers):
@@ -381,9 +369,10 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     ``streams[g]``, which must all sample one dataset, so it follows the
     very run :func:`train` gives for ``hypers[g]``, bit for bit.  Returns
     one outcome per model: its TrainedSystem, or the DivergenceError its
-    own run would raise.  A diverged model leaves the stack at the end of
-    that iteration; the others go on.  ``log_stream`` gets each model's
-    line per iteration, in stack order.
+    own run would raise.  A diverged model stays in the stack, unread, so
+    the stack keeps its shape; the loop ends early once every model has
+    failed.  ``log_stream`` gets each model's line per iteration, in stack
+    order, until that model fails.
     """
     hyper, pool = _check_group(hypers, streams)
     if pool.num_steps != hyper.num_steps:
@@ -421,48 +410,36 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     )
     opt_r = SgdMomentum(releaser, hyper.lr_releaser, hyper.momentum)
     opt_a = SgdMomentum(adversary, hyper.lr_adversary, hyper.momentum)
-    opts = [opt_r, opt_a]
     utility = opt_u = None
     if utility_enabled:
         n_classes = int(pool.c.max()) + 1
         utility = stacked_net("utility", 1, d_y, hyper.hidden_utility, n_classes, "softmax")
         opt_u = SgdMomentum(utility, hyper.lr_utility, hyper.momentum)
-        opts.append(opt_u)
 
-    outcomes = [None] * len(hypers)
-    history = [{"releaser": [], "adversary": [], "utility": []} for _ in hypers]
-    live = list(range(len(hypers)))
+    lam = np.array([h.lam for h in hypers])
+    failed = {}
+    history = []  # per iteration: (classifier steps, releaser losses)
 
     avg_start = int(round(hyper.iterations * (1.0 - hyper.average_tail)))
     avg_params = None
     avg_count = 0
 
     for iteration in range(hyper.iterations):
-        failed = {}
-        live_streams = [streams[m] for m in live]
         # decayed releaser step damps the releaser/adversary oscillation so
         # the alternation settles instead of orbiting the equilibrium
         opt_r.learning_rate = hyper.lr_releaser / (1.0 + hyper.lr_decay * iteration)
-        rows = _draw(live_streams, hyper.batch_size, count=hyper.adversary_steps)
+        rows = _draw(streams, hyper.batch_size, count=hyper.adversary_steps)
         steps = _classifier_steps(
             opt_a, opt_u, releaser, rows, hyper, si_enabled, "adversary",
             [iteration] * hyper.adversary_steps, failed,
         )
-        for adv_values, util_values in steps:
-            for pos, m in enumerate(live):
-                history[m]["adversary"].append(adv_values[pos])
-                if utility_enabled:
-                    history[m]["utility"].append(util_values[pos])
-
-        batch = _draw(live_streams, hyper.batch_size)
-        lam = np.array([hypers[m].lam for m in live])
+        batch = _draw(streams, hyper.batch_size)
         values, z = _releaser_step(
             opt_r, adversary, utility if spec.needs_utility else None, batch, spec, lam,
             hyper, si_enabled
         )
         _guard(values, iteration, "releaser", failed)
-        for pos, m in enumerate(live):
-            history[m]["releaser"].append(values[pos].item())
+        history.append((steps, values.tolist()))
 
         if hyper.average_tail > 0.0 and iteration >= avg_start:
             # running mean of the releaser over the oscillating tail; the
@@ -476,19 +453,14 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
                     ab += (layer.b - ab) / avg_count
 
         if log_stream is not None:
-            for pos in range(len(live)):
-                if pos not in failed:
-                    ne = normalized_error(z[pos], batch.y[pos])
+            for g in range(len(hypers)):
+                if g not in failed:
+                    ne = normalized_error(z[g], batch.y[g])
                     log_stream.write(
-                        f"iteration={iteration} adversary_loss={steps[-1][0][pos]:.6f} "
-                        f"releaser_loss={values[pos]:.6f} ne={ne:.6f}\n"
+                        f"iteration={iteration} adversary_loss={steps[-1][0][g]:.6f} "
+                        f"releaser_loss={values[g]:.6f} ne={ne:.6f}\n"
                     )
-
-        if failed and avg_params is not None:
-            keep = [pos not in failed for pos in range(len(live))]
-            avg_params = [(aw[keep], ab[keep]) for aw, ab in avg_params]
-        live = _retire(failed, live, outcomes, opts)
-        if not live:
+        if len(failed) == len(hypers):
             break
 
     if avg_params is not None:
@@ -498,27 +470,30 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
         releaser._version += 1
 
     members = zip(
-        live, releaser.members(), adversary.members(),
-        utility.members() if utility is not None else [None] * len(live),
+        releaser.members(), adversary.members(),
+        utility.members() if utility is not None else [None] * len(hypers),
     )
-    for m, rel, adv, util_net in members:
-        outcomes[m] = TrainedSystem(
+    return [
+        failed[g] if g in failed else TrainedSystem(
             releaser=rel,
             adversary=adv,
             utility=util_net,
-            hyper=hypers[m],
+            hyper=hypers[g],
             distortion=spec,
             si_enabled=si_enabled,
             utility_enabled=utility_enabled,
             num_private=num_private,
-            releaser_history=history[m]["releaser"],
-            adversary_history=history[m]["adversary"],
-            utility_history=history[m]["utility"],
+            releaser_history=[rel_values[g] for _, rel_values in history],
+            adversary_history=[a[g] for k_steps, _ in history for a, _ in k_steps],
+            utility_history=[
+                u[g] for k_steps, _ in history for _, u in k_steps if u is not None
+            ],
             releaser_updates=opt_r.steps,
             adversary_updates=opt_a.steps,
             utility_updates=opt_u.steps if opt_u is not None else 0,
         )
-    return outcomes
+        for g, (rel, adv, util_net) in enumerate(members)
+    ]
 
 
 def train_attacker(
@@ -541,7 +516,8 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
 
     The releaser is frozen, so the batches of ``adversary_steps``
     successive iterations are drawn and released in one pass, as in
-    training; a diverged model leaves the stack at the end of such a block.
+    training; a diverged model stays in the stack, unread, as in
+    :func:`train_group`.
     """
     hyper, pool = _check_group([s.hyper for s in systems], streams)
     if si_enabled and pool.s is None:
@@ -560,21 +536,16 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
     iters = hyper.attacker_iterations
     if iters is None:
         iters = hyper.iterations
-    outcomes = [None] * len(systems)
-    live = list(range(len(systems)))
+    failed = {}
     for start in range(0, iters, hyper.adversary_steps):
-        failed = {}
         block = range(start, min(start + hyper.adversary_steps, iters))
-        rows = _draw([streams[m] for m in live], hyper.batch_size, count=len(block))
+        rows = _draw(streams, hyper.batch_size, count=len(block))
         _classifier_steps(
             opt, None, releaser, rows, hyper, si_enabled, "attacker", block, failed
         )
-        live = _retire(failed, live, outcomes, [opt, releaser])
-        if not live:
+        if len(failed) == len(systems):
             break
-    for m, net in zip(live, attacker.members()):
-        outcomes[m] = net
-    return outcomes
+    return [failed.get(g, net) for g, net in enumerate(attacker.members())]
 
 
 def classifier_predictions(net: Network, features):

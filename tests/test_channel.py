@@ -320,6 +320,11 @@ class TestOptimizeChannel:
         assert all(dists[i + 1] >= dists[i] - 1e-6 for i in range(len(dists) - 1))
         assert all(ents[i + 1] >= ents[i] - 1e-6 for i in range(len(ents) - 1))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            optimize_channel(copy_world(0.5), ChannelOptConfig(max_iters=2), seed=seed)
+
     def test_oversized_alphabet_rejected(self):
         probs = np.full((17, 17, 17), 1.0 / 17**3)
         joint = JointPmf(probs, ("X", "W", "Y"))

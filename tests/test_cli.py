@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and plotting outputs."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -355,6 +356,32 @@ class TestSweepGridsAndWorkers:
         assert_one_line_error(capsys, "usage error: ", "--workers")
 
 
+class TestSeedsAndDataSettings:
+    def test_train_rejects_negative_seed(self, tmp_path, capsys):
+        cfg = sweep_config_file(tmp_path)
+        assert main(["train", "--config", str(cfg), "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", "seed", "-1")
+
+    def test_optimize_rejects_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(WORLD))
+        assert main(["optimize", "--world", str(path), "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", "seed", "-1")
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -2), ("seed", 1.5), ("load_noise", "abc"), ("separation", float("nan")),
+        ("class_bias", float("inf")),
+    ])
+    def test_bad_data_settings_are_one_line_data_errors(self, tmp_path, capsys, field, value):
+        data = {**SWEEP_CONFIG["data"], field: value}
+        cfg = sweep_config_file(tmp_path, data=data)  # json writes NaN as a token
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", field)
+        assert not (tmp_path / "results.json").exists()
+
+
 class TestPlotInputErrors:
     @pytest.mark.parametrize("text", [
         "{not json", "[]", '{"points": {}}', '{"metadata": {}}',
@@ -426,9 +453,12 @@ class TestPlotCommand:
 
 class TestConsoleEntryPoint:
     def test_module_invocation_reports_usage_error(self):
+        # the package is importable from the source tree, installed or not
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "alphaprivacy", "no-such-command"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 1
         assert "usage error" in proc.stderr

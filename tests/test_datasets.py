@@ -54,6 +54,24 @@ class TestValidation:
     def test_numpy_integer_sizes_accepted(self, field):
         assert getattr(SynthConfig(**{field: np.int64(3)}), field) == 3
 
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, value):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            SynthConfig(seed=value)
+
+    @pytest.mark.parametrize("field", [
+        "separation", "class_spread", "class_bias", "cluster_scale", "stay_prob", "base_load",
+        "occupancy_bump", "load_noise", "si_correlation",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), "abc", True, None])
+    def test_non_finite_or_non_real_settings_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+            SynthConfig(**{field: value})
+
+    def test_negative_separation_rejected(self):
+        with pytest.raises(ValidationError, match="separation must be a finite number >= 0"):
+            SynthConfig(separation=-1.0)
+
     def test_si_correlation_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             SynthConfig(generator="markov_load", si_correlation=1.5)

@@ -580,18 +580,6 @@ class TestStack:
                 np.testing.assert_array_equal(a.w, b.w)
                 np.testing.assert_array_equal(a.b, b.b)
 
-    def test_select_drops_models_and_their_velocities(self):
-        stack, nets = stacked_and_members([dense(2, 3, "tanh"), dense(3, 2, "linear")], [1, 2, 3])
-        opt = SgdMomentum(stack, 0.1, 0.9)
-        opt.step(zero_grads(stack))
-        _, trace = stack.forward(np.zeros((3, 4, 1, 2)))
-        opt.select([True, False, True])
-        assert stack.seed == [1, 3]
-        assert all(vw.shape[0] == 2 for vw, _ in opt.velocity)
-        np.testing.assert_array_equal(stack.layers[0].w[1], nets[2].layers[0].w)
-        with pytest.raises(ValidationError, match="stale trace"):
-            stack.backward(np.zeros((3, 4, 1, 2)), trace)
-
     def test_input_without_the_model_axis_rejected(self):
         stack, _ = stacked_and_members([dense(2, 2, "linear")], [1, 2])
         with pytest.raises(ValidationError, match=r"\(G, B, T, d\)"):

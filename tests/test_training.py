@@ -298,6 +298,33 @@ class TestTrainGroup:
         assert {w.split()[0] for w in want + want_attack if w} == {"adversary", "releaser", "attacker"}
         assert None in want_attack
 
+    def test_diverged_models_leave_tail_average_utility_and_log_untouched(self):
+        # the same infinite row under the composite distortion: the
+        # survivors' tail-averaged releasers and utility networks, and the
+        # log lines they write, must be those of their lone runs
+        data = clusters_data(total=400, seed=4)
+        data.y[0] = np.inf
+        hyper = HyperParams(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1,
+                            iterations=20, batch_size=8, adversary_steps=2,
+                            average_tail=0.5)
+        hypers = [replace(hyper, seed=m, lam=0.5 * m) for m in range(6)]
+        spec = DistortionSpec("composite_img")
+        group_log, logs = io.StringIO(), [io.StringIO() for _ in hypers]
+        with np.errstate(all="ignore"):
+            group = train_group(hypers, [BatchStream(data, m) for m in range(6)], spec,
+                                utility_enabled=True, log_stream=group_log)
+            alone = [outcome_of(train, h, BatchStream(data, m), spec, False, True, logs[m])
+                     for m, h in enumerate(hypers)]
+        assert all(same_outcome(g, a) for g, a in zip(group, alone))
+        assert [m for m, o in enumerate(group) if isinstance(o, DivergenceError)] == [2, 4, 5]
+        lone_lines = [log.getvalue().splitlines() for log in logs]
+        interleaved = [
+            line for iteration in range(hyper.iterations) for lines in lone_lines
+            for line in lines if line.startswith(f"iteration={iteration} ")
+        ]
+        assert group_log.getvalue().splitlines() == interleaved
+        assert len(interleaved) == 74
+
     def test_points_may_differ_only_in_lambda_and_seed(self):
         data = clusters_data()
         hyper = HyperParams(**QUICK)
@@ -317,7 +344,8 @@ class TestHyperParamsValidation:
          ("attacker_iterations", 2.5),
          ("lam", float("nan")), ("lam", -1.0), ("lam", "0.1"), ("lr_releaser", 0.0),
          ("lr_releaser", float("inf")), ("lr_adversary", float("nan")), ("lr_utility", -0.1),
-         ("lr_decay", float("inf")), ("momentum", float("nan")), ("momentum", -0.5)],
+         ("lr_decay", float("inf")), ("momentum", float("nan")), ("momentum", -0.5),
+         ("seed", -1), ("seed", 1.5), ("seed", None)],
     )
     def test_out_of_range_values_are_typed_errors(self, field, value):
         with pytest.raises(ValidationError, match=field):
