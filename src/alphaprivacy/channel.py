@@ -21,20 +21,15 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError, check_count, check_real
 from .fileio import read_json, write_text_atomic
-from .measures import NORMALIZATION_TOL, JointPmf, Pmf, _arimoto_entropy, _check_alpha
+from .measures import JointPmf, Pmf, _arimoto_entropy, _check_distributions
 
 MAX_EXACT_ALPHABET = 16
 
 
 def _check_channel_rows(probs):
     """Reject a channel, or a stack ``(..., |W|, |Z|)`` of channels, whose
-    rows are not finite, non-negative and normalized within
-    ``NORMALIZATION_TOL``."""
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-        raise ValidationError("ReleaseChannel: rows must be non-negative and finite")
-    worst = np.abs(probs.sum(axis=-1) - 1.0).max()
-    if worst > NORMALIZATION_TOL:
-        raise ValidationError(f"ReleaseChannel: row normalization off by {worst:g}")
+    rows are not distributions."""
+    return _check_distributions(probs, "ReleaseChannel", axis=-1)
 
 
 class ReleaseChannel:
@@ -50,8 +45,7 @@ class ReleaseChannel:
             raise ValidationError(
                 f"ReleaseChannel: expected |W| x |Z| matrix, got shape {probs.shape}"
             )
-        _check_channel_rows(probs)
-        self.probs = probs
+        self.probs = _check_channel_rows(probs)
 
     def __repr__(self):
         return f"ReleaseChannel(shape={self.probs.shape})"
@@ -167,7 +161,7 @@ class ChannelOptConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check_real("alpha", self.alpha, 0.0, strict=True)
         check_real("lam", self.lam, 0.0)
         check_real("step_size", self.step_size, 0.0, strict=True)
         check_real("tolerance", self.tolerance, 0.0, strict=True)

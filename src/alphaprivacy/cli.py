@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -88,33 +89,20 @@ def cmd_measures(args):
     has_si = "S" in joint.axis_labels
     alphas = _float_list(args.alpha) if args.alpha else list(DEFAULT_ALPHAS)
     xz = joint.marginal(("X", "Z")) if has_si else joint
-    records = []
-    for alpha in alphas:
-        rec = {
-            "alpha": alpha,
-            "renyi_entropy_x": renyi_entropy(joint.marginal(("X",)), alpha),
-            "conditional_entropy_x_given_z": arimoto_conditional_entropy(xz, alpha),
-            "mutual_information_x_z": alpha_mutual_information(xz, alpha),
-        }
-        if has_si:
-            rec["mutual_information_x_z_given_s"] = conditional_alpha_mi_given_s(
-                joint, alpha
-            )
-        records.append(rec)
-    header = ["alpha", "H_a(X)", "H_a(X|Z)", "I_a(X;Z)"]
+    # (header, record key, measure of alpha), one per table column
+    columns = [
+        ("H_a(X)", "renyi_entropy_x", partial(renyi_entropy, joint.marginal(("X",)))),
+        ("H_a(X|Z)", "conditional_entropy_x_given_z", partial(arimoto_conditional_entropy, xz)),
+        ("I_a(X;Z)", "mutual_information_x_z", partial(alpha_mutual_information, xz)),
+    ]
     if has_si:
-        header.append("I_a(X;Z|S)")
-    print("  ".join(f"{h:>12}" for h in header))
+        columns.append(("I_a(X;Z|S)", "mutual_information_x_z_given_s",
+                        partial(conditional_alpha_mi_given_s, joint)))
+    records = [{"alpha": alpha, **{key: measure(alpha) for _, key, measure in columns}}
+               for alpha in alphas]
+    print("  ".join(f"{h:>12}" for h in ["alpha"] + [h for h, _, _ in columns]))
     for rec in records:
-        row = [
-            f"{rec['alpha']:>12g}",
-            f"{rec['renyi_entropy_x']:>12.6f}",
-            f"{rec['conditional_entropy_x_given_z']:>12.6f}",
-            f"{rec['mutual_information_x_z']:>12.6f}",
-        ]
-        if has_si:
-            row.append(f"{rec['mutual_information_x_z_given_s']:>12.6f}")
-        print("  ".join(row))
+        print("  ".join([f"{rec['alpha']:>12g}"] + [f"{rec[key]:>12.6f}" for _, key, _ in columns]))
     out = os.path.join(_out_dir(args), "measures.json")
     write_text_atomic(out, json.dumps({"joint": args.joint, "measures": records}, indent=2))
     print(f"wrote {out}")
@@ -159,18 +147,30 @@ def _config_from_file(args):
     return config
 
 
+def _config_entry(config, key, kind, default):
+    """``config[key]``, or ``default`` when the key is absent; a value that
+    is not a ``kind`` (``bool`` or ``dict``) is a data error naming ``key``."""
+    if key not in config:
+        return default
+    if not isinstance(config[key], kind):
+        expected = "true or false" if kind is bool else "a JSON object"
+        raise DataFormatError(f"config: {key} must be {expected}, got {config[key]!r}")
+    return config[key]
+
+
 def _build_run_pieces(args, config):
-    si_enabled = bool(config.get("si", False)) or args.si
-    utility_enabled = bool(config.get("utility_net", False)) or args.utility_net
+    si_enabled = _config_entry(config, "si", bool, False) or args.si
+    utility_enabled = _config_entry(config, "utility_net", bool, False) or args.utility_net
+    distortion = _config_entry(config, "distortion", dict, None)
     try:
-        data_cfg = SynthConfig(**config.get("data", {}))
-        hyper_doc = dict(config.get("hyper", {}))
+        data_cfg = SynthConfig(**_config_entry(config, "data", dict, {}))
+        hyper_doc = dict(_config_entry(config, "hyper", dict, {}))
         if args.seed is not None:
             hyper_doc["seed"] = args.seed
         hyper = HyperParams(**hyper_doc)
         spec = (
-            DistortionSpec(**config["distortion"])
-            if "distortion" in config
+            DistortionSpec(**distortion)
+            if distortion is not None
             else default_distortion(utility_enabled)
         )
     except TypeError as exc:

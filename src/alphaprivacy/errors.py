@@ -18,15 +18,20 @@ def check_count(name, value, low=1):
     return value
 
 
+def is_real(value):
+    """A real number; ``bool`` is not one here."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_real(name, value, low=None, strict=False):
-    """Return ``value`` if it is a finite real >= ``low`` (> ``low`` when
-    ``strict``; any finite real when ``low`` is None), else raise a
-    ValidationError naming ``name``; ``bool`` is not a real here."""
-    # an int is finite however large; math.isfinite would overflow on it
-    finite = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
-    if isinstance(value, bool) or not finite or not (
-        low is None or (value > low if strict else value >= low)
-    ):
+    """Return ``value`` if it is a finite real by :func:`is_real` that is
+    >= ``low`` (> ``low`` when ``strict``; any finite real when ``low`` is
+    None), else raise a ValidationError naming ``name``."""
+    try:
+        finite = is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite or not (low is None or (value > low if strict else value >= low)):
         bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
         raise ValidationError(f"{name} must be a finite number{bound}, got {value!r}")
     return value

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ValidationError, check_real
 from .measures import (
     ZERO_PROB,
-    _check_alpha,
     _per_model,
     batch_sequence_arimoto_entropy_grad,
 )
@@ -179,7 +178,7 @@ def releaser_loss(
     for weight in (lam,) if np.ndim(lam) == 0 else lam:
         check_real("lam", weight, 0.0)
     lam = np.asarray(lam, dtype=np.float64)
-    alpha = _check_alpha(alpha)
+    check_real("alpha", alpha, 0.0, strict=True)
     probs = np.asarray(posterior_probs, dtype=np.float64)
     value, grad_released = _norm_distortion(spec, released, target, grad=True)
     value += _utility_term(spec, utility_loss)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 
 # Probabilities at or below this threshold are treated as exact zeros in
 # entropy sums (the 0 * log 0 = 0 convention).
@@ -25,21 +25,18 @@ ZERO_PROB = 1e-15
 NORMALIZATION_TOL = 1e-12
 
 
-def _check_alpha(alpha):
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ValidationError(f"alpha must be a positive finite real, got {alpha}")
-    return alpha
-
-
-def _check_prob_array(probs, name):
+def _check_distributions(probs, name, axis=None):
+    """``probs`` as a float64 array if it is non-empty, finite, non-negative
+    and sums to 1 within ``NORMALIZATION_TOL`` along ``axis`` (over all
+    entries when ``axis`` is None), else a ValidationError naming ``name``."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size == 0:
         raise ValidationError(f"{name}: empty probability table")
-    if not np.all(np.isfinite(probs)):
-        raise ValidationError(f"{name}: non-finite entries")
-    if np.any(probs < 0.0):
-        raise ValidationError(f"{name}: negative entries (min {probs.min():g})")
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        raise ValidationError(f"{name}: entries must be non-negative and finite")
+    worst = np.abs(probs.sum(axis=axis) - 1.0).max()
+    if worst > NORMALIZATION_TOL:
+        raise ValidationError(f"{name}: normalization off by {worst:g}")
     return probs
 
 
@@ -50,13 +47,10 @@ class Pmf:
     """
 
     def __init__(self, probs):
-        probs = _check_prob_array(probs, "Pmf")
+        probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ValidationError(f"Pmf: expected a 1-D array, got shape {probs.shape}")
-        total = probs.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"Pmf: entries sum to {total!r}, not 1")
-        self.probs = probs
+        self.probs = _check_distributions(probs, "Pmf")
 
     def __repr__(self):
         return f"Pmf({self.probs!r})"
@@ -71,7 +65,7 @@ class JointPmf:
     """
 
     def __init__(self, probs, axis_labels):
-        probs = _check_prob_array(probs, "JointPmf")
+        probs = np.asarray(probs, dtype=np.float64)
         axis_labels = tuple(axis_labels)
         if probs.ndim < 2 or probs.ndim > 4:
             raise ValidationError(
@@ -83,10 +77,7 @@ class JointPmf:
             )
         if len(set(axis_labels)) != len(axis_labels):
             raise ValidationError(f"JointPmf: duplicate axis labels {axis_labels}")
-        total = probs.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"JointPmf: entries sum to {total!r}, not 1")
-        self.probs = probs
+        self.probs = _check_distributions(probs, "JointPmf")
         self.axis_labels = axis_labels
 
     def axis(self, label):
@@ -127,20 +118,14 @@ class PosteriorBatch:
     """
 
     def __init__(self, probs):
-        probs = _check_prob_array(probs, "PosteriorBatch")
+        probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 3:
             raise ValidationError(
                 f"PosteriorBatch: expected shape (B, T, |X|), got {probs.shape}"
             )
         if probs.shape[0] < 1:
             raise ValidationError("PosteriorBatch: empty batch")
-        sums = probs.sum(axis=2)
-        worst = np.abs(sums - 1.0).max()
-        if worst > NORMALIZATION_TOL:
-            raise ValidationError(
-                f"PosteriorBatch: slice normalization off by {worst:g}"
-            )
-        self.probs = probs
+        self.probs = _check_distributions(probs, "PosteriorBatch", axis=2)
 
 
 def _masked_log(p, out=None):
@@ -286,7 +271,7 @@ def renyi_entropy(p: Pmf, alpha) -> float:
     Equals (alpha / (1 - alpha)) * log ||p||_alpha for alpha != 1, and the
     Shannon entropy for alpha = 1.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     return float(_arimoto_entropy(p.probs[:, None], alpha))
 
 
@@ -296,7 +281,7 @@ def arimoto_conditional_entropy(joint: JointPmf, alpha) -> float:
     ``joint`` must carry axes X and Z; conditioning cells with zero
     probability contribute nothing.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     if set(joint.axis_labels) != {"X", "Z"}:
         raise ValidationError(
             f"arimoto_conditional_entropy: expected axes X and Z, got {joint.axis_labels}"
@@ -306,7 +291,7 @@ def arimoto_conditional_entropy(joint: JointPmf, alpha) -> float:
 
 def alpha_mutual_information(joint: JointPmf, alpha) -> float:
     """Arimoto alpha-mutual information I^A_alpha(X; Z) = H_alpha(X) - H^A_alpha(X|Z)."""
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     h_x = renyi_entropy(joint.marginal(("X",)), alpha)
     return h_x - float(_arimoto_entropy(_x_first(joint), alpha))
 
@@ -315,7 +300,7 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
     """Side-information-conditioned alpha-MI
     I^A_alpha(X; Z | S) = H^A_alpha(X | S) - H^A_alpha(X | Z, S).
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     if set(joint.axis_labels) != {"X", "Z", "S"}:
         raise ValidationError(
             f"conditional_alpha_mi_given_s: expected axes X, Z, S, got {joint.axis_labels}"
@@ -327,7 +312,7 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
 def batch_sequence_arimoto_entropy(posteriors: PosteriorBatch, alpha) -> float:
     """Per-time-step batch estimate of the sequence conditional alpha-entropy
     (see :func:`_sequence_entropy`), with exact zeros masked."""
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     p = posteriors.probs
     return _sequence_entropy(p, _masked_log(p), alpha)
 
@@ -341,6 +326,6 @@ def batch_sequence_arimoto_entropy_grad(probs, alpha):
     same shape as ``probs``.  Probabilities are floored at ``ZERO_PROB``
     before differentiation, so every log is finite.
     """
-    alpha = _check_alpha(alpha)
+    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     q = np.maximum(np.asarray(probs, dtype=np.float64), ZERO_PROB)
     return _sequence_entropy(q, np.log(q), alpha, grad=True)

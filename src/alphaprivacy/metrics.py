@@ -45,18 +45,10 @@ def balanced_accuracy(predictions, labels, num_classes) -> float:
 
 
 def _average_ranks(values):
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of ``values``; a tie group shares the mean of the
+    ranks it spans, its cumulative count minus (count - 1) / 2."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman_rho(a, b) -> float:
@@ -65,6 +57,8 @@ def spearman_rho(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.size < 2:
         raise ValidationError("need two equal-length sequences of at least 2 points")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValidationError("rank correlation needs finite values")
     ra, rb = _average_ranks(a), _average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()

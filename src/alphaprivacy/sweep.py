@@ -16,13 +16,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .datasets import BatchStream, SynthConfig, _derive_seed, train_eval_split
-from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count
+from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count, is_real
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .metrics import balanced_accuracy
@@ -182,21 +181,19 @@ def si_only_accuracy(train_data, eval_data, num_private=2) -> float:
     """Balanced accuracy of a classifier that sees only the SI symbol.
 
     Fits the empirical argmax rule x_hat(s) on the training pool and scores
-    it on held-out per-step labels.
+    it on held-out per-step labels; a symbol the pool never shows gets the
+    pool's overall argmax.
     """
     if train_data.s is None or eval_data.s is None:
         raise ValidationError("datasets carry no side information")
-    train_s = train_data.s[:, 0].astype(np.int64)
-    rule = {}
-    for sym in np.unique(train_s):
-        mask = train_s == sym
-        labels = train_data.x[mask].ravel()
-        counts = np.bincount(labels, minlength=num_private)
-        rule[int(sym)] = int(counts.argmax())
-    eval_s = eval_data.s[:, 0].astype(np.int64)
-    fallback = int(np.bincount(train_data.x.ravel(), minlength=num_private).argmax())
-    preds_per_seq = np.array([rule.get(int(sym), fallback) for sym in eval_s])
-    preds = np.repeat(preds_per_seq[:, None], eval_data.num_steps, axis=1)
+    symbols = np.concatenate([train_data.s[:, 0], eval_data.s[:, 0]]).astype(np.int64)
+    _, index = np.unique(symbols, return_inverse=True)
+    train_s, eval_s = index[:train_data.size], index[train_data.size:]
+    width = max(num_private, train_data.x.max() + 1)  # labels past num_private count too
+    counts = np.zeros((index.max() + 1, width), dtype=np.int64)
+    np.add.at(counts, (train_s[:, None], train_data.x), 1)  # (symbol, label) pairs
+    rule = np.where(counts.any(axis=1), counts.argmax(axis=1), counts.sum(axis=0).argmax())
+    preds = np.repeat(rule[eval_s][:, None], eval_data.num_steps, axis=1)
     return balanced_accuracy(preds.ravel(), eval_data.x.ravel(), num_private)
 
 
@@ -266,18 +263,14 @@ def save_results(points, path, metadata=None):
     write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=True))
 
 
-def _real(value):
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 def _real_or_null(value):
-    return value is None or _real(value)
+    return value is None or is_real(value)
 
 
 # the JSON type each stored point field must have: (description, rule)
 _FIELD_TYPES = {
-    "alpha": ("a number", _real),
-    "lam": ("a number", _real),
+    "alpha": ("a number", is_real),
+    "lam": ("a number", is_real),
     "ne": ("a number or null", _real_or_null),
     "attacker_balanced_accuracy": ("a number or null", _real_or_null),
     "utility_accuracy": ("a number or null", _real_or_null),

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
-from .measures import _check_alpha
 from .metrics import balanced_accuracy, normalized_error
 from .nets import Network, SgdMomentum, dense, recurrent
 
@@ -67,7 +66,7 @@ class HyperParams:
     attacker_iterations: Optional[int] = None
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check_real("alpha", self.alpha, 0.0, strict=True)
         check_real("lam", self.lam, 0.0)
         for name in ("lr_releaser", "lr_adversary", "lr_utility"):
             check_real(name, getattr(self, name), 0.0, strict=True)
@@ -78,7 +77,7 @@ class HyperParams:
         check_count("seed", self.seed, 0)
         if self.observed_mode not in OBSERVED_MODES:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
-        if not 0.0 <= self.average_tail < 1.0:
+        if not 0.0 <= check_real("average_tail", self.average_tail) < 1.0:
             raise ValidationError("average_tail must lie in [0, 1)")
         attack = self.attacker_iterations
         if attack is not None and not is_count(attack):

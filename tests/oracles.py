@@ -120,3 +120,30 @@ def simplex_projection_exhaustive(v):
         if dist < best_dist - 1e-15:
             best, best_dist = x, dist
     return best
+
+
+def average_ranks_direct(values):
+    """1-based average ranks from the definition: one plus the number of
+    smaller values, plus half the number of other values equal to it."""
+    values = list(values)
+    return np.array([
+        1 + sum(w < v for w in values) + (sum(w == v for w in values) - 1) / 2
+        for v in values
+    ])
+
+
+def si_only_rule_direct(train_s, train_x, eval_s):
+    """Per-sequence SI-only predictions by counting each symbol's training
+    labels in a dict; an unseen symbol gets the overall most common label
+    (the smallest such label on a tie)."""
+    tallies, overall = {}, {}
+    for sym, labels in zip(train_s, train_x):
+        for label in labels:
+            tally = tallies.setdefault(sym, {})
+            tally[label] = tally.get(label, 0) + 1
+            overall[label] = overall.get(label, 0) + 1
+
+    def most_common(tally):
+        return min(tally, key=lambda label: (-tally[label], label))
+
+    return np.array([most_common(tallies.get(sym, overall)) for sym in eval_s])

@@ -499,6 +499,7 @@ class TestChannelOptConfigValidation:
         ("lam", -10**400),
         ("step_size", float("nan")), ("step_size", 0.0), ("step_size", True),
         ("tolerance", float("nan")), ("tolerance", -1e-9),
+        ("alpha", "2"), ("alpha", True), ("alpha", 10**400), ("alpha", 0.0), ("lam", 10**400),
     ])
     def test_bad_real_settings_name_the_field(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
@@ -652,6 +653,11 @@ class TestChannelRowCheck:
 
     def test_valid_stack_passes(self):
         _check_channel_rows(np.random.default_rng(0).dirichlet(np.ones(3), size=(4, 2)))
+
+    @pytest.mark.parametrize("probs", [np.array(1.0), np.ones(2) / 2, np.empty((0, 2))])
+    def test_non_matrix_or_empty_channel_is_a_validation_error(self, probs):
+        with pytest.raises(ValidationError, match="^ReleaseChannel: "):
+            ReleaseChannel(probs)
 
 
 def allocating_grid_oracle(world, cfg, resolution):

@@ -5,13 +5,18 @@ import os
 import pathlib
 import subprocess
 import sys
+from argparse import Namespace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from alphaprivacy.cli import main
+from alphaprivacy.cli import _build_run_pieces, main
+from alphaprivacy.datasets import SynthConfig
+from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.plotting import curves_csv, tradeoff_svg
 from alphaprivacy.sweep import TradeoffPoint, load_results
+from alphaprivacy.training import HyperParams
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -81,6 +86,29 @@ class TestMeasuresCommand:
         joint = tmp_path / "joint.json"
         write_joint(joint, probs=((0.9, 0.9), (0.1, 0.1)))
         assert main(["measures", "--joint", str(joint)]) == 2
+
+    def test_side_information_table_is_pinned(self, tmp_path, capsys):
+        # X and Z are nearly independent, but strongly dependent given S
+        doc = {"axes": ["X", "Z", "S"], "shape": [2, 3, 2],
+               "probs": [v / 32 for v in (8, 1, 1, 4, 2, 2, 1, 6, 3, 1, 2, 1)]}
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps(doc))
+        rc = main(["measures", "--joint", str(joint), "--alpha", "0.5,1,3,10",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "       alpha        H_a(X)      H_a(X|Z)      I_a(X;Z)    I_a(X;Z|S)\n"
+            "         0.5      0.689218      0.689186      0.000032      0.106150\n"
+            "           1      0.685314      0.685251      0.000063      0.186165\n"
+            "           3      0.670242      0.670076      0.000167      0.297256\n"
+            "          10      0.630638      0.630464      0.000174      0.300152\n"
+            f"wrote {tmp_path / 'measures.json'}\n"
+        )
+        records = json.loads((tmp_path / "measures.json").read_text())["measures"]
+        assert list(records[0]) == [
+            "alpha", "renyi_entropy_x", "conditional_entropy_x_given_z",
+            "mutual_information_x_z", "mutual_information_x_z_given_s",
+        ]
 
 
 class TestUsageErrors:
@@ -462,3 +490,65 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
+
+
+def real_fields(cls):
+    return [f.name for f in fields(cls) if f.type in (float, "float")]
+
+
+# every real-valued setting of a run config, with the config section it lives in
+REAL_SETTINGS = (
+    [("hyper", name) for name in real_fields(HyperParams)]
+    + [("data", name) for name in real_fields(SynthConfig)]
+    + [("distortion", name) for name in real_fields(DistortionSpec)]
+)
+
+
+class TestRunConfigTypes:
+    def test_every_real_setting_is_listed(self):
+        assert len(REAL_SETTINGS) == 19
+        assert ("hyper", "alpha") in REAL_SETTINGS and ("distortion", "p") in REAL_SETTINGS
+
+    @pytest.mark.parametrize("section, field", REAL_SETTINGS)
+    @pytest.mark.parametrize("value", ["2", True, 10**400])
+    def test_mistyped_real_is_a_one_line_data_error(self, tmp_path, capsys, section, field,
+                                                    value):
+        config = json.loads(json.dumps(SWEEP_CONFIG))
+        config.setdefault(section, {})[field] = value
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", f"{field} must be a finite number")
+        assert not (tmp_path / "system.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("si", "false"), ("si", 1), ("si", None), ("utility_net", "no"), ("utility_net", 0),
+        ("hyper", "ab"), ("hyper", [["lam", 1]]), ("data", None), ("distortion", "p_norm"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_mistyped_flag_or_section_is_a_one_line_data_error(self, tmp_path, capsys, key,
+                                                                value, command):
+        cfg = sweep_config_file(tmp_path, **{key: value})
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", f"config: {key} must be")
+
+    @pytest.mark.parametrize("config, si, utility", [
+        ({}, False, False), ({"si": True}, True, False), ({"si": False}, False, False),
+        ({"utility_net": True, "si": False}, False, True),
+    ])
+    def test_flags_are_json_booleans_and_absent_means_false(self, config, si, utility):
+        args = Namespace(si=False, utility_net=False, seed=None)
+        *_, si_enabled, utility_enabled = _build_run_pieces(args, config)
+        assert (si_enabled, utility_enabled) == (si, utility)
+
+    def test_command_line_flags_still_switch_on(self):
+        args = Namespace(si=True, utility_net=True, seed=None)
+        *_, si_enabled, utility_enabled = _build_run_pieces(args, {"si": False})
+        assert si_enabled is True and utility_enabled is True
+
+    def test_absent_distortion_follows_the_utility_flag(self):
+        args = Namespace(si=False, utility_net=False, seed=None)
+        _, _, spec, _, _ = _build_run_pieces(args, {"utility_net": True})
+        assert spec.kind == "composite_img"
+        _, _, spec, _, _ = _build_run_pieces(args, {"utility_net": True, "distortion": {}})
+        assert spec.kind == "p_norm"

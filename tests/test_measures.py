@@ -14,6 +14,7 @@ from alphaprivacy.measures import (
     Pmf,
     PosteriorBatch,
     _arimoto_entropy,
+    _check_distributions,
     alpha_mutual_information,
     arimoto_conditional_entropy,
     batch_sequence_arimoto_entropy,
@@ -59,6 +60,44 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 renyi_entropy(p, bad)
 
+    @pytest.mark.parametrize("bad", [True, "2", 10**400, None])
+    def test_mistyped_alpha_rejected_by_every_measure(self, bad):
+        joint = JointPmf(np.full((2, 2, 2), 0.125), ("X", "Z", "S"))
+        xz = joint.marginal(("X", "Z"))
+        calls = [
+            lambda: renyi_entropy(Pmf([0.5, 0.5]), bad),
+            lambda: arimoto_conditional_entropy(xz, bad),
+            lambda: alpha_mutual_information(xz, bad),
+            lambda: conditional_alpha_mi_given_s(joint, bad),
+            lambda: batch_sequence_arimoto_entropy(PosteriorBatch(np.full((1, 1, 2), 0.5)), bad),
+            lambda: batch_sequence_arimoto_entropy_grad(np.full((1, 1, 2), 0.5), bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="alpha must be a finite number > 0"):
+                call()
+
+    @pytest.mark.parametrize("make, name", [
+        (Pmf, "Pmf"),
+        (lambda p: JointPmf(p, ("X", "Z")), "JointPmf"),
+        (PosteriorBatch, "PosteriorBatch"),
+    ])
+    def test_zero_dimensional_array_is_a_validation_error(self, make, name):
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            make(np.array(1.0))
+
+    @pytest.mark.parametrize("probs, name", [
+        ([0.5, 0.6], "Pmf"),
+        ([0.5, np.nan], "Pmf"),
+        (np.full((2, 2), 0.3), "JointPmf"),
+        (np.array([[0.5, 1.5], [0.0, -1.0]]), "JointPmf"),
+        (np.full((1, 2, 2), 0.4), "PosteriorBatch"),
+    ])
+    def test_messages_name_the_class(self, probs, name):
+        make = {"Pmf": Pmf, "PosteriorBatch": PosteriorBatch,
+                "JointPmf": lambda p: JointPmf(p, ("X", "Z"))}[name]
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            make(probs)
+
     def test_joint_axis_count(self):
         with pytest.raises(ValidationError):
             JointPmf(np.ones(4) / 4.0, ("X",))
@@ -76,6 +115,31 @@ class TestValidation:
         p[1, 0] = [0.9, 0.2]
         with pytest.raises(ValidationError):
             PosteriorBatch(p)
+
+
+class TestCheckDistributions:
+    def test_returns_a_float64_array(self):
+        got = _check_distributions([[1, 0], [0, 1]], "T", axis=-1)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.eye(2))
+
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5], [np.inf, 0.0]], [[1.5, -0.5]]])
+    def test_empty_non_finite_and_negative_rejected(self, probs):
+        with pytest.raises(ValidationError, match="^T: "):
+            _check_distributions(probs, "T", axis=-1)
+
+    def test_axis_selects_what_must_sum_to_one(self):
+        rows = np.full((2, 2), 0.5)
+        assert _check_distributions(rows, "T", axis=-1) is not None
+        with pytest.raises(ValidationError, match="normalization off by 1"):
+            _check_distributions(rows, "T")
+        with pytest.raises(ValidationError, match="normalization off by 0.5"):
+            _check_distributions(np.full((2, 2), 0.25), "T", axis=-1)
+
+    def test_tolerance_is_normalization_tol(self):
+        _check_distributions([0.5, 0.5 + 0.5e-12], "T")
+        with pytest.raises(ValidationError):
+            _check_distributions([0.5, 0.5 + 2e-12], "T")
 
 
 class TestRenyiEntropy:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from alphaprivacy.errors import ValidationError
-from alphaprivacy.metrics import balanced_accuracy, normalized_error, spearman_rho
+from alphaprivacy.metrics import (
+    _average_ranks, balanced_accuracy, normalized_error, spearman_rho,
+)
+
+from oracles import average_ranks_direct
 
 
 class TestNormalizedError:
@@ -92,3 +96,27 @@ class TestSpearman:
     def test_constant_sequence_rejected(self):
         with pytest.raises(ValidationError):
             spearman_rho(np.ones(4), np.arange(4.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        a = np.array([1.0, 2.0, bad, 4.0])
+        with pytest.raises(ValidationError, match="finite"):
+            spearman_rho(a, np.arange(4.0))
+        with pytest.raises(ValidationError, match="finite"):
+            spearman_rho(np.arange(4.0), a)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("values", [
+        [3.0], [1.0, 1.0], [2.0, 1.0, 2.0, 0.5, 2.0], [0.0, -0.0, 1.0], [5.0, 4.0, 3.0, 2.0],
+    ])
+    def test_hand_vectors_equal_the_oracle(self, values):
+        np.testing.assert_array_equal(_average_ranks(values), average_ranks_direct(values))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tied_vectors_equal_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 1 + seed % 6, size=1 + seed) / 4.0
+        got = _average_ranks(values)
+        np.testing.assert_array_equal(got, average_ranks_direct(values))
+        assert got.dtype == np.float64 and got.sum() == values.size * (values.size + 1) / 2

@@ -7,9 +7,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from alphaprivacy.datasets import SynthConfig, train_eval_split
+from alphaprivacy.datasets import DatasetBatch, SynthConfig, train_eval_split
 from alphaprivacy.errors import ValidationError
 from alphaprivacy.losses import DistortionSpec
+from alphaprivacy.metrics import balanced_accuracy
 from alphaprivacy.sweep import (
     TradeoffPoint,
     _chunks,
@@ -23,6 +24,8 @@ from alphaprivacy.sweep import (
     sweep,
 )
 from alphaprivacy.training import HyperParams
+
+from oracles import si_only_rule_direct
 
 QUICK_HYPER = HyperParams(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1,
                           iterations=8, batch_size=16, adversary_steps=2, seed=42)
@@ -138,6 +141,38 @@ class TestSiCalibration:
         train_data, eval_data = train_eval_split(QUICK_DATA)
         with pytest.raises(ValidationError):
             si_only_accuracy(train_data, eval_data)
+
+    def test_unseen_symbol_falls_back_to_the_overall_argmax(self):
+        # symbol 0 favours label 1 and symbol 1 label 2, but label 0 is the
+        # most common overall, so the unseen symbol 5 is predicted as 0
+        train = si_pool([0] * 5 + [1] * 5, [1, 1, 1, 0, 0, 2, 2, 2, 0, 0])
+        held_out = si_pool([0, 1, 5, 5], [1, 2, 0, 1])
+        acc = si_only_accuracy(train, held_out, num_private=3)
+        # recalls: label 0 1/1, label 1 1/2 (symbol 5 -> 0), label 2 1/1
+        assert acc == pytest.approx((1.0 + 0.5 + 1.0) / 3)
+
+    def test_rule_predicting_a_label_past_num_private_is_rejected(self):
+        train = si_pool([0, 0, 1], [2, 2, 0])
+        with pytest.raises(ValidationError, match="predictions outside"):
+            si_only_accuracy(train, si_pool([0, 1], [0, 1]), num_private=2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_markov_split_equals_the_per_symbol_rule(self, seed):
+        cfg = SynthConfig(generator="markov_load", total=300, num_steps=3, seed=seed,
+                          si_correlation=0.4)
+        train, held_out = train_eval_split(cfg)
+        preds = si_only_rule_direct(train.s[:, 0], train.x, held_out.s[:, 0])
+        expected = balanced_accuracy(np.repeat(preds, held_out.num_steps), held_out.x.ravel(), 2)
+        assert si_only_accuracy(train, held_out) == expected
+
+
+def si_pool(symbols, labels, num_steps=2):
+    """A pool of sequences whose per-step labels all equal ``labels`` and
+    whose side information is ``symbols``."""
+    n = len(symbols)
+    x = np.repeat(np.array(labels)[:, None], num_steps, axis=1)
+    s = np.array(symbols, dtype=float)[:, None]
+    return DatasetBatch(y=np.zeros((n, num_steps, 1)), x=x, u=np.zeros((n, num_steps, 1)), s=s)
 
 
 class TestResultsPersistence:
