@@ -147,15 +147,19 @@ def _config_from_file(args):
     return config
 
 
-def _config_entry(config, key, kind, default):
+_CONFIG_KINDS = {bool: "true or false", dict: "a JSON object", list: "a non-empty list of numbers"}
+
+
+def _config_entry(config, key, kind, default=None):
     """``config[key]``, or ``default`` when the key is absent; a value that
-    is not a ``kind`` (``bool`` or ``dict``) is a data error naming ``key``."""
+    is not a ``kind``, or is an empty list, is a data error naming ``key``.
+    A grid's numbers are checked by :func:`sweep`."""
     if key not in config:
         return default
-    if not isinstance(config[key], kind):
-        expected = "true or false" if kind is bool else "a JSON object"
-        raise DataFormatError(f"config: {key} must be {expected}, got {config[key]!r}")
-    return config[key]
+    value = config[key]
+    if not isinstance(value, kind) or value == []:
+        raise DataFormatError(f"config: {key} must be {_CONFIG_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _build_run_pieces(args, config):
@@ -214,23 +218,14 @@ def _points_csv(points):
     return "\n".join(lines) + "\n"
 
 
-def _config_grid(config, key, default=None):
-    """A grid from the config: absent gives ``default``; the values
-    themselves are checked by :func:`sweep`."""
-    grid = config.get(key, default)
-    if grid is not None and not (isinstance(grid, list) and grid):
-        raise DataFormatError(f"config: {key} must be a non-empty list of numbers, got {grid!r}")
-    return grid
-
-
 def cmd_sweep(args):
     config = _config_from_file(args)
     data_cfg, hyper, spec, si_enabled, utility_enabled = _build_run_pieces(args, config)
-    lambdas = _float_list(args.lambda_grid) if args.lambda_grid else _config_grid(
-        config, "lambda_grid"
+    lambdas = _float_list(args.lambda_grid) if args.lambda_grid else _config_entry(
+        config, "lambda_grid", list
     )
-    alphas = _float_list(args.alpha) if args.alpha else _config_grid(
-        config, "alpha_grid", list(DEFAULT_ALPHAS)
+    alphas = _float_list(args.alpha) if args.alpha else _config_entry(
+        config, "alpha_grid", list, list(DEFAULT_ALPHAS)
     )
     if lambdas is None:
         raise UsageError("sweep needs --lambda-grid or a lambda_grid config entry")

@@ -189,8 +189,7 @@ def si_only_accuracy(train_data, eval_data, num_private=2) -> float:
     symbols = np.concatenate([train_data.s[:, 0], eval_data.s[:, 0]]).astype(np.int64)
     _, index = np.unique(symbols, return_inverse=True)
     train_s, eval_s = index[:train_data.size], index[train_data.size:]
-    width = max(num_private, train_data.x.max() + 1)  # labels past num_private count too
-    counts = np.zeros((index.max() + 1, width), dtype=np.int64)
+    counts = np.zeros((index.max() + 1, train_data.x.max() + 1), dtype=np.int64)
     np.add.at(counts, (train_s[:, None], train_data.x), 1)  # (symbol, label) pairs
     rule = np.where(counts.any(axis=1), counts.argmax(axis=1), counts.sum(axis=0).argmax())
     preds = np.repeat(rule[eval_s][:, None], eval_data.num_steps, axis=1)

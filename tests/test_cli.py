@@ -367,7 +367,8 @@ class TestNonFiniteSettings:
 class TestSweepGridsAndWorkers:
     @pytest.mark.parametrize("field, value", [
         ("lambda_grid", 0.5), ("lambda_grid", ["x"]), ("lambda_grid", []),
-        ("lambda_grid", [0.0, float("inf")]), ("alpha_grid", "1.0"), ("alpha_grid", [0.0]),
+        ("lambda_grid", [0.0, float("inf")]), ("lambda_grid", None), ("alpha_grid", "1.0"),
+        ("alpha_grid", [0.0]), ("alpha_grid", None), ("alpha_grid", {}),
         ("workers", "two"), ("workers", 0), ("workers", 1.5),
     ])
     def test_bad_config_entries_are_one_line_data_errors(self, tmp_path, capsys, field, value):
