@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelOptConfig, WorldModel, expected_distortion, optimize_channel, releaser_objective
 from .datasets import BatchStream, SynthConfig, train_eval_split
-from .errors import DataFormatError, DivergenceError, ValidationError, is_count
+from .errors import DataFormatError, DivergenceError, ValidationError, check_count, is_count
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .measures import (
@@ -72,7 +72,7 @@ def _load_joint(path):
     doc = read_json(path)
     try:
         axes = tuple(doc["axes"])
-        shape = tuple(int(n) for n in doc["shape"])
+        shape = tuple(check_count(f"shape[{i}]", n) for i, n in enumerate(doc["shape"]))
         probs = np.asarray(doc["probs"], dtype=np.float64).reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad joint document ({exc})") from None

@@ -32,7 +32,7 @@ def _check_distributions(probs, name, axis=None):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size == 0:
         raise ValidationError(f"{name}: empty probability table")
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+    if not np.isfinite(probs).all() or (probs < 0.0).any():
         raise ValidationError(f"{name}: entries must be non-negative and finite")
     worst = np.abs(probs.sum(axis=axis) - 1.0).max()
     if worst > NORMALIZATION_TOL:
@@ -129,24 +129,23 @@ class PosteriorBatch:
 
 
 def _masked_log(p, out=None):
-    """log p with entries <= ZERO_PROB mapped to -inf (excluded from sums),
-    written to ``out`` when given."""
-    mask = p > ZERO_PROB
-    out = np.log(p, out=np.empty(p.shape) if out is None else out, where=mask)
-    out[~mask] = -np.inf
-    return out
+    """log p with entries <= ZERO_PROB (and NaN) mapped to -inf (excluded
+    from sums), written to ``out`` when given."""
+    out = np.empty(p.shape) if out is None else out
+    out.fill(-np.inf)
+    return np.log(p, out=out, where=p > ZERO_PROB)
 
 
 def _logsumexp(a, axis=-1, out=None):
     """Stable log(sum(exp(a))) along ``axis``; tolerates -inf entries.  The
     shifted exponentials go to ``out`` (which may be ``a`` itself), else to
     a new array."""
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
+    amax = np.maximum.reduce(a, axis=axis, keepdims=True)
+    amax[~np.isfinite(amax)] = 0.0
     shifted = np.subtract(a, amax, out=out)
-    s = np.sum(np.exp(shifted, out=shifted), axis=axis)
+    s = np.add.reduce(np.exp(shifted, out=shifted), axis=axis)
     with np.errstate(divide="ignore"):
-        return np.log(s) + np.squeeze(amax, axis=axis)
+        return np.log(s) + amax.reshape(np.shape(s))
 
 
 def _shannon(p, axis=None, logp=None):
@@ -157,7 +156,7 @@ def _shannon(p, axis=None, logp=None):
     finite = np.isfinite(terms)
     np.multiply(p, terms, out=terms, where=finite)
     terms[~finite] = 0.0
-    return -np.sum(terms, axis=axis)
+    return -np.add.reduce(terms, axis=axis)
 
 
 def _arimoto_entropy(table, alpha, grad=False, work=None):
@@ -189,23 +188,27 @@ def _arimoto_entropy(table, alpha, grad=False, work=None):
         cond = table.sum(axis=0)
         log_cond = _masked_log(cond)
         if grad:
-            dj = np.zeros_like(table)
-            np.subtract(np.broadcast_to(log_cond, table.shape), logj, out=dj,
-                        where=np.isfinite(logj))
+            dj = np.zeros(table.shape)
+            np.subtract(log_cond, logj, out=dj, where=np.isfinite(logj))
         value = _shannon(table, axis=(0, 1), logp=logj) - _shannon(cond, axis=0, logp=log_cond)
         return (value, dj) if grad else value
     if grad:
         finite = np.isfinite(logj)
         logj_safe = np.where(finite, logj, 0.0)
     np.multiply(logj, alpha, out=logj)
-    log_norms = _logsumexp(logj, axis=0, out=logj) / alpha  # (cells, *batch)
+    log_norms = _logsumexp(logj, axis=0, out=logj)  # (cells, *batch)
+    log_norms /= alpha
     log_total = _logsumexp(log_norms, axis=0)
     value = alpha / (1.0 - alpha) * log_total
     if not grad:
         return value
-    norms_safe = np.where(np.isfinite(log_norms), log_norms, 0.0)
-    expo = (1.0 - alpha) * norms_safe + (alpha - 1.0) * logj_safe - log_total
-    dj = np.zeros_like(table)
+    # expo = (1 - alpha) * safe log norms + (alpha - 1) * safe log J - log_total
+    log_norms[~np.isfinite(log_norms)] = 0.0
+    log_norms *= 1.0 - alpha
+    expo = np.multiply(logj_safe, alpha - 1.0, out=logj_safe)
+    expo += log_norms
+    expo -= log_total
+    dj = np.zeros(table.shape)
     np.exp(expo, out=dj, where=finite)
     dj *= alpha / (1.0 - alpha)
     return value, dj

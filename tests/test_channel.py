@@ -20,6 +20,7 @@ from alphaprivacy.channel import (
     _batch_objective,
     _check_channel_rows,
     _decode,
+    _project_rows,
     bayes_posterior,
     enumerate_grid_rows,
     expected_distortion,
@@ -81,6 +82,14 @@ class TestWorldModel:
         path.write_text(json.dumps({"axes": ["X", "W", "Y"]}))
         with pytest.raises(DataFormatError):
             WorldModel.from_json(path)
+
+    @pytest.mark.parametrize("axis, value", [("X", 2.9), ("W", 2.0), ("Y", True), ("Z", 2.9),
+                                              ("Z", "2"), ("X", 0)])
+    def test_sizes_must_be_counts(self, axis, value):
+        doc = WorldModel(copy_world().joint, HAMMING).to_dict()
+        doc["sizes"][axis] = value
+        with pytest.raises(DataFormatError, match=f"sizes.{axis} must be an integer >= 1"):
+            WorldModel.from_dict(doc)
 
     def test_wrong_joint_length_raises(self, tmp_path):
         doc = {
@@ -636,6 +645,161 @@ class TestStackedRestarts:
         assert got.trace == [0.0, 0.0] and got.converged
         np.testing.assert_array_equal(got.channel.probs, first.channel.probs)
         assert_same_result(got, serial_optimize(world, cfg, seed=9)[0])
+
+
+def halving_optimize(world, cfg, seed):
+    """optimize_channel as it was before its step ladder: per iteration one
+    gradient call over the live restarts, then one projection, row check
+    and objective call per halving for the restarts still halving.  The
+    reference for the ladder, which must take the same steps."""
+    nw, nz = world.size("W"), world.num_symbols
+    probs = np.stack([
+        np.random.default_rng(np.random.SeedSequence([int(seed), r])).dirichlet(
+            np.ones(nz), size=nw
+        )
+        for r in range(cfg.restarts)
+    ])
+    _check_channel_rows(probs)
+    obj = _batch_objective(world, probs, cfg)
+    traces = [[value] for value in obj.tolist()]
+    converged = np.zeros(cfg.restarts, dtype=bool)
+    active = np.arange(cfg.restarts)
+    for _ in range(cfg.max_iters):
+        grad = _batch_objective(world, probs[active], cfg, grad=True)[1]
+        step, new_obj = cfg.step_size, obj[active]
+        pending = np.arange(len(active))
+        for _ in range(40):
+            rows = active[pending]
+            trial = probs[rows] - step * grad[pending]
+            trial = _project_rows(trial.reshape(-1, nz)).reshape(trial.shape)
+            _check_channel_rows(trial)
+            trial_obj = _batch_objective(world, trial, cfg)
+            accept = trial_obj <= obj[rows]
+            probs[rows[accept]] = trial[accept]
+            new_obj[pending[accept]] = trial_obj[accept]
+            pending = pending[~accept]
+            if not len(pending):
+                break
+            step *= 0.5
+        improvement = obj[active] - new_obj
+        obj[active] = new_obj
+        for r, value in zip(active.tolist(), new_obj.tolist()):
+            traces[r].append(value)
+        done = improvement < cfg.tolerance
+        converged[active[done]] = True
+        active = active[~done]
+        if not len(active):
+            break
+    best = int(np.argmin(obj))
+    return ChannelOptResult(ReleaseChannel(probs[best]), traces[best], bool(converged[best]))
+
+
+def kernel_sums_in_order(world, cfg):
+    """True when no entropy-kernel sum of a lone channel spans 8 or more
+    terms (the Shannon sum over |X| * |Z| * |S| entries at alpha = 1, else
+    the log-sum-exp over |Z| * |S| cells).  NumPy sums those of a lone
+    channel pairwise but a stack's in order, and the halving loop scores a
+    lone channel whenever one restart is left halving."""
+    if cfg.lam == 0.0:
+        return True
+    cells = world.num_symbols * (world.size("S") if world.has_side_information else 1)
+    return (world.size("X") * cells if cfg.alpha == 1.0 else cells) < 8
+
+
+def assert_same_as_halving(got, world, cfg, seed):
+    want = halving_optimize(world, cfg, seed)
+    if kernel_sums_in_order(world, cfg):
+        assert_same_result(got, want)
+    else:
+        assert got.trace[-1] == pytest.approx(want.trace[-1], abs=1e-9)
+
+
+def count_kernel_calls(monkeypatch):
+    """Record the stack size of every entropy-kernel call channel makes."""
+    calls = []
+
+    def counting(tables, alpha, grad=False, work=None):
+        calls.append(tables.shape[-1])
+        return _arimoto_entropy(tables, alpha, grad=grad, work=work)
+
+    monkeypatch.setattr(channel_module, "_arimoto_entropy", counting)
+    return calls
+
+
+class TestStepLadder:
+    """optimize_channel scores LADDER_WIDTH halvings of every restart still
+    halving in one call; each restart must take the step that halving one
+    step at a time takes."""
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.tuples(*[st.sampled_from([2, 3])] * 3),
+        num_s=st.sampled_from([0, 2, 3]),
+        alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0, 10.0]),
+        lam=st.sampled_from([0.0, 0.7, 1.5]),
+        restarts=st.integers(1, 6),
+    )
+    def test_matches_sequential_halving(self, seed, sizes, num_s, alpha, lam, restarts):
+        nx, nw, nz = sizes
+        rng = np.random.default_rng(seed)
+        distortion = np.ones((nz, nz)) - np.eye(nz)
+        if num_s:
+            world = _world(rng.random((nx, nw, nz, num_s)) + 0.02, ("X", "W", "Y", "S"),
+                           distortion)
+        else:
+            world = _world(rng.random((nx, nw, nz)) + 0.02, ("X", "W", "Y"), distortion)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam, restarts=restarts, max_iters=60)
+        assert_same_as_halving(optimize_channel(world, cfg, seed), world, cfg, seed)
+
+    @pytest.mark.parametrize("make_world, alpha", [
+        (lambda: noisy_world(0.55, 0.3), 2.0),
+        (lambda: _random_square_world(5, 3, False), 2.0),
+        (side_world, 3.0),
+    ])
+    def test_large_step_takes_several_rounds(self, monkeypatch, make_world, alpha):
+        world = make_world()
+        cfg = ChannelOptConfig(alpha=alpha, lam=1.5, step_size=64, max_iters=80)
+        calls = count_kernel_calls(monkeypatch)
+        got = optimize_channel(world, cfg, seed=2)
+        # one call for the starts, then more than one round per iteration
+        assert len(calls) - 1 > len(got.trace) - 1
+        monkeypatch.undo()
+        assert_same_as_halving(got, world, cfg, 2)
+
+    @pytest.mark.parametrize("lam, step_size, seed", [
+        (1e6, 64, 3),  # an invalid row only on a rung past every accepted one
+        (1e8, 0.5, 1),  # the first invalid row on the fourth rung of a round
+        (1e15, 64, 1),  # on the first rung
+    ])
+    def test_invalid_trials_fail_as_halving_fails(self, lam, step_size, seed):
+        # huge gradients make the projected rows lose their normalization
+        world = _random_square_world(3, 2, True)
+        cfg = ChannelOptConfig(alpha=10.0, lam=lam, step_size=step_size, max_iters=50)
+
+        def run(optimize):
+            try:
+                return optimize(world, cfg, seed)
+            except ValidationError as exc:
+                return str(exc)
+
+        got, want = run(optimize_channel), run(halving_optimize)
+        if isinstance(want, str):
+            assert got == want and want.startswith("ReleaseChannel: normalization off by")
+        else:
+            assert_same_result(got, want)
+
+
+class TestCallBudget:
+    def test_about_one_kernel_call_per_iteration(self, monkeypatch):
+        # alpha = 2, lambda = 1.5 runs every iteration, and about half of
+        # them need 5 to 8 halvings, i.e. two rounds of the ladder; the
+        # halving loop made 1900 calls here (4.75 per iteration)
+        calls = count_kernel_calls(monkeypatch)
+        cfg = ChannelOptConfig(alpha=2.0, lam=1.5, max_iters=400)
+        result = optimize_channel(noisy_world(0.55, 0.3), cfg, seed=0)
+        assert len(result.trace) - 1 == 400
+        assert len(calls) <= 1.5 * 400
 
 
 class TestChannelRowCheck:

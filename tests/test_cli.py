@@ -87,6 +87,17 @@ class TestMeasuresCommand:
         write_joint(joint, probs=((0.9, 0.9), (0.1, 0.1)))
         assert main(["measures", "--joint", str(joint)]) == 2
 
+    @pytest.mark.parametrize("shape", [[2.9, 2], [2, 2.0], [True, 4], ["2", 2], [0, 2]])
+    def test_shape_sizes_must_be_counts(self, tmp_path, capsys, shape):
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps({"axes": ["X", "Z"], "shape": shape,
+                                     "probs": [0.25, 0.25, 0.25, 0.25]}))
+        assert main(["measures", "--joint", str(joint), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ") and "must be an integer >= 1" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_side_information_table_is_pinned(self, tmp_path, capsys):
         # X and Z are nearly independent, but strongly dependent given S
         doc = {"axes": ["X", "Z", "S"], "shape": [2, 3, 2],
@@ -148,6 +159,8 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("field, value", [
         ("joint", [0.5, 0, 0, 0, 0, 0, 0, "half"]),
         ("distortion", [[0, 1], [1]]),
+        ("sizes", {"X": 2.9, "W": 2, "Y": 2, "Z": 2}),
+        ("sizes", {"X": 2, "W": 2, "Y": 2, "Z": 2.9}),
     ])
     def test_malformed_world_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
         world = {

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from alphaprivacy.errors import ValidationError
 from alphaprivacy.measures import (
+    NORMALIZATION_TOL,
     ZERO_PROB,
     JointPmf,
     Pmf,
     PosteriorBatch,
     _arimoto_entropy,
     _check_distributions,
+    _logsumexp,
+    _masked_log,
     alpha_mutual_information,
     arimoto_conditional_entropy,
     batch_sequence_arimoto_entropy,
@@ -603,3 +606,131 @@ class TestInPlaceValuePath:
         _arimoto_entropy(tables, alpha, grad=grad)
         _arimoto_entropy(tables, alpha, grad=grad, work=np.empty_like(tables))
         np.testing.assert_array_equal(tables, before)
+
+
+# --- the small-table helpers against their earlier forms --------------------
+
+
+def wrapper_check_distributions(probs, name, axis=None):
+    """``_check_distributions`` as written with the ``np.all``/``np.any``
+    wrappers: the reference for the method-call form."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.size == 0:
+        raise ValidationError(f"{name}: empty probability table")
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        raise ValidationError(f"{name}: entries must be non-negative and finite")
+    worst = np.abs(probs.sum(axis=axis) - 1.0).max()
+    if worst > NORMALIZATION_TOL:
+        raise ValidationError(f"{name}: normalization off by {worst:g}")
+    return probs
+
+
+def masking_log(p, out=None):
+    """``_masked_log`` as written with a boolean mask assignment."""
+    mask = p > ZERO_PROB
+    out = np.log(p, out=np.empty(p.shape) if out is None else out, where=mask)
+    out[~mask] = -np.inf
+    return out
+
+
+def wrapper_logsumexp(a, axis=-1, out=None):
+    """``_logsumexp`` as written with the ``np.max``/``np.sum`` wrappers and
+    a new array for the fixed maxima."""
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    shifted = np.subtract(a, amax, out=out)
+    s = np.sum(np.exp(shifted, out=shifted), axis=axis)
+    with np.errstate(divide="ignore"):
+        return np.log(s) + np.squeeze(amax, axis=axis)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+# exact zeros of both signs, entries at and below ZERO_PROB, NaN, +inf,
+# negatives and ordinary masses
+PROB_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 5e-16, ZERO_PROB, 2e-15, 0.25, 0.5, 1.0, np.nan, np.inf, -0.5]
+)
+# log-space entries: -inf (whole -inf slices are drawn often), NaN, +inf
+LOG_ENTRIES = st.sampled_from(
+    [-np.inf, -np.inf, -np.inf, -745.0, -3.5, 0.0, 2.25, 709.0, np.nan, np.inf]
+)
+SHAPES = st.sampled_from([(1,), (3,), (2, 3), (3, 1), (1, 4), (2, 3, 2), (4, 2, 3)])
+
+
+def drawn_array(draw, entries):
+    shape = draw(SHAPES)
+    return np.array(draw(st.lists(entries, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+
+
+class TestLeanHelpers:
+    """The kernel's helpers call the ufunc methods directly; each must equal
+    its earlier wrapper-based form bit for bit, errors included."""
+
+    @given(data=st.data(), use_out=st.booleans())
+    def test_masked_log(self, data, use_out):
+        p = drawn_array(data.draw, PROB_ENTRIES)
+        got = _masked_log(p, out=np.full(p.shape, 7.0) if use_out else None)
+        assert_same_bits(got, masking_log(p, out=np.full(p.shape, 7.0) if use_out else None))
+
+    @given(data=st.data(), in_place=st.booleans())
+    def test_logsumexp(self, data, in_place):
+        a = drawn_array(data.draw, LOG_ENTRIES)
+        axis = data.draw(st.integers(-a.ndim, a.ndim - 1))
+        b, c = a.copy(), a.copy()
+        got = _logsumexp(b, axis, out=b if in_place else None)
+        want = wrapper_logsumexp(c, axis, out=c if in_place else None)
+        assert_same_bits(got, want)
+        assert_same_bits(b, c)  # the shifted exponentials, when written in place
+        assert type(got) is type(want)
+
+    def test_logsumexp_of_all_minus_inf_slices_is_minus_inf(self):
+        a = np.full((3, 2), -np.inf)
+        a[:, 1] = [0.0, -np.inf, np.log(3.0)]
+        got = _logsumexp(a, axis=0)
+        assert got[0] == -np.inf and got[1] == pytest.approx(np.log(4.0))
+        assert_same_bits(got, wrapper_logsumexp(a, axis=0))
+
+    @given(data=st.data(), axis=st.sampled_from([None, -1, 0]))
+    def test_check_distributions(self, data, axis):
+        p = drawn_array(data.draw, PROB_ENTRIES)
+        if data.draw(st.booleans()):
+            # valid rows, so that the normalization test is reached too
+            p = np.abs(np.nan_to_num(p, nan=0.5, posinf=0.5)) + 0.125
+            p /= p.sum(axis=axis, keepdims=axis is not None)
+            if data.draw(st.booleans()):
+                p.flat[0] += 1e-9
+        got = outcome(_check_distributions, p, "T", axis=axis)
+        want = outcome(wrapper_check_distributions, p, "T", axis=axis)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("probs", [
+        [], np.empty((0, 2)), [[]], [-0.5, 1.5], [[0.5, 0.5], [-0.0, 1.0]], [np.nan, 1.0],
+        [np.inf, 0.0], [0.5, 0.5 + 2e-12], [[0.25, 0.75], [0.5, 0.5]], [1.0, 5e-16, 0.0],
+    ])
+    @pytest.mark.parametrize("axis", [None, -1])
+    def test_check_distributions_cases(self, probs, axis):
+        got = outcome(_check_distributions, probs, "T", axis=axis)
+        want = outcome(wrapper_check_distributions, probs, "T", axis=axis)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_bits(got, want)
+        if np.size(probs) == 0:
+            assert got == (ValidationError, "T: empty probability table")
