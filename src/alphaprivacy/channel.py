@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError, check_count, check_real
 from .fileio import read_json, write_text_atomic
-from .measures import JointPmf, Pmf, _arimoto_entropy, _check_distributions
+from .measures import JointPmf, _arimoto_entropy, _check_distributions
 
 MAX_EXACT_ALPHABET = 16
 
@@ -250,18 +250,13 @@ def releaser_objective(
     return float(_batch_objective(world, channel.probs[None], cfg)[0])
 
 
-def project_to_simplex(v) -> Pmf:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValidationError("project_to_simplex: need a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("project_to_simplex: entries must be finite")
-    return Pmf(_project_rows(v[None, :])[0])
-
-
 def _project_rows(mat):
-    """Row-wise simplex projection of a 2-D array."""
+    """Row-wise Euclidean projection of a 2-D array onto the simplex
+    (sort-based).  The projection is shift-invariant, so each row is first
+    shifted to a maximum of 0: then tau lies in (0, 1] and every kept entry
+    in (-1, 0], and the projected row sums to 1 up to the rounding of
+    numbers no larger than 1, whatever the scale of the row."""
+    mat = mat - mat.max(axis=1, keepdims=True)
     n = mat.shape[1]
     u = -np.sort(-mat, axis=1)
     css = np.cumsum(u, axis=1)
@@ -370,9 +365,9 @@ def optimize_channel(
         for ladder in rounds:
             moved = probs[pending] - ladder * grad[pending]  # (rung, start, |W|, |Z|)
             trials = _project_rows(moved.reshape(-1, nz)).reshape(-1, nw, nz)
+            _check_channel_rows(trials)
             values, grads = _batch_objective(world, trials, cfg, grad=True)
             accept = values.reshape(LADDER_WIDTH, -1) <= obj[pending]
-            _check_trials(trials.reshape(moved.shape), accept)
             hit = accept.any(axis=0)
             pick = (accept.argmax(axis=0) * len(pending) + np.arange(len(pending)))[hit]
             rows = pending[hit]
@@ -390,22 +385,6 @@ def optimize_channel(
             break
     best = int(np.argmin(obj))  # the first of equal minima
     return ChannelOptResult(ReleaseChannel(probs[best]), traces[best], bool(converged[best]))
-
-
-def _check_trials(trials, accept):
-    """Check a round's trials ``(rung, start, |W|, |Z|)`` as halving one
-    step at a time would: a rung is checked only for the starts that
-    accepted no earlier rung, and the error raised is that of the first
-    rung with an invalid row.  One call when every row is valid."""
-    try:
-        _check_channel_rows(trials)
-    except ValidationError:
-        halving = np.ones(accept.shape[1], dtype=bool)
-        for rung, ok in zip(trials, accept):
-            if not halving.any():
-                break
-            _check_channel_rows(rung[halving])
-            halving &= ~ok
 
 
 def free_parameter_count(world: WorldModel) -> int:

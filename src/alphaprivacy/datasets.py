@@ -1,4 +1,4 @@
-"""Synthetic data generation, batch containers and CSV persistence.
+"""Synthetic data generation and batch containers.
 
 Two generators mirror the experiment shapes this project targets:
 
@@ -15,13 +15,12 @@ Both are fully determined by their seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, check_count, check_real
+from .errors import ValidationError, check_count, check_real
 
 
 @dataclass
@@ -245,100 +244,3 @@ def _derive_seed(seed: int, tag: str) -> int:
     for ch in f"{seed}:{tag}".encode():
         h = (h ^ ch) * 1099511628211 % (1 << 63)
     return h
-
-
-# --- CSV persistence -------------------------------------------------------
-# Wide format, one row per sample.  Columns, in order: y{t}_{j} for every
-# time step and feature, x{t} per step, u{t}_{j}, then optional s_{j} and c.
-# Floats are rendered with repr() so a round trip is bit exact.
-
-
-def save_csv(batch: DatasetBatch, path):
-    nsteps, d_y, d_u = batch.num_steps, batch.y.shape[2], batch.u.shape[2]
-    header = [f"y{t}_{j}" for t in range(nsteps) for j in range(d_y)]
-    header += [f"x{t}" for t in range(nsteps)]
-    header += [f"u{t}_{j}" for t in range(nsteps) for j in range(d_u)]
-    if batch.s is not None:
-        header += [f"s_{j}" for j in range(batch.s.shape[1])]
-    if batch.c is not None:
-        header += ["c"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(batch.size):
-            row = [repr(float(v)) for v in batch.y[i].ravel()]
-            row += [str(int(v)) for v in batch.x[i]]
-            row += [repr(float(v)) for v in batch.u[i].ravel()]
-            if batch.s is not None:
-                row += [repr(float(v)) for v in batch.s[i]]
-            if batch.c is not None:
-                row += [str(int(batch.c[i]))]
-            writer.writerow(row)
-
-
-def load_csv(path) -> DatasetBatch:
-    """Read what :func:`save_csv` wrote, one column at a time.  A malformed
-    file is a DataFormatError; a bad row is named by its line number, the
-    first in file order when there are several."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
-        raise DataFormatError(f"{path}: no rows")
-    y_cols = [h for h in header if h.startswith("y")]
-    x_cols = [h for h in header if h.startswith("x")]
-    u_cols = [h for h in header if h.startswith("u")]
-    s_cols = [h for h in header if h.startswith("s_")]
-    has_c = "c" in header
-    nsteps = len(x_cols)
-    if nsteps == 0 or len(y_cols) % nsteps or len(u_cols) % nsteps:
-        raise DataFormatError(f"{path}: header does not describe a valid layout")
-    d_y, d_u = len(y_cols) // nsteps, len(u_cols) // nsteps
-    n = len(rows)
-    y = np.empty((n, nsteps, d_y))
-    x = np.empty((n, nsteps), dtype=np.int64)
-    u = np.empty((n, nsteps, d_u))
-    s = np.empty((n, len(s_cols))) if s_cols else None
-    c = np.empty(n, dtype=np.int64) if has_c else None
-    col = {name: k for k, name in enumerate(header)}
-    try:
-        # (header column, parser, destination) in the order a row's fields are read
-        fields = []
-        for t in range(nsteps):
-            fields += [(col[f"y{t}_{j}"], float, y[:, t, j]) for j in range(d_y)]
-            fields.append((col[f"x{t}"], int, x[:, t]))
-            fields += [(col[f"u{t}_{j}"], float, u[:, t, j]) for j in range(d_u)]
-        fields += [(col[f"s_{j}"], float, s[:, j]) for j in range(len(s_cols))]
-        if has_c:
-            fields.append((col["c"], int, c))
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: header lacks column {exc}") from None
-    width = len(header)
-    if any(len(row) != width for row in rows):
-        _raise_first_bad_line(path, rows, width, fields)
-    columns = list(zip(*rows))
-    try:
-        for k, parse, dest in fields:
-            dest[:] = np.fromiter(map(parse, columns[k]), dest.dtype, count=n)
-    except (ValueError, OverflowError):
-        _raise_first_bad_line(path, rows, width, fields)
-        raise
-    return DatasetBatch(y=y, x=x, u=u, s=s, c=c)
-
-
-def _raise_first_bad_line(path, rows, width, fields):
-    """Raise the DataFormatError of the first line, in file order, that
-    does not have ``width`` fields or whose fields do not parse."""
-    for i, row in enumerate(rows):
-        line = i + 2  # 1-based, after the header
-        if len(row) != width:
-            raise DataFormatError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-        try:
-            for k, parse, dest in fields:
-                dest.dtype.type(parse(row[k]))
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: line {line}: {exc}") from None

@@ -18,20 +18,20 @@ def check_count(name, value, low=1):
     return value
 
 
-def is_real(value):
-    """A real number; ``bool`` is not one here."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+def is_finite(value):
+    """A finite real number; ``bool`` is not one here, nor is an int too
+    large for a float."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_real(name, value, low=None, strict=False):
-    """Return ``value`` if it is a finite real by :func:`is_real` that is
+    """Return ``value`` if it is a finite real by :func:`is_finite` that is
     >= ``low`` (> ``low`` when ``strict``; any finite real when ``low`` is
     None), else raise a ValidationError naming ``name``."""
-    try:
-        finite = is_real(value) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite or not (low is None or (value > low if strict else value >= low)):
+    if not is_finite(value) or not (low is None or (value > low if strict else value >= low)):
         bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
         raise ValidationError(f"{name} must be a finite number{bound}, got {value!r}")
     return value
@@ -43,7 +43,7 @@ class ValidationError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """A file on disk (CSV dataset, JSON world/config) is malformed."""
+    """A file on disk (JSON world, joint, config or results) is malformed."""
 
 
 class DivergenceError(RuntimeError):

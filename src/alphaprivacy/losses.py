@@ -95,20 +95,6 @@ def _utility_term(spec, utility_loss):
     return spec.utility_weight * _per_model(np.asarray(utility_loss, dtype=np.float64))
 
 
-def compute_distortion(spec: DistortionSpec, released, target, utility_loss=None):
-    """Batch-mean distortion between released and original data.
-
-    For the composite measure the caller supplies the utility network's
-    cross-entropy as ``utility_loss``.
-    """
-    return _norm_distortion(spec, released, target) + _utility_term(spec, utility_loss)
-
-
-def norm_distortion_grad(spec: DistortionSpec, released, target):
-    """Gradient of the norm part of the distortion w.r.t. ``released``."""
-    return _norm_distortion(spec, released, target, grad=True)[1]
-
-
 @dataclass
 class LossValue:
     """A scalar loss plus the gradients the caller chains onward."""

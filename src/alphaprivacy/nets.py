@@ -24,22 +24,13 @@ finite-difference gradient audits meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, check_real
-from .fileio import read_json, write_text_atomic
+from .errors import ValidationError, check_real
 
 ACTIVATIONS = ("linear", "tanh", "softmax")
-
-
-def elman_forward(x, w_in, w_rec, bias):
-    """Batch-major adapter: (B, T, D) inputs to (B, T, H) hidden states
-    (with a leading model axis on every argument for a stack)."""
-    h = _elman_scan(_swap_bt(np.asarray(x, dtype=np.float64)), w_in, w_rec, bias)
-    return _swap_bt(h)
 
 
 def _rows(a):
@@ -308,47 +299,6 @@ class Network:
                 for l in self.layers
             ],
         }
-
-    @classmethod
-    def from_dict(cls, doc):
-        """Rebuild a network from :meth:`to_dict`'s document; a missing or
-        mistyped field is a DataFormatError that names it."""
-        if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
-            raise DataFormatError("network: expected an object with a 'layers' list")
-        return cls([_layer_from_dict(i, d) for i, d in enumerate(doc["layers"])],
-                   seed=doc.get("seed"))
-
-    def to_json(self, path):
-        write_text_atomic(path, json.dumps(self.to_dict()))
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
-
-
-def _layer_from_dict(i, doc):
-    """One layer of :meth:`Network.from_dict`'s document."""
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"network: layer {i} is not an object")
-    for key in ("kind", "activation", "w", "b"):
-        if key not in doc:
-            raise DataFormatError(f"network: layer {i}: missing field {key!r}")
-    if doc["kind"] not in ("dense", "recurrent"):
-        raise DataFormatError(f"network: layer {i}: bad field 'kind': {doc['kind']!r}")
-    arrays = []
-    for key in ("w", "b"):
-        try:
-            arrays.append(np.asarray(doc[key], dtype=np.float64))
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"network: layer {i}: bad field {key!r}: {exc}") from None
-    w, b = arrays
-    if w.ndim < 2:
-        raise DataFormatError(f"network: layer {i}: bad field 'w': shape {w.shape} is not a matrix")
-    if b.shape != w.shape[:-2] + w.shape[-1:]:
-        raise DataFormatError(
-            f"network: layer {i}: bad field 'b': shape {b.shape} does not fit 'w' {w.shape}"
-        )
-    return Layer(w, b, doc["activation"], doc["kind"] == "recurrent")
 
 
 def _swap_bt(a):

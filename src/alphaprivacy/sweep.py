@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, SynthConfig, _derive_seed, train_eval_split
-from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count, is_real
+from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count, is_finite
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
 from .metrics import balanced_accuracy
@@ -262,17 +262,19 @@ def save_results(points, path, metadata=None):
     write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=True))
 
 
-def _real_or_null(value):
-    return value is None or is_real(value)
+def _score(value):
+    """A stored score: a finite number, or a missing one, which is null or,
+    in files written before scores were nulled, NaN (plotting skips both)."""
+    return value is None or is_finite(value) or (isinstance(value, float) and math.isnan(value))
 
 
 # the JSON type each stored point field must have: (description, rule)
 _FIELD_TYPES = {
-    "alpha": ("a number", is_real),
-    "lam": ("a number", is_real),
-    "ne": ("a number or null", _real_or_null),
-    "attacker_balanced_accuracy": ("a number or null", _real_or_null),
-    "utility_accuracy": ("a number or null", _real_or_null),
+    "alpha": ("a finite number", is_finite),
+    "lam": ("a finite number", is_finite),
+    "ne": ("a finite number, NaN or null", _score),
+    "attacker_balanced_accuracy": ("a finite number, NaN or null", _score),
+    "utility_accuracy": ("a finite number, NaN or null", _score),
     # from 0: a derived seed may be 0
     "seed": ("an integer >= 0", lambda v: is_count(v, 0)),
     "failed": ("true or false", lambda v: isinstance(v, bool)),

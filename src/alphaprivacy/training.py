@@ -26,10 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
-from .errors import (
-    DataFormatError, DivergenceError, ValidationError, check_count, check_real, is_count,
-)
-from .fileio import read_json, write_text_atomic
+from .errors import DivergenceError, ValidationError, check_count, check_real, is_count
+from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .metrics import balanced_accuracy, normalized_error
 from .nets import Network, SgdMomentum, dense, recurrent
@@ -84,13 +82,13 @@ class HyperParams:
             raise ValidationError("attacker_iterations must be None or an integer >= 1")
 
 
-def assemble_observed(y, x, noise=None, si=None, mode="y_only"):
+def assemble_observed(y, x, noise=None, mode="y_only"):
     """Build the releaser's observed input W along the feature axis.
 
     ``concat_xy`` appends the private labels as a float column; the noise
-    stream follows when present.  Side information is accepted for call
-    convenience but never becomes part of W: it belongs to the adversary
-    and attacker inputs only.  Stacked batches carry a leading model axis.
+    stream follows when present.  Side information never becomes part of
+    W: it belongs to the adversary and attacker inputs only.  Stacked
+    batches carry a leading model axis.
     """
     if mode not in OBSERVED_MODES:
         raise ValidationError(f"unknown observed mode {mode!r}")
@@ -108,7 +106,6 @@ def assemble_observed(y, x, noise=None, si=None, mode="y_only"):
         if noise.shape[:-1] != y.shape[:-1]:
             raise ValidationError(f"noise shape {noise.shape} does not match y {y.shape[:-1]}")
         parts.append(noise)
-    del si  # routed to adversary/attacker inputs, never to W
     return np.concatenate(parts, axis=-1)
 
 
@@ -119,21 +116,6 @@ def _with_side_info(z, s, si_enabled):
     s = np.asarray(s, dtype=np.float64)
     tiled = np.repeat(s[..., None, :], z.shape[-2], axis=-2)
     return np.concatenate([z, tiled], axis=-1)
-
-
-def _must(rule, kind):
-    """A checkpoint field reader: the value if ``rule`` holds, else a
-    TypeError saying what it must be."""
-    def check(value):
-        if not rule(value):
-            raise TypeError(f"must be {kind}, got {value!r}")
-        return value
-    return check
-
-
-_BOOL = _must(lambda v: isinstance(v, bool), "true or false")
-_LIST = _must(lambda v: isinstance(v, list), "a list")
-_UPDATES = _must(lambda v: is_count(v, 0), "an integer >= 0")
 
 
 @dataclass
@@ -156,9 +138,7 @@ class TrainedSystem:
     utility_updates: int = 0
 
     def release(self, batch: DatasetBatch):
-        w = assemble_observed(
-            batch.y, batch.x, batch.u, batch.s, self.hyper.observed_mode
-        )
+        w = assemble_observed(batch.y, batch.x, batch.u, self.hyper.observed_mode)
         z, _ = self.releaser.forward(w)
         return z
 
@@ -184,47 +164,8 @@ class TrainedSystem:
             },
         }
 
-    @classmethod
-    def from_dict(cls, doc):
-        """Rebuild a system from :meth:`to_dict`'s document; a missing or
-        mistyped field is a DataFormatError that names it."""
-        if not isinstance(doc, dict):
-            raise DataFormatError("checkpoint: expected a JSON object")
-
-        def read(name, build):
-            if name not in doc:
-                raise DataFormatError(f"checkpoint: missing field {name!r}")
-            try:
-                return build(doc[name])
-            except KeyError as exc:
-                raise DataFormatError(f"checkpoint: field {name!r} lacks {exc}") from None
-            except (TypeError, ValueError) as exc:  # ValueError: the typed errors too
-                raise DataFormatError(f"checkpoint: bad field {name!r}: {exc}") from None
-
-        system = cls(
-            releaser=read("releaser", Network.from_dict),
-            adversary=read("adversary", Network.from_dict),
-            utility=read("utility", lambda v: None if v is None else Network.from_dict(v)),
-            hyper=read("hyper", lambda v: HyperParams(**v)),
-            distortion=read("distortion", lambda v: DistortionSpec(**v)),
-            si_enabled=read("si_enabled", _BOOL),
-            utility_enabled=read("utility_enabled", _BOOL),
-            num_private=read("num_private", _must(is_count, "an integer >= 1")),
-            releaser_history=read("releaser_history", _LIST),
-            adversary_history=read("adversary_history", _LIST),
-            utility_history=read("utility_history", _LIST),
-        )
-        system.releaser_updates, system.adversary_updates, system.utility_updates = read(
-            "updates", lambda v: [_UPDATES(v[k]) for k in ("releaser", "adversary", "utility")]
-        )
-        return system
-
     def to_json(self, path):
         write_text_atomic(path, json.dumps(self.to_dict()))
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(read_json(path))
 
 
 def _two_layer_net(num_steps, d_in, hidden, d_out, head, seed):
@@ -264,7 +205,7 @@ def _classifier_steps(opt, opt_u, releaser, rows, hyper, si_enabled, who, iterat
     The releaser is frozen through them, so the rows are released in one
     pass.  Returns each step's (losses, utility losses or None) per model."""
     z_rows = releaser.forward(
-        assemble_observed(rows.y, rows.x, rows.u, None, hyper.observed_mode)
+        assemble_observed(rows.y, rows.x, rows.u, hyper.observed_mode)
     )[0]
     inputs = _with_side_info(z_rows, rows.s, si_enabled)
     steps = []
@@ -285,7 +226,7 @@ def _releaser_step(opt_r, adversary, utility, batch, spec, lam, hyper, si_enable
     the backward-pass state is dropped on return."""
     releaser = opt_r.network
     z, trace_r = releaser.forward(
-        assemble_observed(batch.y, batch.x, batch.u, None, hyper.observed_mode)
+        assemble_observed(batch.y, batch.x, batch.u, hyper.observed_mode)
     )
     probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled))
     utility_value = None
@@ -389,9 +330,7 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
 
     num_private = int(pool.x.max()) + 1
     d_y = pool.y.shape[2]
-    d_w = assemble_observed(
-        pool.y[:1], pool.x[:1], pool.u[:1], None, hyper.observed_mode
-    ).shape[2]
+    d_w = assemble_observed(pool.y[:1], pool.x[:1], pool.u[:1], hyper.observed_mode).shape[2]
     d_s = pool.s.shape[1] if si_enabled else 0
 
     def stacked_net(role, num_steps, d_in, hidden, d_out, head):

@@ -28,7 +28,6 @@ from alphaprivacy.channel import (
     grid_oracle,
     objective_gradient,
     optimize_channel,
-    project_to_simplex,
     releaser_objective,
 )
 from alphaprivacy.errors import DataFormatError, ValidationError
@@ -222,35 +221,42 @@ class TestReleaserObjective:
             assert batch[i] == releaser_objective(world, ReleaseChannel(channels[i]), cfg)
 
 
+def project(v):
+    """One vector through the row-wise simplex projection."""
+    return _project_rows(np.array([v], dtype=np.float64))[0]
+
+
 class TestSimplexProjection:
     def test_symmetric_point(self):
-        np.testing.assert_allclose(
-            project_to_simplex([0.6, 0.6]).probs, [0.5, 0.5], atol=1e-15
-        )
+        np.testing.assert_allclose(project([0.6, 0.6]), [0.5, 0.5], atol=1e-15)
 
     def test_idempotent_on_simplex_points(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
-            np.testing.assert_allclose(project_to_simplex(p).probs, p, atol=1e-12)
+            np.testing.assert_allclose(project(p), p, atol=1e-12)
 
     def test_clipping_case(self):
-        np.testing.assert_allclose(
-            project_to_simplex([1.2, -0.3]).probs, [1.0, 0.0], atol=1e-15
-        )
+        np.testing.assert_allclose(project([1.2, -0.3]), [1.0, 0.0], atol=1e-15)
 
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(2, 6))
             v = rng.normal(scale=2.0, size=n)
-            got = project_to_simplex(v).probs
-            want = simplex_projection_exhaustive(v)
-            np.testing.assert_allclose(got, want, atol=1e-10)
+            np.testing.assert_allclose(project(v), simplex_projection_exhaustive(v), atol=1e-10)
 
-    def test_empty_vector_rejected(self):
-        with pytest.raises(ValidationError):
-            project_to_simplex([])
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9, 1e12, -1e12])
+    def test_rows_far_from_the_simplex_keep_their_normalization(self, offset):
+        # the projection is shift-invariant: an offset row projects as the
+        # row itself (up to the rounding of the offset sum), and its sum
+        # stays 1 to a few ulps, not to a few ulps of the offset
+        rows = np.random.default_rng(14).normal(size=(200, 4))
+        got = _project_rows(rows + offset)
+        np.testing.assert_allclose(got, _project_rows(rows), rtol=0,
+                                   atol=4 * np.spacing(abs(offset)))
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 4e-16
+        _check_channel_rows(got)
 
 
 class TestObjectiveGradient:
@@ -531,7 +537,7 @@ def serial_optimize(world, cfg, seed):
             step, cand, cand_obj = cfg.step_size, channel, obj
             for _ in range(40):
                 moved = channel.probs - step * grad
-                trial = ReleaseChannel([project_to_simplex(row).probs for row in moved])
+                trial = ReleaseChannel(_project_rows(moved))
                 trial_obj = releaser_objective(world, trial, cfg)
                 if trial_obj <= obj:
                     cand, cand_obj = trial, trial_obj
@@ -768,26 +774,32 @@ class TestStepLadder:
         assert_same_as_halving(got, world, cfg, 2)
 
     @pytest.mark.parametrize("lam, step_size, seed", [
-        (1e6, 64, 3),  # an invalid row only on a rung past every accepted one
-        (1e8, 0.5, 1),  # the first invalid row on the fourth rung of a round
-        (1e15, 64, 1),  # on the first rung
+        (1e6, 64, 3), (1e8, 0.5, 1), (1e15, 64, 1),
     ])
-    def test_invalid_trials_fail_as_halving_fails(self, lam, step_size, seed):
-        # huge gradients make the projected rows lose their normalization
+    def test_huge_lambda_runs_as_halving_runs(self, lam, step_size, seed):
+        # huge gradients move the trial rows far from the simplex; the
+        # projection must still return rows that sum to 1
         world = _random_square_world(3, 2, True)
         cfg = ChannelOptConfig(alpha=10.0, lam=lam, step_size=step_size, max_iters=50)
+        got = optimize_channel(world, cfg, seed)
+        _check_channel_rows(got.channel.probs)
+        assert_same_as_halving(got, world, cfg, seed)
 
-        def run(optimize):
-            try:
-                return optimize(world, cfg, seed)
-            except ValidationError as exc:
-                return str(exc)
+    def test_large_lambda_on_the_side_world_finishes(self):
+        # steps of order 1e6 move the rows far from the simplex; unshifted,
+        # their projections missed a row sum of 1 by 3.6e-12 and the run aborted
+        cfg = ChannelOptConfig(alpha=0.5, lam=1e6)
+        got = optimize_channel(side_world(), cfg, seed=1)
+        assert all(b <= a for a, b in zip(got.trace, got.trace[1:]))
+        assert_same_as_halving(got, side_world(), cfg, 1)
 
-        got, want = run(optimize_channel), run(halving_optimize)
-        if isinstance(want, str):
-            assert got == want and want.startswith("ReleaseChannel: normalization off by")
-        else:
-            assert_same_result(got, want)
+    def test_overflowing_step_fails_as_halving_fails(self):
+        # lambda * gradient overflows, so every trial row is non-finite
+        cfg = ChannelOptConfig(alpha=10.0, lam=1.7e308, step_size=64)
+        for optimize in (optimize_channel, halving_optimize):
+            with pytest.raises(ValidationError,
+                               match="^ReleaseChannel: entries must be non-negative and finite$"):
+                optimize(side_world(), cfg, 1)
 
 
 class TestCallBudget:

@@ -277,10 +277,18 @@ class TestTrainCommand:
         cfg.write_text(json.dumps(config))
         rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 0
-        from alphaprivacy.training import TrainedSystem
-
-        system = TrainedSystem.from_json(tmp_path / "system.json")
-        assert len(system.releaser_history) == 10
+        doc = json.loads((tmp_path / "system.json").read_text())
+        assert set(doc) == {
+            "hyper", "distortion", "si_enabled", "utility_enabled", "num_private", "releaser",
+            "adversary", "utility", "releaser_history", "adversary_history",
+            "utility_history", "updates",
+        }
+        assert len(doc["releaser_history"]) == 10
+        # W is y (3 features) plus one noise column; two private classes
+        shapes = {role: [np.shape(layer["w"]) for layer in doc[role]["layers"]]
+                  for role in ("releaser", "adversary")}
+        assert shapes == {"releaser": [(4, 16), (16, 3)], "adversary": [(3, 16), (16, 2)]}
+        assert doc["utility"] is None
         lines = (tmp_path / "train_log.txt").read_text().strip().split("\n")
         assert len(lines) == 10
         assert lines[0].startswith("iteration=0 ")
@@ -441,6 +449,9 @@ class TestPlotInputErrors:
     @pytest.mark.parametrize("field, value", [
         ("ne", "abc"), ("alpha", None), ("lam", True), ("attacker_balanced_accuracy", [0.5]),
         ("utility_accuracy", "0.8"), ("seed", 1.5), ("seed", -1), ("failed", 0), ("error", 3),
+        ("ne", float("inf")), ("alpha", float("nan")),  # json writes Infinity and NaN
+        ("alpha", float("-inf")), ("lam", float("inf")), ("lam", float("nan")),
+        ("attacker_balanced_accuracy", float("inf")), ("utility_accuracy", float("-inf")),
     ])
     def test_mistyped_point_field_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
         record = {"alpha": 1.0, "lam": 0.0, "ne": 0.1, "attacker_balanced_accuracy": 0.9,

@@ -1,4 +1,4 @@
-"""Tests for the synthetic generators, batch plumbing and CSV persistence."""
+"""Tests for the synthetic generators and batch plumbing."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from alphaprivacy.datasets import (
     gen_labeled_clusters,
     gen_markov_load,
     generate,
-    load_csv,
-    save_csv,
     train_eval_split,
 )
-from alphaprivacy.errors import DataFormatError, ValidationError
+from alphaprivacy.errors import ValidationError
 from alphaprivacy.metrics import balanced_accuracy
 
 
@@ -219,127 +217,3 @@ class TestSplit:
         b_train, b_test = train_eval_split(cfg)
         np.testing.assert_array_equal(a_train.y, b_train.y)
         np.testing.assert_array_equal(a_test.y, b_test.y)
-
-
-class TestCsvRoundTrip:
-    @pytest.mark.parametrize("generator", ["labeled_clusters", "markov_load"])
-    def test_round_trip_is_bit_exact(self, generator, tmp_path):
-        cfg = SynthConfig(generator=generator, total=16, seed=3,
-                          num_steps=1 if generator == "labeled_clusters" else 5)
-        batch = generate(cfg)
-        path = tmp_path / "data.csv"
-        save_csv(batch, path)
-        back = load_csv(path)
-        np.testing.assert_array_equal(back.y, batch.y)
-        np.testing.assert_array_equal(back.x, batch.x)
-        np.testing.assert_array_equal(back.u, batch.u)
-        if batch.s is None:
-            assert back.s is None
-        else:
-            np.testing.assert_array_equal(back.s, batch.s)
-        if batch.c is None:
-            assert back.c is None
-        else:
-            np.testing.assert_array_equal(back.c, batch.c)
-
-    def test_hand_written_file_parses(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("y0_0,x0,u0_0\n1.5,0,0.25\n-2.0,1,0.75\n")
-        batch = load_csv(path)
-        np.testing.assert_array_equal(batch.y, [[[1.5]], [[-2.0]]])
-        np.testing.assert_array_equal(batch.x, [[0], [1]])
-        np.testing.assert_array_equal(batch.u, [[[0.25]], [[0.75]]])
-
-    def test_empty_file_reports_no_rows(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataFormatError):
-            load_csv(path)
-        path.write_text("y0_0,x0,u0_0\n")
-        with pytest.raises(DataFormatError, match="no rows"):
-            load_csv(path)
-
-    def test_malformed_row_names_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y0_0,x0,u0_0\n1.0,0,0.5\nnot-a-number,1,0.5\n")
-        with pytest.raises(DataFormatError, match="line 3"):
-            load_csv(path)
-
-    def test_short_row_names_line_number(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("y0_0,x0,u0_0\n1.0,0\n")
-        with pytest.raises(DataFormatError, match="line 2"):
-            load_csv(path)
-
-
-class TestCsvColumns:
-    """load_csv parses by column; a bad file still names its first bad line."""
-
-    @staticmethod
-    def lines(tmp_path):
-        batch = generate(SynthConfig(generator="markov_load", total=6, seed=5, num_steps=2))
-        path = tmp_path / "data.csv"
-        save_csv(batch, path)
-        return [line.split(",") for line in path.read_text().splitlines()]
-
-    @staticmethod
-    def write(tmp_path, lines):
-        path = tmp_path / "edited.csv"
-        path.write_text("".join(",".join(fields) + "\n" for fields in lines))
-        return path
-
-    def test_round_trip_of_extreme_values_is_bit_exact(self, tmp_path):
-        y = np.array([-0.0, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3, 2.0**-1074 * 3])
-        batch = DatasetBatch(
-            y=y.reshape(2, 3, 1), x=[[0, 7, 1], [2**40, 0, 3]],
-            u=np.array([0.0, 1.0, 1e-300, 0.5, 0.25, 1 - 2**-53]).reshape(2, 3, 1),
-            s=[[-1e-310, 4.0], [np.pi, -np.e]], c=[3, 0],
-        )
-        path = tmp_path / "extreme.csv"
-        save_csv(batch, path)
-        back = load_csv(path)
-        for name in ("y", "x", "u", "s", "c"):
-            want, got = getattr(batch, name), getattr(back, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("column, message", [
-        ("y0_1", "could not convert string to float: 'abc'"),
-        ("x1", "invalid literal for int() with base 10: 'abc'"),
-        ("u1_0", "could not convert string to float: 'abc'"),
-        ("s_0", "could not convert string to float: 'abc'"),
-    ])
-    def test_bad_field_on_line_3_is_reported_as_line_3(self, tmp_path, column, message):
-        lines = self.lines(tmp_path)
-        lines[2][lines[0].index(column)] = "abc"
-        with pytest.raises(DataFormatError) as err:
-            load_csv(self.write(tmp_path, lines))
-        assert str(err.value).endswith(f": line 3: {message}")
-
-    def test_label_beyond_int64_is_a_data_error(self, tmp_path):
-        lines = self.lines(tmp_path)
-        lines[2][lines[0].index("x1")] = str(2**63)
-        with pytest.raises(DataFormatError, match=": line 3: .*too large"):
-            load_csv(self.write(tmp_path, lines))
-
-    def test_first_bad_field_of_a_line_is_named(self, tmp_path):
-        # a row is read y, x, u per step, then s: x0 comes before u0_0
-        lines = self.lines(tmp_path)
-        lines[2][lines[0].index("u0_0")] = "late"
-        lines[2][lines[0].index("x0")] = "early"
-        with pytest.raises(DataFormatError, match="line 3: .*'early'"):
-            load_csv(self.write(tmp_path, lines))
-
-    @pytest.mark.parametrize("bad_line, short_line, want", [(5, 4, 4), (3, 6, 3)])
-    def test_first_bad_line_in_file_order_wins(self, tmp_path, bad_line, short_line, want):
-        lines = self.lines(tmp_path)
-        lines[bad_line - 1][0] = "abc"
-        lines[short_line - 1] = lines[short_line - 1][:-1]
-        with pytest.raises(DataFormatError, match=f": line {want}: "):
-            load_csv(self.write(tmp_path, lines))
-
-    def test_header_without_a_needed_column_is_a_data_error(self, tmp_path):
-        lines = self.lines(tmp_path)
-        lines[0][lines[0].index("y1_0")] = "yq"
-        with pytest.raises(DataFormatError, match="header lacks column 'y1_0'"):
-            load_csv(self.write(tmp_path, lines))

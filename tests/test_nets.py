@@ -1,17 +1,16 @@
 """Tests for the network stack: forward arithmetic, exact gradients,
-optimizer semantics, serialization, and the loss functions."""
+optimizer semantics, the written document and the loss functions."""
 
 import json
 
 import numpy as np
 import pytest
 
-from alphaprivacy.errors import DataFormatError, ValidationError
+from alphaprivacy.errors import ValidationError
 from alphaprivacy.losses import (
     DistortionSpec,
+    _norm_distortion,
     adversary_loss,
-    compute_distortion,
-    norm_distortion_grad,
     releaser_loss,
 )
 from alphaprivacy.measures import PosteriorBatch, batch_sequence_arimoto_entropy
@@ -22,7 +21,6 @@ from alphaprivacy.nets import (
     _fold_columns,
     _row_sum,
     dense,
-    elman_forward,
     recurrent,
 )
 
@@ -130,7 +128,8 @@ class TestElmanCell:
         w_in = rng.normal(size=(3, 2), scale=0.5)
         w_rec = rng.normal(size=(2, 2), scale=0.5)
         bias = rng.normal(size=2, scale=0.1)
-        got = elman_forward(x, w_in, w_rec, bias)
+        cell = Layer(np.vstack([w_in, w_rec]), bias, "tanh", recurrent=True)
+        got, _ = Network([cell]).forward(x)
         for b in range(2):
             prev = np.zeros(2)
             for t in range(4):
@@ -205,14 +204,6 @@ class TestTimeMajorEngine:
         for (dw, db), (want_dw, want_db) in zip(grads, want_grads):
             np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
             np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-12)
-
-    def test_elman_forward_adapter_matches_network(self):
-        rng = np.random.default_rng(64)
-        net = with_random_biases(Network.build([recurrent(2, 3)], seed=65), rng)
-        x = rng.normal(size=(4, 6, 2))
-        layer = net.layers[0]
-        got = elman_forward(x, layer.w[:2], layer.w[2:], layer.b)
-        np.testing.assert_array_equal(got, net.forward(x)[0])
 
     def test_single_step_dense_net_is_bit_identical_to_formula(self):
         rng = np.random.default_rng(66)
@@ -471,55 +462,45 @@ class TestSgd:
                 np.testing.assert_array_equal(layer.b, b)
 
 
-class TestSerialization:
-    def test_checkpoint_round_trip_is_exact(self, tmp_path):
-        net = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], seed=31)
-        path = tmp_path / "net.json"
-        net.to_json(path)
-        back = Network.from_json(path)
-        assert back.seed == 31
-        for a, b in zip(net.layers, back.layers):
-            np.testing.assert_array_equal(a.w, b.w)
-            np.testing.assert_array_equal(a.b, b.b)
-            assert a.activation == b.activation and a.recurrent == b.recurrent
-        x = np.random.default_rng(0).normal(size=(2, 3, 3))
-        np.testing.assert_array_equal(net.forward(x)[0], back.forward(x)[0])
+DOCUMENT_SPECS = {
+    "dense": [dense(3, 2, "tanh")],
+    "recurrent": [recurrent(3, 4)],
+    "recurrent_softmax": [recurrent(3, 4), dense(4, 2, "softmax")],
+    "dense_linear": [dense(3, 5, "tanh"), dense(5, 3, "linear")],
+}
 
 
-    def test_missing_checkpoint_is_a_data_error(self, tmp_path):
-        with pytest.raises(DataFormatError, match="no such file"):
-            Network.from_json(tmp_path / "nope.json")
+class TestNetworkDocument:
+    """``Network.to_dict`` is what ``system.json`` stores for each role."""
 
-    def test_invalid_checkpoint_is_a_data_error(self, tmp_path):
-        path = tmp_path / "net.json"
-        path.write_text("{not json")
-        with pytest.raises(DataFormatError, match="invalid JSON"):
-            Network.from_json(path)
+    @pytest.mark.parametrize("name", sorted(DOCUMENT_SPECS))
+    def test_document_lists_each_layer_exactly(self, name):
+        net = with_random_biases(Network.build(DOCUMENT_SPECS[name], seed=31),
+                                 np.random.default_rng(32))
+        doc = json.loads(json.dumps(net.to_dict()))
+        assert doc["seed"] == 31
+        assert [(e["kind"], e["activation"]) for e in doc["layers"]] == [
+            (kind, activation) for kind, _, _, activation in DOCUMENT_SPECS[name]]
+        for entry, layer in zip(doc["layers"], net.layers):
+            np.testing.assert_array_equal(np.asarray(entry["w"]), layer.w)
+            np.testing.assert_array_equal(np.asarray(entry["b"]), layer.b)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: d.clear(), "network: expected an object with a 'layers' list"),
-        (lambda d: d.update(layers=5), "network: expected an object with a 'layers' list"),
-        (lambda d: d["layers"].__setitem__(0, [1]), "network: layer 0 is not an object"),
-        (lambda d: d["layers"][1].pop("w"), "network: layer 1: missing field 'w'"),
-        (lambda d: d["layers"][0].pop("kind"), "network: layer 0: missing field 'kind'"),
-        (lambda d: d["layers"][0].update(kind="conv"), "network: layer 0: bad field 'kind'"),
-        (lambda d: d["layers"][0].update(w="abc"), "network: layer 0: bad field 'w'"),
-        (lambda d: d["layers"][0].update(w=[1.0, 2.0]), "layer 0: bad field 'w': shape"),
-        (lambda d: d["layers"][1].update(b=[0.0]), "layer 1: bad field 'b': shape"),
-    ])
-    def test_damaged_document_names_the_field(self, tmp_path, edit, message):
-        doc = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], seed=31).to_dict()
-        edit(doc)
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match=message):
-            Network.from_json(path)
+    @pytest.mark.parametrize("name", sorted(DOCUMENT_SPECS))
+    def test_document_rebuilds_the_same_forward(self, name):
+        rng = np.random.default_rng(33)
+        net = with_random_biases(Network.build(DOCUMENT_SPECS[name], seed=34), rng)
+        doc = json.loads(json.dumps(net.to_dict()))
+        back = Network([Layer(np.asarray(e["w"]), np.asarray(e["b"]), e["activation"],
+                              e["kind"] == "recurrent") for e in doc["layers"]])
+        x = rng.normal(size=(2, 3, 3))
+        np.testing.assert_array_equal(back.forward(x)[0], net.forward(x)[0])
 
-    def test_stacked_network_round_trips(self):
+    def test_stacked_document_keeps_the_model_axis(self):
         stack = Network.stack([Network.build([dense(3, 2, "tanh")], seed) for seed in (1, 2)])
-        back = Network.from_dict(json.loads(json.dumps(stack.to_dict())))
-        np.testing.assert_array_equal(back.layers[0].w, stack.layers[0].w)
-        np.testing.assert_array_equal(back.layers[0].b, stack.layers[0].b)
+        doc = json.loads(json.dumps(stack.to_dict()))
+        assert doc["seed"] == [1, 2]
+        np.testing.assert_array_equal(np.asarray(doc["layers"][0]["w"]), stack.layers[0].w)
+        assert np.shape(doc["layers"][0]["b"]) == (2, 2)
 
 
 def stacked_and_members(specs, seeds):
@@ -610,7 +591,7 @@ class TestDistortion:
     def test_identity_release_has_zero_norm_distortion(self):
         y = np.random.default_rng(11).normal(size=(4, 3, 2))
         for spec in (DistortionSpec("p_norm", p=1.5), DistortionSpec("ts_l2")):
-            assert compute_distortion(spec, y, y) == pytest.approx(0.0, abs=1e-15)
+            assert _norm_distortion(spec, y, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_computed_euclidean_case(self):
         # per sample the flattened difference is (3, 4): norm 5, over T=2
@@ -619,20 +600,23 @@ class TestDistortion:
         released[:, 0, 0] = 3.0
         released[:, 1, 0] = 4.0
         spec = DistortionSpec("p_norm", p=2.0)
-        assert compute_distortion(spec, released, target) == pytest.approx(2.5)
+        assert _norm_distortion(spec, released, target) == pytest.approx(2.5)
 
     def test_composite_adds_utility_cross_entropy(self):
         y = np.random.default_rng(12).normal(size=(5, 1, 3))
+        probs = np.full((5, 1, 2), 0.5)
         spec = DistortionSpec("composite_img")
-        value = compute_distortion(spec, y, y, utility_loss=np.log(2.0))
-        assert value == pytest.approx(np.log(2.0), abs=1e-15)
+        out = releaser_loss(y, y, probs, spec, lam=0.0, alpha=2.0, utility_loss=np.log(2.0))
+        assert out.value == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_composite_requires_utility_loss(self):
         y = np.zeros((2, 1, 2))
-        with pytest.raises(ValidationError):
-            compute_distortion(DistortionSpec("composite_img"), y, y)
-        with pytest.raises(ValidationError):
-            compute_distortion(DistortionSpec("ts_l2"), y, y, utility_loss=0.1)
+        probs = np.full((2, 1, 2), 0.5)
+        with pytest.raises(ValidationError, match="requires utility_loss"):
+            releaser_loss(y, y, probs, DistortionSpec("composite_img"), lam=0.0, alpha=2.0)
+        with pytest.raises(ValidationError, match="does not take utility_loss"):
+            releaser_loss(y, y, probs, DistortionSpec("ts_l2"), lam=0.0, alpha=2.0,
+                          utility_loss=0.1)
 
     @pytest.mark.parametrize("kind,p", [("p_norm", 2.0), ("p_norm", 3.0), ("ts_l2", 2.0)])
     def test_norm_gradient_matches_finite_differences(self, kind, p):
@@ -640,8 +624,8 @@ class TestDistortion:
         spec = DistortionSpec(kind, p=p)
         released = rng.normal(size=(3, 2, 2))
         target = rng.normal(size=(3, 2, 2))
-        grad = norm_distortion_grad(spec, released, target)
-        fd = fd_gradient(lambda: compute_distortion(spec, released, target), released)
+        _, grad = _norm_distortion(spec, released, target, grad=True)
+        fd = fd_gradient(lambda: _norm_distortion(spec, released, target), released)
         assert max_rel_error(fd, grad) < 1e-4
 
 
@@ -731,7 +715,7 @@ class TestReleaserLoss:
         spec = DistortionSpec("p_norm", p=2.0)
         for alpha, lam in ((0.9, 0.3), (1.0, 1.0), (3.0, 2.0)):
             out = releaser_loss(released, target, probs, spec, lam=lam, alpha=alpha)
-            want = compute_distortion(spec, released, target) - lam * (
+            want = _norm_distortion(spec, released, target) - lam * (
                 batch_sequence_arimoto_entropy(PosteriorBatch(probs), alpha)
             )
             assert out.value == pytest.approx(want, abs=1e-12)

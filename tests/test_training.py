@@ -1,4 +1,4 @@
-"""Tests for the alternating training loop: wiring, invariants, persistence.
+"""Tests for the alternating training loop: wiring and invariants.
 
 Convergence quality (full-utility / full-privacy limits) is exercised by
 the acceptance suite; here the configurations are deliberately tiny.
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from alphaprivacy.datasets import BatchStream, DatasetBatch, SynthConfig, generate
-from alphaprivacy.errors import DataFormatError, DivergenceError, ValidationError
+from alphaprivacy.errors import DivergenceError, ValidationError
 from alphaprivacy.losses import DistortionSpec
-from alphaprivacy.nets import Network, dense, recurrent
+from alphaprivacy.nets import Layer, Network, dense, recurrent
 from alphaprivacy.training import (
     COUNT_FIELDS,
     HyperParams,
@@ -43,34 +43,34 @@ def markov_data(total=32, seed=2, num_steps=4, **kw):
 class TestAssembleObserved:
     def test_y_only_without_noise_is_identity(self):
         y = np.random.default_rng(0).normal(size=(3, 2, 2))
-        w = assemble_observed(y, None, None, None, "y_only")
+        w = assemble_observed(y, None, None, "y_only")
         np.testing.assert_array_equal(w, y)
 
     def test_concat_xy_with_noise_counts_features(self):
         y = np.zeros((4, 3, 1))
         x = np.ones((4, 3), dtype=int)
         u = np.full((4, 3, 1), 0.5)
-        w = assemble_observed(y, x, u, None, "concat_xy")
+        w = assemble_observed(y, x, u, "concat_xy")
         assert w.shape == (4, 3, 3)
         np.testing.assert_array_equal(w[:, :, 1], 1.0)
         np.testing.assert_array_equal(w[:, :, 2], 0.5)
 
-    def test_side_information_never_enters_observed(self):
-        y = np.zeros((2, 1, 1))
-        s = np.ones((2, 3))
-        w = assemble_observed(y, None, None, s, "y_only")
-        assert w.shape == (2, 1, 1)
+    def test_side_information_never_enters_the_release(self):
+        data = markov_data(si_correlation=0.5)
+        hyper = HyperParams(**QUICK, seed=17, num_steps=4, observed_mode="concat_xy")
+        system = train(hyper, BatchStream(data, 4), DistortionSpec("ts_l2"), si_enabled=True)
+        np.testing.assert_array_equal(system.release(data), system.release(replace(data, s=None)))
 
     def test_fixed_seed_noise_replays_bit_exactly(self):
         a = clusters_data(total=16, seed=9)
         b = clusters_data(total=16, seed=9)
-        wa = assemble_observed(a.y, a.x, a.u, None, "y_only")
-        wb = assemble_observed(b.y, b.x, b.u, None, "y_only")
+        wa = assemble_observed(a.y, a.x, a.u, "y_only")
+        wb = assemble_observed(b.y, b.x, b.u, "y_only")
         np.testing.assert_array_equal(wa, wb)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            assemble_observed(np.zeros((2, 1, 1)), None, np.zeros((3, 1, 1)), None, "y_only")
+            assemble_observed(np.zeros((2, 1, 1)), None, np.zeros((3, 1, 1)), "y_only")
 
 
 class TestTrainLoop:
@@ -164,80 +164,76 @@ class TestTrainLoop:
         assert system.adversary.in_dim == data.y.shape[2] + data.s.shape[1]
 
 
-class TestCheckpoint:
-    def test_round_trip_preserves_released_output(self, tmp_path):
-        data = clusters_data()
-        hyper = HyperParams(**QUICK, seed=19)
-        system = train(hyper, BatchStream(data, 4), DistortionSpec("ts_l2"))
-        path = tmp_path / "system.json"
-        system.to_json(path)
-        back = TrainedSystem.from_json(path)
-        np.testing.assert_array_equal(system.release(data), back.release(data))
-        assert back.hyper == system.hyper
-        assert back.distortion == system.distortion
-        assert back.releaser_history == system.releaser_history
-
-    def test_checkpoint_naming_ts_l2_still_loads(self):
-        data = clusters_data()
-        system = train(HyperParams(**QUICK, seed=19), BatchStream(data, 4),
-                       DistortionSpec("p_norm", p=2.0))
-        doc = system.to_dict()
-        doc["distortion"]["kind"] = "ts_l2"
-        back = TrainedSystem.from_dict(doc)
-        assert back.distortion == DistortionSpec("p_norm", p=2.0)
-        np.testing.assert_array_equal(system.release(data), back.release(data))
+def rebuilt(net_doc):
+    """A Network from the layer list of a written document."""
+    return Network([Layer(np.asarray(entry["w"]), np.asarray(entry["b"]), entry["activation"],
+                          entry["kind"] == "recurrent") for entry in net_doc["layers"]],
+                   seed=net_doc["seed"])
 
 
-    def test_missing_checkpoint_is_a_data_error(self, tmp_path):
-        with pytest.raises(DataFormatError, match="no such file"):
-            TrainedSystem.from_json(tmp_path / "nope.json")
+class TestSystemDocument:
+    """``system.json`` is written, never read back by the program: these pin
+    that the document holds every weight, setting and count of the run."""
 
-    def test_invalid_checkpoint_is_a_data_error(self, tmp_path):
-        path = tmp_path / "system.json"
-        path.write_text('{"hyper": ')
-        with pytest.raises(DataFormatError, match="invalid JSON"):
-            TrainedSystem.from_json(path)
+    @pytest.fixture(scope="class", params=["clusters", "si_recurrent", "composite"])
+    def trained(self, request):
+        if request.param == "clusters":
+            data, hyper, spec, extra = clusters_data(), HyperParams(**QUICK, seed=19), "ts_l2", {}
+        elif request.param == "si_recurrent":
+            data = markov_data(si_correlation=0.5)
+            hyper = HyperParams(**QUICK, seed=17, num_steps=4, observed_mode="concat_xy")
+            spec, extra = "ts_l2", {"si_enabled": True}
+        else:
+            data, hyper = clusters_data(), HyperParams(**QUICK, seed=13)
+            spec, extra = "composite_img", {"utility_enabled": True}
+        system = train(hyper, BatchStream(data, 4), DistortionSpec(spec), **extra)
+        return data, system, json.loads(json.dumps(system.to_dict()))
 
-    @pytest.fixture(scope="class")
-    def checkpoint(self):
-        data = clusters_data()
-        return train(HyperParams(**QUICK, seed=19), BatchStream(data, 4),
-                     DistortionSpec("ts_l2")).to_dict()
+    def test_every_weight_is_written_exactly(self, trained):
+        _, system, doc = trained
+        roles = {"releaser": system.releaser, "adversary": system.adversary,
+                 "utility": system.utility}
+        for role, net in roles.items():
+            if net is None:
+                assert doc[role] is None
+                continue
+            assert doc[role]["seed"] == net.seed
+            assert len(doc[role]["layers"]) == len(net.layers)
+            for entry, layer in zip(doc[role]["layers"], net.layers):
+                assert entry["kind"] == ("recurrent" if layer.recurrent else "dense")
+                assert entry["activation"] == layer.activation
+                np.testing.assert_array_equal(np.asarray(entry["w"]), layer.w)
+                np.testing.assert_array_equal(np.asarray(entry["b"]), layer.b)
 
-    @pytest.mark.parametrize("doc, message", [
-        ({}, "checkpoint: missing field 'releaser'"),
-        ({"releaser": 5}, "checkpoint: bad field 'releaser': network: expected an object"),
-        ([1, 2], "checkpoint: expected a JSON object"),
-    ])
-    def test_non_checkpoint_document_names_the_field(self, tmp_path, doc, message):
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match=message):
-            TrainedSystem.from_json(path)
+    def test_written_weights_reproduce_the_release(self, trained):
+        data, system, doc = trained
+        w = assemble_observed(data.y, data.x, data.u, doc["hyper"]["observed_mode"])
+        np.testing.assert_array_equal(rebuilt(doc["releaser"]).forward(w)[0],
+                                      system.release(data))
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["adversary"]["layers"][1].pop("w"),
-         "bad field 'adversary': network: layer 1: missing field 'w'"),
-        (lambda d: d.pop("num_private"), "missing field 'num_private'"),
-        (lambda d: d.update(utility=[]), "bad field 'utility'"),
-        (lambda d: d.update(si_enabled="yes"), "bad field 'si_enabled': must be true or false"),
-        (lambda d: d.update(num_private=2.0), "bad field 'num_private': must be an integer"),
-        (lambda d: d.update(releaser_history=None), "bad field 'releaser_history': must be a list"),
-        (lambda d: d["hyper"].update(colour=1), "bad field 'hyper'.*colour"),
-        (lambda d: d["hyper"].update(batch_size=0), "bad field 'hyper': batch_size"),
-        (lambda d: d["distortion"].update(kind="l7"), "bad field 'distortion'"),
-        (lambda d: d["updates"].pop("adversary"), "field 'updates' lacks 'adversary'"),
-        (lambda d: d["updates"].update(utility=-1), "bad field 'updates': must be an integer"),
-    ])
-    def test_damaged_checkpoint_names_the_field(self, checkpoint, edit, message):
-        doc = json.loads(json.dumps(checkpoint))
-        edit(doc)
-        with pytest.raises(DataFormatError, match=message):
-            TrainedSystem.from_dict(doc)
+    def test_settings_and_counts_are_recorded(self, trained):
+        _, system, doc = trained
+        assert HyperParams(**doc["hyper"]) == system.hyper
+        assert DistortionSpec(**doc["distortion"]) == system.distortion
+        assert doc["si_enabled"] == system.si_enabled
+        assert doc["utility_enabled"] == system.utility_enabled
+        assert doc["num_private"] == system.num_private
+        assert doc["updates"] == {"releaser": system.releaser_updates,
+                                  "adversary": system.adversary_updates,
+                                  "utility": system.utility_updates}
+        for who in ("releaser", "adversary", "utility"):
+            assert doc[f"{who}_history"] == getattr(system, f"{who}_history")
+        assert len(doc["releaser_history"]) == system.hyper.iterations
 
-    def test_round_trip_of_the_document_is_accepted(self, checkpoint):
-        back = TrainedSystem.from_dict(json.loads(json.dumps(checkpoint)))
-        assert back.to_dict() == checkpoint
+    def test_document_is_strict_json(self, trained):
+        _, system, _ = trained
+        json.dumps(system.to_dict(), allow_nan=False)
+
+    def test_to_json_writes_the_document(self, trained, tmp_path):
+        _, system, doc = trained
+        system.to_json(tmp_path / "system.json")
+        assert json.loads((tmp_path / "system.json").read_text()) == doc
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.json"]
 
 
 def outcome_of(fn, *args):
@@ -437,11 +433,11 @@ class TestStackedRelease:
         releaser = Network.build(specs, seed=17)
         mode = "concat_xy" if data.num_steps > 1 else "y_only"
         rows = BatchStream(data, 9).draw(nbatch, count=steps)
-        z_rows, _ = releaser.forward(assemble_observed(rows.y, rows.x, rows.u, None, mode))
+        z_rows, _ = releaser.forward(assemble_observed(rows.y, rows.x, rows.u, mode))
         single = BatchStream(data, 9)
         for step in range(steps):
             batch = single.draw(nbatch)
-            z, _ = releaser.forward(assemble_observed(batch.y, batch.x, batch.u, None, mode))
+            z, _ = releaser.forward(assemble_observed(batch.y, batch.x, batch.u, mode))
             np.testing.assert_array_equal(z_rows[step * nbatch:(step + 1) * nbatch], z)
 
 
@@ -465,7 +461,7 @@ class TestParameterFreezing:
         opt_a = SgdMomentum(manual_adv, 0.1, 0.0)
         # adversary step: theta must not move
         batch = stream.draw(8)
-        w = assemble_observed(batch.y, batch.x, batch.u, None, "y_only")
+        w = assemble_observed(batch.y, batch.x, batch.u, "y_only")
         theta_before = [l.w.copy() for l in manual_rel.layers]
         z, _ = manual_rel.forward(w)
         probs, tr = manual_adv.forward(z)
@@ -476,7 +472,7 @@ class TestParameterFreezing:
             np.testing.assert_array_equal(before, layer.w)
         # releaser step: phi must not move
         batch = stream.draw(8)
-        w = assemble_observed(batch.y, batch.x, batch.u, None, "y_only")
+        w = assemble_observed(batch.y, batch.x, batch.u, "y_only")
         phi_before = [l.w.copy() for l in manual_adv.layers]
         z, trr = manual_rel.forward(w)
         probs, tra = manual_adv.forward(z)
