@@ -15,13 +15,14 @@ pathway covers instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError, check_count, check_real
 from .fileio import read_json, write_text_atomic
-from .measures import JointPmf, _arimoto_entropy, _check_distributions
+from .measures import ZERO_PROB, JointPmf, _arimoto_entropy, _check_distributions
 
 MAX_EXACT_ALPHABET = 16
 
@@ -302,6 +303,19 @@ def _batch_objective(world: WorldModel, channels, cfg: ChannelOptConfig, grad=Fa
     )
 
 
+def _check_finite_step(cfg: ChannelOptConfig, values):
+    """Raise a ValidationError naming lambda and step_size unless every
+    entry of ``values`` is finite: lambda times the entropy gradient, or a
+    step along it, overflowed."""
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            f"lambda = {cfg.lam:g} with step_size = {cfg.step_size:g} overflows the "
+            "optimizer's gradient step; lower lambda or step_size"
+        )
+
+
+# overflow is reported by _check_finite_step, once, without NumPy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def optimize_channel(
     world: WorldModel, cfg: ChannelOptConfig, seed: int
 ) -> ChannelOptResult:
@@ -356,6 +370,7 @@ def optimize_channel(
         steps.append(steps[-1] * 0.5)
     rounds = np.array(steps, dtype=np.float64).reshape(-1, LADDER_WIDTH, 1, 1, 1)
     obj, grad = _batch_objective(world, probs, cfg, grad=True)
+    _check_finite_step(cfg, grad)
     traces = [[value] for value in obj.tolist()]
     converged = np.zeros(cfg.restarts, dtype=bool)
     active = np.arange(cfg.restarts)
@@ -365,6 +380,7 @@ def optimize_channel(
         for ladder in rounds:
             moved = probs[pending] - ladder * grad[pending]  # (rung, start, |W|, |Z|)
             trials = _project_rows(moved.reshape(-1, nz)).reshape(-1, nw, nz)
+            _check_finite_step(cfg, trials)
             _check_channel_rows(trials)
             values, grads = _batch_objective(world, trials, cfg, grad=True)
             accept = values.reshape(LADDER_WIDTH, -1) <= obj[pending]
@@ -383,6 +399,7 @@ def optimize_channel(
         active = active[~done]
         if not len(active):
             break
+    _check_finite_step(cfg, obj)
     best = int(np.argmin(obj))  # the first of equal minima
     return ChannelOptResult(ReleaseChannel(probs[best]), traces[best], bool(converged[best]))
 
@@ -409,8 +426,29 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
 
 # Entries of one block's candidate tables in grid_oracle (128 KB): small
 # enough that the block's buffers stay in cache and below malloc's mmap
-# threshold.
+# threshold.  One entropy-kernel call scores at most one block.
 GRID_BLOCK_ENTRIES = 1 << 14
+# Candidates whose distortion (and lower bound) grid_oracle computes at
+# once: 128 KB of values, 16 prefixes of a resolution-1001 binary grid.
+GRID_CHUNK_ENTRIES = 1 << 14
+# Rounding allowance of grid_oracle's lower bound, per unit of the values'
+# magnitude and of alpha / |1 - alpha|.  The entropy kernel's closed form
+# divides its rounding by 1 - alpha, so its error grows like
+# eps * alpha / |1 - alpha| near alpha = 1 (4.1e-5 at |alpha - 1| = 1e-11).
+# Over 6000 random tables, down to 1e-11 from alpha = 1, the kernel's
+# H(X | Z, S) exceeded its H(X | S) by under 0.5% of this allowance.
+GRID_BOUND_TOL = 1e-12
+
+
+def _bound_slack(alpha, lam, entries, scale):
+    """How far a candidate's computed lower bound may exceed the incumbent
+    with the candidate still able to win: the rounding of values up to
+    ``scale`` in magnitude, amplified near alpha = 1, plus lam times what
+    the kernel's dropping of the entries at or below ``ZERO_PROB`` of an
+    ``entries``-entry table can move an entropy (-p log p at most each)."""
+    amplify = 1.0 if alpha == 1.0 else 1.0 + alpha / abs(1.0 - alpha)
+    dropped = entries * ZERO_PROB * (1.0 - math.log(ZERO_PROB))
+    return GRID_BOUND_TOL * amplify * (1.0 + scale) + lam * dropped
 
 
 def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
@@ -422,13 +460,24 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     lexicographic enumeration order (first row most significant).
 
     A candidate's joint is the sum of its rows' contributions, so each
-    row's contribution is computed once; a block of candidates decodes only
-    the prefix rows 0..|W|-2 and adds the last row's whole grid (or a slice
-    of it, when that grid alone exceeds a block) by broadcasting.  A block
-    holds ``GRID_BLOCK_ENTRIES // (|X| * cells)`` candidates, and its
-    tables and the entropy kernel's work go to two buffers allocated once
-    per call; a short final block uses a leading part of each, so every
-    block's arrays are C-contiguous, as freshly allocated ones would be.
+    row's contribution and distortion are computed once; a chunk of
+    ``GRID_CHUNK_ENTRIES`` candidates decodes only the prefix rows
+    0..|W|-2 and adds the last row's whole grid (or a slice of it, when
+    that grid alone exceeds a chunk) by broadcasting.
+
+    With lambda > 0 a candidate is scored only if it can win.  Arimoto's
+    entropy never exceeds H_alpha(X | S) (Minkowski's inequality), so
+    ``distortion - lambda * H_alpha(X | S)`` bounds its objective from
+    below.  A candidate whose bound exceeds the cutoff (the best of a
+    coarse sub-grid, then the running best) by more than the kernel's
+    rounding (:func:`_bound_slack`) is ruled out.  The
+    survivors are gathered in index order into a table buffer and scored
+    at most ``GRID_BLOCK_ENTRIES // (|X| * cells)`` per kernel call, and
+    never alone: a lone candidate's sums would run pairwise (see
+    :func:`optimize_channel`), so it is scored twice over.  Every buffer
+    is allocated once per call, and each call's arrays are leading,
+    C-contiguous parts of them, so the values are those of a full scan to
+    the bit.
     """
     nfree = free_parameter_count(world)
     if nfree > 4:
@@ -442,9 +491,22 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     dist = world._cost @ rows.T
     nprefix = nr ** (nw - 1)
     nx, ncells = parts.shape[1:3]
-    block = max(1, GRID_BLOCK_ENTRIES // (nx * ncells))
-    per, span = max(1, block // nr), min(nr, block)
-    table_buf, work_buf = np.empty((2, nx * ncells * per * span))
+    per, span = max(1, GRID_CHUNK_ENTRIES // nr), min(nr, GRID_CHUNK_ENTRIES)
+    if cfg.lam != 0.0:
+        block = max(2, GRID_BLOCK_ENTRIES // (nx * ncells))
+        # every objective is at least its distortion minus floor; the
+        # best of a coarse sub-grid of candidates is the first cutoff
+        floor = cfg.lam * float(_arimoto_entropy(world._xws.sum(axis=1), cfg.alpha))
+        slack = _bound_slack(cfg.alpha, cfg.lam, nx * ncells, dist.max(axis=1).sum() + floor)
+        side = min(nr, max(2, int(block ** (1.0 / nw))))
+        pick = np.linspace(0, nr - 1, side).astype(np.int64)
+        cut = float(_batch_objective(world, rows[pick[_decode(np.arange(side**nw), side, nw)]],
+                                     cfg).min())
+        table_buf, work_buf = np.empty((2, nx * ncells * block))
+        prefix_buf, last_buf = np.empty((2, block), dtype=np.int64)
+        score_buf = np.empty(block)
+        keep_buf = np.empty(per * span, dtype=bool)
+        order, survivors_buf = np.arange(per * span), np.empty(per * span, dtype=np.int64)
     base, base_dist = np.empty((nx, ncells, per)), np.empty(per)
     values_buf = np.empty(per * span)
     best_obj, best_index = np.inf, -1
@@ -457,23 +519,41 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
             base[:, :, :n] += parts[w][:, :, prefix[:, w]]
             base_dist[:n] += dist[w, prefix[:, w]]
         for r0 in range(0, nr, span):
-            last = slice(r0, min(r0 + span, nr))
-            shape = (n, last.stop - r0)
-            values = np.add(base_dist[:n, None], dist[-1, last],
-                            out=values_buf[: n * shape[1]].reshape(shape))
-            if cfg.lam != 0.0:
-                size = nx * ncells * values.size
-                tables = np.add(base[:, :, :n, None], parts[-1][:, :, None, last],
-                                out=table_buf[:size].reshape(nx, ncells, *shape))
-                entropy = _arimoto_entropy(
-                    tables, cfg.alpha, work=work_buf[:size].reshape(tables.shape)
-                )
-                values -= cfg.lam * entropy
-            local = int(np.argmin(values))
-            if values.flat[local] < best_obj:
-                best_obj = float(values.flat[local])
-                i, r = divmod(local, values.shape[1])
-                best_index = (p0 + i) * nr + r0 + r
+            width = min(span, nr - r0)
+            values = np.add(base_dist[:n, None], dist[-1, r0:r0 + width],
+                            out=values_buf[: n * width].reshape(n, width)).ravel()
+            if cfg.lam == 0.0:
+                local = int(np.argmin(values))
+                if values[local] < best_obj:
+                    best_obj = float(values[local])
+                    best_index = (p0 + local // width) * nr + r0 + local % width
+                continue
+            limit = min(best_obj, cut) + slack + floor
+            if not math.isfinite(limit):  # an objective overflowed: no bound holds
+                limit = math.inf
+            keep = np.less_equal(values, limit, out=keep_buf[: values.size])
+            survivors = np.compress(keep, order[: values.size],
+                                    out=survivors_buf[: np.count_nonzero(keep)])
+            for j0 in range(0, len(survivors), block):
+                cands = survivors[j0 : j0 + block]
+                if len(cands) == 1:
+                    cands = np.repeat(cands, 2)
+                k = len(cands)
+                prefix_at, last_at = np.divmod(cands, width, out=(prefix_buf[:k], last_buf[:k]))
+                last_at += r0
+                shape = (nx, ncells, k)
+                work = work_buf[: nx * ncells * k].reshape(shape)
+                # mode="clip" writes straight to ``out`` ("raise" would buffer);
+                # the last rows' parts pass through the kernel's work buffer
+                tables = np.take(base, prefix_at, axis=2, mode="clip",
+                                 out=table_buf[: nx * ncells * k].reshape(shape))
+                tables += np.take(parts[-1], last_at, axis=2, mode="clip", out=work)
+                scores = np.take(values, cands, mode="clip", out=score_buf[:k])
+                scores -= cfg.lam * _arimoto_entropy(tables, cfg.alpha, work=work)
+                local = int(np.argmin(scores))
+                if scores[local] < best_obj:
+                    best_obj = float(scores[local])
+                    best_index = (p0 + int(prefix_at[local])) * nr + int(last_at[local])
     choice = _decode(np.array([best_index]), nr, nw)[0]
     return ReleaseChannel(rows[choice]), best_obj
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -794,12 +795,19 @@ class TestStepLadder:
         assert_same_as_halving(got, side_world(), cfg, 1)
 
     def test_overflowing_step_fails_as_halving_fails(self):
-        # lambda * gradient overflows, so every trial row is non-finite
+        # step_size * gradient overflows, so the first trial rows are non-finite;
+        # the ladder names the settings, without NumPy's warnings
         cfg = ChannelOptConfig(alpha=10.0, lam=1.7e308, step_size=64)
-        for optimize in (optimize_channel, halving_optimize):
-            with pytest.raises(ValidationError,
-                               match="^ReleaseChannel: entries must be non-negative and finite$"):
-                optimize(side_world(), cfg, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=(
+                r"^lambda = 1\.7e\+308 with step_size = 64 overflows the optimizer's "
+                r"gradient step; lower lambda or step_size$"
+            )):
+                optimize_channel(side_world(), cfg, 1)
+        with pytest.raises(ValidationError,
+                           match="^ReleaseChannel: entries must be non-negative and finite$"):
+            halving_optimize(side_world(), cfg, 1)
 
 
 class TestCallBudget:
@@ -879,6 +887,20 @@ ORACLE_WORLDS = (
 )
 
 
+def record_scan_tables(monkeypatch):
+    """Record a copy of every table grid_oracle's scan hands the entropy
+    kernel (the calls that pass a ``work`` buffer)."""
+    calls = []
+
+    def recording(tables, alpha, grad=False, work=None):
+        if work is not None:
+            calls.append(tables.copy())
+        return _arimoto_entropy(tables, alpha, grad=grad, work=work)
+
+    monkeypatch.setattr(channel_module, "_arimoto_entropy", recording)
+    return calls
+
+
 class TestGridOracleWorkspace:
     """grid_oracle scores its blocks in buffers allocated once per call; it
     must return what the allocating block loop returns."""
@@ -894,21 +916,34 @@ class TestGridOracleWorkspace:
             assert obj == want
             np.testing.assert_array_equal(channel.probs, want_channel.probs)
 
-    def test_single_row_grid_is_scored_in_slices(self, monkeypatch):
-        batches = []
+    def test_each_candidate_is_scored_once_or_ruled_out(self, monkeypatch):
+        world, cfg = single_row_world(), ChannelOptConfig(alpha=2.0, lam=0.7)
+        calls = record_scan_tables(monkeypatch)
+        _, best = grid_oracle(world, cfg, 257)
+        rows = enumerate_grid_rows(3, 257)
+        assert len(rows) == 33153
+        # |W| = 1: a candidate's table is its row's contribution, bit for bit
+        parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(1, 3, 3, -1)[0]
+        index = {parts[:, :, r].tobytes(): r for r in range(len(rows))}
+        block = channel_module.GRID_BLOCK_ENTRIES // (3 * 3)
+        scored = []
+        for tables in calls:
+            assert 2 <= tables.shape[-1] <= block
+            found = [index[tables[:, :, j].tobytes()] for j in range(tables.shape[-1])]
+            scored += found[:1] if found == found[:1] * 2 else found  # a lone survivor twice
+        assert len(set(scored)) == len(scored)
+        ruled_out = sorted(set(range(len(rows))) - set(scored))
+        assert len(scored) + len(ruled_out) == 33153
+        assert 0 < len(ruled_out)
+        # each ruled-out candidate's lower bound already exceeds the optimum
+        h_s = _arimoto_entropy(world._xws.sum(axis=1), cfg.alpha)
+        bound = (world._cost @ rows.T)[0, ruled_out] - cfg.lam * h_s
+        assert bound.min() > best
 
-        def recording(tables, alpha, work=None):
-            batches.append(tables.shape[2:])
-            return _arimoto_entropy(tables, alpha, work=work)
-
-        monkeypatch.setattr(channel_module, "_arimoto_entropy", recording)
-        grid_oracle(single_row_world(), ChannelOptConfig(alpha=2.0, lam=0.7), 257)
-        assert len(batches) > 1
-        assert all(n == 1 for n, _ in batches)
-        assert sum(m for _, m in batches) == 33153
-        # every slice but the last is one full block of candidates
-        span = channel_module.GRID_BLOCK_ENTRIES // (3 * 3)
-        assert [m for _, m in batches[:-1]] == [span] * (len(batches) - 1)
+    def test_fewer_than_half_of_a_criterion5_scan_is_scored(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        grid_oracle(noisy_world(0.55, 0.3), ChannelOptConfig(alpha=2.0, lam=1.5), 1001)
+        assert 0 < sum(calls) < 0.5 * 1001**2
 
     @pytest.mark.parametrize("make_world", [noisy_world, side_world])
     def test_traced_peak_of_a_resolution_1001_scan_is_small(self, make_world):
@@ -921,3 +956,99 @@ class TestGridOracleWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+
+# Orders across (0.1, 50) and within 1e-11 .. 1e-2 of 1, where the kernel's
+# closed form divides its rounding by 1 - alpha.
+PRUNING_ORDERS = st.one_of(
+    st.floats(0.1, 50.0),
+    st.just(1.0),
+    st.builds(lambda gap, sign: 1.0 + sign * gap,
+              st.sampled_from([1e-11, 1e-8, 1e-5, 1e-2]), st.sampled_from([-1.0, 1.0])),
+)
+
+
+class TestGridOraclePruning:
+    """grid_oracle rules out a candidate when distortion - lam * H(X | S)
+    exceeds the incumbent by more than _bound_slack; the kernel must honour
+    that bound, and the pruned scan must return the full scan's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(2, 4)),
+        num_s=st.sampled_from([0, 2, 3]),
+        alpha=PRUNING_ORDERS,
+        grid_rows=st.booleans(),
+        faint=st.sampled_from([1.0, 1e-9, 1e-14]),
+    )
+    def test_kernel_entropy_never_exceeds_the_side_information_bound(
+        self, seed, sizes, num_s, alpha, grid_rows, faint
+    ):
+        nx, nw, nz = sizes
+        rng = np.random.default_rng(seed)
+        xws = rng.random((nx, nw, max(num_s, 1))) + 0.01
+        xws[0] *= faint  # entries near and below ZERO_PROB
+        xws /= xws.sum()
+        if grid_rows:  # grid channels, with exact zeros
+            grid = enumerate_grid_rows(nz, 5)
+            channel = grid[rng.integers(len(grid), size=nw)]
+        else:
+            channel = rng.dirichlet(np.ones(nz), size=nw)
+        table = np.einsum("xws,wz->xzs", xws, channel).reshape(nx, -1)
+        h = _arimoto_entropy(table, alpha)
+        h_s = _arimoto_entropy(xws.sum(axis=1), alpha)
+        assert h <= h_s + channel_module._bound_slack(alpha, 1.0, table.size, h_s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_x=st.integers(2, 3),
+        shape=st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2)]),
+        num_s=st.sampled_from([0, 2]),
+        alpha=PRUNING_ORDERS,
+        lam=st.floats(0.05, 3.0),
+        resolution=st.integers(3, 13),
+    )
+    def test_equals_the_allocating_scan_on_random_worlds(
+        self, seed, num_x, shape, num_s, alpha, lam, resolution
+    ):
+        nw, nz = shape
+        rng = np.random.default_rng(seed)
+        distortion = np.ones((nz, nz)) - np.eye(nz)
+        if num_s:
+            world = _world(rng.random((num_x, nw, nz, num_s)) + 0.02, ("X", "W", "Y", "S"),
+                           distortion)
+        else:
+            world = _world(rng.random((num_x, nw, nz)) + 0.02, ("X", "W", "Y"), distortion)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam)
+        channel, obj = grid_oracle(world, cfg, resolution)
+        want_channel, want = allocating_grid_oracle(world, cfg, resolution)
+        assert obj == want
+        np.testing.assert_array_equal(channel.probs, want_channel.probs)
+
+    @pytest.mark.parametrize("make_world", [side_world, single_row_world])
+    @pytest.mark.parametrize("lam", [0.3, 0.7, 2.0])
+    def test_lone_survivor_is_scored_in_a_pair(self, monkeypatch, make_world, lam):
+        # three candidates per chunk leave many chunks one survivor; at
+        # alpha = 1 a lone table's Shannon sum over 9 or 12 entries would
+        # run pairwise
+        world, cfg = make_world(), ChannelOptConfig(alpha=1.0, lam=lam)
+        want_channel, want = allocating_grid_oracle(world, cfg, 41)
+        monkeypatch.setattr(channel_module, "GRID_CHUNK_ENTRIES", 3)
+        calls = record_scan_tables(monkeypatch)
+        channel, obj = grid_oracle(world, cfg, 41)
+        assert obj == want
+        np.testing.assert_array_equal(channel.probs, want_channel.probs)
+        assert min(t.shape[-1] for t in calls) == 2
+        assert any(t.shape[-1] == 2 and np.array_equal(t[..., 0], t[..., 1]) for t in calls)
+
+    @pytest.mark.parametrize("lam", [1e308, 1.7e308])
+    def test_overflowing_objective_is_scanned_in_full(self, lam):
+        # at 1.7e308 lambda * H(X | S) overflows, so no candidate's bound holds
+        cfg = ChannelOptConfig(alpha=2.0, lam=lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            channel, obj = grid_oracle(side_world(), cfg, 21)
+            want_channel, want = allocating_grid_oracle(side_world(), cfg, 21)
+        assert obj == want
+        np.testing.assert_array_equal(channel.probs, want_channel.probs)

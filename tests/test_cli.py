@@ -180,6 +180,34 @@ class TestOptimizeCommand:
         assert captured.err.startswith("data error: ")
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_step_is_a_one_line_data_error(self, tmp_path):
+        # lambda * step_size * gradient overflows: exit 2 with one line that
+        # names both settings, and no NumPy warning lines
+        rng = np.random.default_rng(23)
+        table = rng.random((3, 2, 2, 2)) + 0.05
+        world = {
+            "axes": ["X", "W", "Y", "S"],
+            "sizes": {"X": 3, "W": 2, "Y": 2, "S": 2, "Z": 2},
+            "joint": list(np.ravel(table / table.sum())),
+            "distortion": [[0, 1], [1, 0]],
+        }
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world))
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphaprivacy", "optimize", "--world", str(path),
+             "--alpha", "10", "--lambda", "1.7e308", "--step-size", "64",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("data error: lambda = 1.7e+308 with step_size = 64 ")
+        assert not (tmp_path / "channel.json").exists()
+
 
 class TestSweepCommand:
     def test_single_zero_lambda_point_reaches_full_utility(self, tmp_path):

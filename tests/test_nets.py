@@ -2,6 +2,7 @@
 optimizer semantics, the written document and the loss functions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from alphaprivacy.nets import (
     Layer,
     Network,
     SgdMomentum,
+    _add_bias,
     _fold_columns,
     _row_sum,
     dense,
@@ -214,6 +216,38 @@ class TestTimeMajorEngine:
         out, _ = net.forward(x)
         (w1, b1), (w2, b2) = [(l.w, l.b) for l in net.layers]
         np.testing.assert_array_equal(out[:, 0], np.tanh(x[:, 0] @ w1 + b1) @ w2 + b2)
+
+    @pytest.mark.parametrize("nbatch", [1, 63, 64, 256, 2567])
+    @pytest.mark.parametrize("models", [(), (3,)])
+    def test_single_step_bias_add_equals_the_broadcast_bit_for_bit(self, nbatch, models):
+        # at T = 1 the rows are added in 64-row tiles plus a short last tile
+        rng = np.random.default_rng(nbatch)
+        for width in (1, 2, 16):
+            a = rng.normal(size=models + (nbatch, width))
+            bias = rng.normal(size=models + (width,))
+            want = a + bias[..., None, :]
+            _add_bias(a, bias, nbatch)
+            np.testing.assert_array_equal(a, want)
+
+    @pytest.mark.parametrize("models", [1, 3])
+    def test_dense_forward_allocates_one_table_per_layer(self, models):
+        # each layer's output is its fresh pre-activation, activated in
+        # place; what else a forward allocates is well under one table
+        specs = [dense(3, 16, "tanh"), dense(16, 16, "tanh"), dense(16, 2, "softmax")]
+        nets = [Network.build(specs, seed=70 + g) for g in range(models)]
+        net = nets[0] if models == 1 else Network.stack(nets)
+        lead = (models,) if models > 1 else ()
+        x = np.random.default_rng(71).normal(size=lead + (2560, 1, 3))
+        net.forward(x)
+        tracemalloc.start()
+        try:
+            out, trace = net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 8 * models * 2560 * 16
+        assert sum(o.nbytes for o in trace.outputs) == table * (1 + 1 + 2 / 16)
+        assert peak < table * (1 + 1 + 2 / 16) + table / 2
 
     @pytest.mark.parametrize("nclass", [2, 3, 4, 7, 8, 10])
     def test_softmax_column_fold_matches_axis_reductions(self, nclass):
