@@ -428,27 +428,44 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
 # enough that the block's buffers stay in cache and below malloc's mmap
 # threshold.  One entropy-kernel call scores at most one block.
 GRID_BLOCK_ENTRIES = 1 << 14
-# Candidates whose distortion (and lower bound) grid_oracle computes at
-# once: 128 KB of values, 16 prefixes of a resolution-1001 binary grid.
-GRID_CHUNK_ENTRIES = 1 << 14
-# Rounding allowance of grid_oracle's lower bound, per unit of the values'
+# Candidates whose distortions grid_oracle bounds at once: 65 prefixes of a
+# resolution-1001 binary grid.  With lambda > 0 only a chunk's run sums are
+# stored whole (one per GRID_RUN_ROWS candidates, 64 KB), and candidates
+# are gathered sparsely from the runs that may hold a winner.
+GRID_CHUNK_ENTRIES = 1 << 16
+# Consecutive last-row grid rows that grid_oracle bounds as one run by the
+# entropy of their corner table (a run never crosses a slice of the grid).
+GRID_RUN_ROWS = 8
+# Rounding allowance of grid_oracle's lower bounds, per unit of the values'
 # magnitude and of alpha / |1 - alpha|.  The entropy kernel's closed form
 # divides its rounding by 1 - alpha, so its error grows like
 # eps * alpha / |1 - alpha| near alpha = 1 (4.1e-5 at |alpha - 1| = 1e-11).
 # Over 6000 random tables, down to 1e-11 from alpha = 1, the kernel's
-# H(X | Z, S) exceeded its H(X | S) by under 0.5% of this allowance.
+# H(X | Z, S) exceeded its H(X | S) by under 0.5% of this allowance, and
+# over 6000 random runs the kernel's H of a table of the run exceeded its
+# H of the run's bounding corner by under 0.2% of it (2.7e-15).
 GRID_BOUND_TOL = 1e-12
 
 
 def _bound_slack(alpha, lam, entries, scale):
-    """How far a candidate's computed lower bound may exceed the incumbent
-    with the candidate still able to win: the rounding of values up to
-    ``scale`` in magnitude, amplified near alpha = 1, plus lam times what
-    the kernel's dropping of the entries at or below ``ZERO_PROB`` of an
-    ``entries``-entry table can move an entropy (-p log p at most each)."""
+    """How far a candidate's computed lower bound, by H(X | S) or by its
+    run's corner table, may exceed the incumbent with the candidate still
+    able to win: the rounding of values up to ``scale`` in magnitude,
+    amplified near alpha = 1, plus lam times what the kernel's dropping of
+    the entries at or below ``ZERO_PROB`` of an ``entries``-entry table can
+    move an entropy (-p log p at most each)."""
     amplify = 1.0 if alpha == 1.0 else 1.0 + alpha / abs(1.0 - alpha)
     dropped = entries * ZERO_PROB * (1.0 - math.log(ZERO_PROB))
     return GRID_BOUND_TOL * amplify * (1.0 + scale) + lam * dropped
+
+
+def _run_corners(parts, starts, alpha):
+    """The corner contribution of each run ``parts[..., starts[j]:starts[j + 1]]``
+    of grid rows: entrywise least for alpha > 1, greatest for alpha <= 1.
+    With any prefix added, the corner table's entropy bounds the entropy of
+    every table of the run from above."""
+    corner_of = np.minimum if alpha > 1.0 else np.maximum
+    return corner_of.reduceat(parts, starts, axis=-1)
 
 
 def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
@@ -462,20 +479,30 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     A candidate's joint is the sum of its rows' contributions, so each
     row's contribution and distortion are computed once; a chunk of
     ``GRID_CHUNK_ENTRIES`` candidates decodes only the prefix rows
-    0..|W|-2 and adds the last row's whole grid (or a slice of it, when
-    that grid alone exceeds a chunk) by broadcasting.
+    0..|W|-2 and pairs them with the last row's whole grid (or a slice of
+    it, when that grid alone exceeds a chunk).
 
-    With lambda > 0 a candidate is scored only if it can win.  Arimoto's
-    entropy never exceeds H_alpha(X | S) (Minkowski's inequality), so
-    ``distortion - lambda * H_alpha(X | S)`` bounds its objective from
-    below.  A candidate whose bound exceeds the cutoff (the best of a
-    coarse sub-grid, then the running best) by more than the kernel's
-    rounding (:func:`_bound_slack`) is ruled out.  The
-    survivors are gathered in index order into a table buffer and scored
-    at most ``GRID_BLOCK_ENTRIES // (|X| * cells)`` per kernel call, and
-    never alone: a lone candidate's sums would run pairwise (see
-    :func:`optimize_channel`), so it is scored twice over.  Every buffer
-    is allocated once per call, and each call's arrays are leading,
+    With lambda > 0 a candidate is scored only if it can win, by two lower
+    bounds on its objective.  Arimoto's entropy never exceeds
+    H_alpha(X | S) (Minkowski's inequality), so ``distortion - lambda *
+    H_alpha(X | S)`` is one.  Each slice is cut into runs of
+    ``GRID_RUN_ROWS`` consecutive last rows; with the prefix fixed, the
+    tables of a run lie entrywise between its corner tables, prefix plus
+    the entrywise least (or greatest) contribution of the run's rows.  The
+    kernel's entropy is monotone in every table entry, non-increasing for
+    alpha > 1 and non-decreasing for alpha <= 1, so the entropy of the least
+    corner (alpha > 1) or of the greatest (alpha <= 1) bounds every table of
+    the run, and ``distortion - lambda * min(H_corner, H_alpha(X | S))`` is
+    the other.  Corners are scored only for runs whose least distortion
+    passes the first bound.  A candidate whose bound exceeds the cutoff (the
+    best of a coarse sub-grid, then the running best) by more than the
+    kernel's rounding (:func:`_bound_slack`) is ruled out.  The survivors
+    are gathered in index order into a table buffer and scored at most
+    ``max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES // (|X| * cells))`` per kernel
+    call, and never alone: a lone candidate's sums would run pairwise (see
+    :func:`optimize_channel`), so it is scored twice over.  The scoring
+    calls alone pass the kernel a ``work`` buffer.  Every buffer is
+    allocated once per call, and each scoring call's arrays are leading,
     C-contiguous parts of them, so the values are those of a full scan to
     the bit.
     """
@@ -492,23 +519,33 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     nprefix = nr ** (nw - 1)
     nx, ncells = parts.shape[1:3]
     per, span = max(1, GRID_CHUNK_ENTRIES // nr), min(nr, GRID_CHUNK_ENTRIES)
-    if cfg.lam != 0.0:
-        block = max(2, GRID_BLOCK_ENTRIES // (nx * ncells))
+    # each slice of the last row's grid: its first row and its rows'
+    # distortions, and with lambda > 0 its runs' rows, least distortions
+    # and corner contributions
+    slices = [(r0, dist[-1, r0:r0 + span]) for r0 in range(0, nr, span)]
+    if cfg.lam == 0.0:
+        values_buf = np.empty(per * span)
+    else:
+        block = max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES // (nx * ncells))
         # every objective is at least its distortion minus floor; the
         # best of a coarse sub-grid of candidates is the first cutoff
-        floor = cfg.lam * float(_arimoto_entropy(world._xws.sum(axis=1), cfg.alpha))
+        h_s = float(_arimoto_entropy(world._xws.sum(axis=1), cfg.alpha))
+        floor = cfg.lam * h_s
         slack = _bound_slack(cfg.alpha, cfg.lam, nx * ncells, dist.max(axis=1).sum() + floor)
         side = min(nr, max(2, int(block ** (1.0 / nw))))
         pick = np.linspace(0, nr - 1, side).astype(np.int64)
         cut = float(_batch_objective(world, rows[pick[_decode(np.arange(side**nw), side, nw)]],
                                      cfg).min())
         table_buf, work_buf = np.empty((2, nx * ncells * block))
-        prefix_buf, last_buf = np.empty((2, block), dtype=np.int64)
-        score_buf = np.empty(block)
-        keep_buf = np.empty(per * span, dtype=bool)
-        order, survivors_buf = np.arange(per * span), np.empty(per * span, dtype=np.int64)
+        group = block // GRID_RUN_ROWS  # runs whose candidates fill at most one block
+        for i, (r0, last_dist) in enumerate(slices):
+            starts = np.arange(0, len(last_dist), GRID_RUN_ROWS)
+            # run_rows[j, t]: the distortion of run j's row t, NaN past the slice
+            run_rows = np.full((len(starts), GRID_RUN_ROWS), np.nan)
+            run_rows.flat[: len(last_dist)] = last_dist
+            slices[i] += (run_rows, np.minimum.reduceat(last_dist, starts),
+                          _run_corners(parts[-1, :, :, r0:r0 + span], starts, cfg.alpha))
     base, base_dist = np.empty((nx, ncells, per)), np.empty(per)
-    values_buf = np.empty(per * span)
     best_obj, best_index = np.inf, -1
     for p0 in range(0, nprefix, per):
         prefix = _decode(np.arange(p0, min(p0 + per, nprefix)), nr, nw - 1)
@@ -518,37 +555,61 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
         for w in range(nw - 1):
             base[:, :, :n] += parts[w][:, :, prefix[:, w]]
             base_dist[:n] += dist[w, prefix[:, w]]
-        for r0 in range(0, nr, span):
-            width = min(span, nr - r0)
-            values = np.add(base_dist[:n, None], dist[-1, r0:r0 + width],
-                            out=values_buf[: n * width].reshape(n, width)).ravel()
+        for r0, last_dist, *runs in slices:
+            width = len(last_dist)
             if cfg.lam == 0.0:
+                values = np.add(base_dist[:n, None], last_dist,
+                                out=values_buf[: n * width].reshape(n, width)).ravel()
                 local = int(np.argmin(values))
                 if values[local] < best_obj:
                     best_obj = float(values[local])
                     best_index = (p0 + local // width) * nr + r0 + local % width
                 continue
-            limit = min(best_obj, cut) + slack + floor
+            run_rows, run_dist, corners = runs
+            cutoff = min(best_obj, cut) + slack
+            limit = cutoff + floor
             if not math.isfinite(limit):  # an objective overflowed: no bound holds
                 limit = math.inf
-            keep = np.less_equal(values, limit, out=keep_buf[: values.size])
-            survivors = np.compress(keep, order[: values.size],
-                                    out=survivors_buf[: np.count_nonzero(keep)])
-            for j0 in range(0, len(survivors), block):
-                cands = survivors[j0 : j0 + block]
-                if len(cands) == 1:
-                    cands = np.repeat(cands, 2)
-                k = len(cands)
-                prefix_at, last_at = np.divmod(cands, width, out=(prefix_buf[:k], last_buf[:k]))
-                last_at += r0
-                shape = (nx, ncells, k)
-                work = work_buf[: nx * ncells * k].reshape(shape)
+            # the runs that hold a candidate within the H(X | S) bound: the
+            # least of a run's sums is its least distortion's sum
+            run_values = (base_dist[:n, None] + run_dist).ravel()
+            live = np.flatnonzero(run_values <= limit)
+            limits = np.empty(len(live))
+            for j0 in range(0, len(live), block):
+                at, run = np.divmod(live[j0 : j0 + block], len(run_dist))
+                shape = (nx, ncells, len(at))
+                tables = np.take(base, at, axis=2, mode="clip",
+                                 out=table_buf[: nx * ncells * len(at)].reshape(shape))
+                tables += np.take(corners, run, axis=2, mode="clip",
+                                  out=work_buf[: tables.size].reshape(shape))
+                np.minimum(_arimoto_entropy(tables, cfg.alpha), h_s, out=limits[j0 : j0 + block])
+            limits *= cfg.lam
+            limits += cutoff
+            limits[~np.isfinite(limits)] = math.inf
+            hold = run_values[live] <= limits
+            live, limits = live[hold], limits[hold]
+            # the candidates of a block's worth of runs within their run's
+            # bound (a sum is NaN past the slice), in index order
+            for j0 in range(0, len(live), group):
+                at, run = np.divmod(live[j0 : j0 + group], len(run_dist))
+                values = run_rows[run]
+                values += base_dist[at, None]
+                keep = np.flatnonzero(values <= limits[j0 : j0 + len(at), None])
+                if not len(keep):
+                    continue
+                if len(keep) == 1:  # a lone survivor is scored as a pair of copies
+                    keep = np.repeat(keep, 2)
+                runs_at, offset = np.divmod(keep, GRID_RUN_ROWS)
+                prefix_at = at[runs_at]
+                last_at = r0 + GRID_RUN_ROWS * run[runs_at] + offset
+                shape = (nx, ncells, len(keep))
+                work = work_buf[: nx * ncells * len(keep)].reshape(shape)
                 # mode="clip" writes straight to ``out`` ("raise" would buffer);
                 # the last rows' parts pass through the kernel's work buffer
                 tables = np.take(base, prefix_at, axis=2, mode="clip",
-                                 out=table_buf[: nx * ncells * k].reshape(shape))
+                                 out=table_buf[: work.size].reshape(shape))
                 tables += np.take(parts[-1], last_at, axis=2, mode="clip", out=work)
-                scores = np.take(values, cands, mode="clip", out=score_buf[:k])
+                scores = values.ravel()[keep]
                 scores -= cfg.lam * _arimoto_entropy(tables, cfg.alpha, work=work)
                 local = int(np.argmin(scores))
                 if scores[local] < best_obj:

@@ -154,7 +154,8 @@ def sweep(
     Each alpha's sorted lambdas are split into ``ceil(workers / len(alphas))``
     near-equal contiguous groups, so that a pool has at least one job per
     worker; each group is one :func:`run_group` job.  With ``workers > 1``
-    the jobs run in a process pool and are merged back in grid order.
+    the jobs run in a process pool of at most one worker per job and are
+    merged back in grid order.
     """
     lambdas = sorted(float(check_real("lambda_grid entry", v, 0.0)) for v in lambdas)
     alphas = sorted(float(check_real("alpha_grid entry", v, 0.0, strict=True)) for v in alphas)
@@ -167,7 +168,8 @@ def sweep(
         for group in _chunks(lambdas, max(1, -(-workers // len(alphas))))
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker at the first submit, needed or not
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             groups = list(pool.map(run_group, *zip(*jobs)))
     else:
         groups = [run_group(*job) for job in jobs]

@@ -916,34 +916,56 @@ class TestGridOracleWorkspace:
             assert obj == want
             np.testing.assert_array_equal(channel.probs, want_channel.probs)
 
-    def test_each_candidate_is_scored_once_or_ruled_out(self, monkeypatch):
-        world, cfg = single_row_world(), ChannelOptConfig(alpha=2.0, lam=0.7)
+    @pytest.mark.parametrize("make_world, resolution", [(single_row_world, 257),
+                                                         (noisy_world, 41)])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_each_candidate_is_scored_once_or_ruled_out(
+        self, monkeypatch, make_world, resolution, alpha
+    ):
+        world, cfg = make_world(), ChannelOptConfig(alpha=alpha, lam=1.5)
         calls = record_scan_tables(monkeypatch)
-        _, best = grid_oracle(world, cfg, 257)
-        rows = enumerate_grid_rows(3, 257)
-        assert len(rows) == 33153
-        # |W| = 1: a candidate's table is its row's contribution, bit for bit
-        parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(1, 3, 3, -1)[0]
-        index = {parts[:, :, r].tobytes(): r for r in range(len(rows))}
-        block = channel_module.GRID_BLOCK_ENTRIES // (3 * 3)
+        _, best = grid_oracle(world, cfg, resolution)
+        rows = enumerate_grid_rows(world.num_symbols, resolution)
+        nr, nw, nx = len(rows), world.size("W"), world.size("X")
+        assert nr <= channel_module.GRID_CHUNK_ENTRIES  # one slice of the last row's grid
+        parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(nw, nx, -1, nr)
+        # a candidate's table is its prefix's part (none when |W| = 1) plus
+        # its last row's, bit for bit
+        base = parts[0] if nw == 2 else np.zeros(parts.shape[1:3] + (1,))
+        index = {(base[:, :, p] + parts[-1][:, :, r]).tobytes(): p * nr + r
+                 for p in range(base.shape[-1]) for r in range(nr)}
+        total = len(index)
+        assert total == base.shape[-1] * nr
+        block = channel_module.GRID_BLOCK_ENTRIES // (nx * parts.shape[2])
         scored = []
         for tables in calls:
             assert 2 <= tables.shape[-1] <= block
             found = [index[tables[:, :, j].tobytes()] for j in range(tables.shape[-1])]
             scored += found[:1] if found == found[:1] * 2 else found  # a lone survivor twice
         assert len(set(scored)) == len(scored)
-        ruled_out = sorted(set(range(len(rows))) - set(scored))
-        assert len(scored) + len(ruled_out) == 33153
-        assert 0 < len(ruled_out)
-        # each ruled-out candidate's lower bound already exceeds the optimum
-        h_s = _arimoto_entropy(world._xws.sum(axis=1), cfg.alpha)
-        bound = (world._cost @ rows.T)[0, ruled_out] - cfg.lam * h_s
-        assert bound.min() > best
+        ruled_out = np.array(sorted(set(range(total)) - set(scored)))
+        assert 0 < len(ruled_out) and len(scored) + len(ruled_out) == total
+        # each ruled-out candidate's bound, by the entropy of its run's
+        # corner table or by H(X | S), already exceeds the optimum
+        run = channel_module.GRID_RUN_ROWS
+        corners = channel_module._run_corners(parts[-1], np.arange(0, nr, run), alpha)
+        corner_tables = base[:, :, :, None] + corners[:, :, None, :]
+        h_corner = _arimoto_entropy(corner_tables.reshape(nx, parts.shape[2], -1), alpha)
+        h_s = _arimoto_entropy(world._xws.sum(axis=1), alpha)
+        dist = world._cost @ rows.T
+        prefix_dist = dist[0] if nw == 2 else np.zeros(1)
+        distortion = (prefix_dist[:, None] + dist[-1]).ravel()[ruled_out]
+        h_bound = np.minimum(h_corner.reshape(-1, corners.shape[-1]), h_s)
+        p, r = np.divmod(ruled_out, nr)
+        assert (distortion - cfg.lam * h_bound[p, r // run]).min() > best
+        if nw == 2:  # the corners rule out candidates that H(X | S) alone keeps
+            assert (distortion - cfg.lam * h_s <= best).any()
 
-    def test_fewer_than_half_of_a_criterion5_scan_is_scored(self, monkeypatch):
+    def test_under_a_tenth_of_a_criterion5_scan_reaches_the_kernel(self, monkeypatch):
+        # scored candidates, corner tables and the sub-grid together
         calls = count_kernel_calls(monkeypatch)
         grid_oracle(noisy_world(0.55, 0.3), ChannelOptConfig(alpha=2.0, lam=1.5), 1001)
-        assert 0 < sum(calls) < 0.5 * 1001**2
+        assert 0 < sum(calls) < 0.1 * 1001**2
 
     @pytest.mark.parametrize("make_world", [noisy_world, side_world])
     def test_traced_peak_of_a_resolution_1001_scan_is_small(self, make_world):
@@ -999,6 +1021,41 @@ class TestGridOraclePruning:
         h = _arimoto_entropy(table, alpha)
         h_s = _arimoto_entropy(xws.sum(axis=1), alpha)
         assert h <= h_s + channel_module._bound_slack(alpha, 1.0, table.size, h_s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(2, 4)),
+        num_s=st.sampled_from([0, 2, 3]),
+        alpha=PRUNING_ORDERS,
+        grid_rows=st.booleans(),
+        faint=st.sampled_from([1.0, 1e-9, 1e-14]),
+    )
+    def test_kernel_entropy_never_exceeds_its_run_corner(
+        self, seed, sizes, num_s, alpha, grid_rows, faint
+    ):
+        nx, nw, nz = sizes
+        run = channel_module.GRID_RUN_ROWS
+        rng = np.random.default_rng(seed)
+        xws = rng.random((nx, nw, max(num_s, 1))) + 0.01
+        xws[0] *= faint  # entries near and below ZERO_PROB
+        xws /= xws.sum()
+        if grid_rows:  # a run of consecutive grid rows, with exact zeros
+            grid = enumerate_grid_rows(nz, 9)
+            prefix = grid[rng.integers(len(grid), size=nw - 1)]
+            start = rng.integers(len(grid) - run + 1)
+            last = grid[start : start + run]
+        else:
+            prefix = rng.dirichlet(np.ones(nz), size=nw - 1)
+            last = rng.dirichlet(np.ones(nz), size=run)
+        # rows 0..|W|-2 fixed, the last row over the run
+        base = np.einsum("xws,wz->xzs", xws[:, :-1], prefix).reshape(nx, -1)
+        parts = np.einsum("xs,rz->xzsr", xws[:, -1], last).reshape(nx, -1, run)
+        corner = base + channel_module._run_corners(parts, np.array([0]), alpha)[:, :, 0]
+        h = _arimoto_entropy(base[:, :, None] + parts, alpha)
+        h_corner = _arimoto_entropy(corner, alpha)
+        h_s = _arimoto_entropy(xws.sum(axis=1), alpha)
+        assert h.max() <= h_corner + channel_module._bound_slack(alpha, 1.0, corner.size, h_s)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -11,6 +11,7 @@ from alphaprivacy.datasets import DatasetBatch, SynthConfig, train_eval_split
 from alphaprivacy.errors import ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.metrics import balanced_accuracy
+from alphaprivacy import sweep as sweep_module
 from alphaprivacy.sweep import (
     TradeoffPoint,
     _chunks,
@@ -52,6 +53,30 @@ class TestSweep:
         seq = sweep(QUICK_HYPER, [0.0, 0.5], [1.0], QUICK_DATA, workers=1)
         par = sweep(QUICK_HYPER, [0.0, 0.5], [1.0], QUICK_DATA, workers=2)
         assert [asdict(p) for p in seq] == [asdict(p) for p in par]
+
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
+        # a stand-in pool that records its size and runs the jobs inline,
+        # so that no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+        pooled = sweep(QUICK_HYPER, [0.0, 0.5, 1.0], [1.0, 3.0], QUICK_DATA, workers=64)
+        assert sizes == [6]
+        seq = sweep(QUICK_HYPER, [0.0, 0.5, 1.0], [1.0, 3.0], QUICK_DATA, workers=1)
+        assert [asdict(p) for p in pooled] == [asdict(p) for p in seq]
 
     def test_diverged_points_are_flagged_not_dropped(self):
         bad = replace(QUICK_HYPER, lr_releaser=1e9, lr_adversary=1e9)
