@@ -429,12 +429,13 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
 # threshold.  One entropy-kernel call scores at most one block.
 GRID_BLOCK_ENTRIES = 1 << 14
 # Candidates whose distortions grid_oracle bounds at once: 65 prefixes of a
-# resolution-1001 binary grid.  With lambda > 0 only a chunk's run sums are
-# stored whole (one per GRID_RUN_ROWS candidates, 64 KB), and candidates
-# are gathered sparsely from the runs that may hold a winner.
+# resolution-1001 binary grid, and one prefix when the last row's grid alone
+# is larger.  Only a chunk's run sums are stored whole (one per
+# GRID_RUN_ROWS candidates, 64 KB), and candidates are gathered sparsely
+# from the runs that may hold a winner.
 GRID_CHUNK_ENTRIES = 1 << 16
 # Consecutive last-row grid rows that grid_oracle bounds as one run by the
-# entropy of their corner table (a run never crosses a slice of the grid).
+# entropy of their corner table.
 GRID_RUN_ROWS = 8
 # Rounding allowance of grid_oracle's lower bounds, per unit of the values'
 # magnitude and of alpha / |1 - alpha|.  The entropy kernel's closed form
@@ -478,33 +479,32 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
 
     A candidate's joint is the sum of its rows' contributions, so each
     row's contribution and distortion are computed once; a chunk of
-    ``GRID_CHUNK_ENTRIES`` candidates decodes only the prefix rows
-    0..|W|-2 and pairs them with the last row's whole grid (or a slice of
-    it, when that grid alone exceeds a chunk).
+    ``GRID_CHUNK_ENTRIES`` candidates (at least one prefix) decodes only
+    the prefix rows 0..|W|-2 and pairs them with the last row's whole grid.
 
-    With lambda > 0 a candidate is scored only if it can win, by two lower
-    bounds on its objective.  Arimoto's entropy never exceeds
-    H_alpha(X | S) (Minkowski's inequality), so ``distortion - lambda *
-    H_alpha(X | S)`` is one.  Each slice is cut into runs of
-    ``GRID_RUN_ROWS`` consecutive last rows; with the prefix fixed, the
-    tables of a run lie entrywise between its corner tables, prefix plus
-    the entrywise least (or greatest) contribution of the run's rows.  The
-    kernel's entropy is monotone in every table entry, non-increasing for
-    alpha > 1 and non-decreasing for alpha <= 1, so the entropy of the least
-    corner (alpha > 1) or of the greatest (alpha <= 1) bounds every table of
-    the run, and ``distortion - lambda * min(H_corner, H_alpha(X | S))`` is
-    the other.  Corners are scored only for runs whose least distortion
-    passes the first bound.  A candidate whose bound exceeds the cutoff (the
-    best of a coarse sub-grid, then the running best) by more than the
-    kernel's rounding (:func:`_bound_slack`) is ruled out.  The survivors
-    are gathered in index order into a table buffer and scored at most
-    ``max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES // (|X| * cells))`` per kernel
-    call, and never alone: a lone candidate's sums would run pairwise (see
-    :func:`optimize_channel`), so it is scored twice over.  The scoring
-    calls alone pass the kernel a ``work`` buffer.  Every buffer is
-    allocated once per call, and each scoring call's arrays are leading,
-    C-contiguous parts of them, so the values are those of a full scan to
-    the bit.
+    A candidate is scored only if it can win, by two lower bounds on its
+    objective (at lambda = 0 both are its distortion, exact).  Arimoto's
+    entropy never exceeds H_alpha(X | S) (Minkowski's inequality), so
+    ``distortion - lambda * H_alpha(X | S)`` is one.  The last row's grid
+    is cut into runs of ``GRID_RUN_ROWS`` consecutive rows; with the prefix
+    fixed, the tables of a run lie entrywise between its corner tables,
+    prefix plus the entrywise least (or greatest) contribution of the run's
+    rows.  The kernel's entropy is monotone in every table entry,
+    non-increasing for alpha > 1 and non-decreasing for alpha <= 1, so the
+    entropy of the least corner (alpha > 1) or of the greatest (alpha <= 1)
+    bounds every table of the run, and ``distortion - lambda *
+    min(H_corner, H_alpha(X | S))`` is the other.  Corners are scored only
+    for runs whose least distortion passes the first bound.  A candidate
+    whose bound exceeds the cutoff (the best of a coarse sub-grid, then the
+    running best) by more than the kernel's rounding (:func:`_bound_slack`)
+    is ruled out.  The survivors are gathered in index order into a table
+    buffer and scored at most ``max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES //
+    (|X| * cells))`` per kernel call, and never alone: a lone candidate's
+    sums would run pairwise (see :func:`optimize_channel`), so it is scored
+    twice over.  The scoring calls alone pass the kernel a ``work`` buffer.
+    Every buffer is allocated once per call, and each scoring call's arrays
+    are leading, C-contiguous parts of them, so the values are those of a
+    full scan to the bit.
     """
     nfree = free_parameter_count(world)
     if nfree > 4:
@@ -518,33 +518,26 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     dist = world._cost @ rows.T
     nprefix = nr ** (nw - 1)
     nx, ncells = parts.shape[1:3]
-    per, span = max(1, GRID_CHUNK_ENTRIES // nr), min(nr, GRID_CHUNK_ENTRIES)
-    # each slice of the last row's grid: its first row and its rows'
-    # distortions, and with lambda > 0 its runs' rows, least distortions
-    # and corner contributions
-    slices = [(r0, dist[-1, r0:r0 + span]) for r0 in range(0, nr, span)]
-    if cfg.lam == 0.0:
-        values_buf = np.empty(per * span)
-    else:
-        block = max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES // (nx * ncells))
-        # every objective is at least its distortion minus floor; the
-        # best of a coarse sub-grid of candidates is the first cutoff
-        h_s = float(_arimoto_entropy(world._xws.sum(axis=1), cfg.alpha))
-        floor = cfg.lam * h_s
-        slack = _bound_slack(cfg.alpha, cfg.lam, nx * ncells, dist.max(axis=1).sum() + floor)
-        side = min(nr, max(2, int(block ** (1.0 / nw))))
-        pick = np.linspace(0, nr - 1, side).astype(np.int64)
-        cut = float(_batch_objective(world, rows[pick[_decode(np.arange(side**nw), side, nw)]],
-                                     cfg).min())
-        table_buf, work_buf = np.empty((2, nx * ncells * block))
-        group = block // GRID_RUN_ROWS  # runs whose candidates fill at most one block
-        for i, (r0, last_dist) in enumerate(slices):
-            starts = np.arange(0, len(last_dist), GRID_RUN_ROWS)
-            # run_rows[j, t]: the distortion of run j's row t, NaN past the slice
-            run_rows = np.full((len(starts), GRID_RUN_ROWS), np.nan)
-            run_rows.flat[: len(last_dist)] = last_dist
-            slices[i] += (run_rows, np.minimum.reduceat(last_dist, starts),
-                          _run_corners(parts[-1, :, :, r0:r0 + span], starts, cfg.alpha))
+    per = max(1, GRID_CHUNK_ENTRIES // nr)
+    block = max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES // (nx * ncells))
+    # every objective is at least its distortion minus floor; the best of a
+    # coarse sub-grid of candidates is the first cutoff
+    h_s = float(_arimoto_entropy(world._xws.sum(axis=1), cfg.alpha))
+    floor = cfg.lam * h_s
+    slack = _bound_slack(cfg.alpha, cfg.lam, nx * ncells, dist.max(axis=1).sum() + floor)
+    side = min(nr, max(2, int(block ** (1.0 / nw))))
+    pick = np.linspace(0, nr - 1, side).astype(np.int64)
+    cut = float(_batch_objective(world, rows[pick[_decode(np.arange(side**nw), side, nw)]],
+                                 cfg).min())
+    # the last row's grid in runs: run_rows[j, t] is the distortion of run
+    # j's row t (NaN past the grid), run_dist[j] the least of them
+    starts = np.arange(0, nr, GRID_RUN_ROWS)
+    run_rows = np.full((len(starts), GRID_RUN_ROWS), np.nan)
+    run_rows.flat[:nr] = dist[-1]
+    run_dist = np.minimum.reduceat(dist[-1], starts)
+    corners = _run_corners(parts[-1], starts, cfg.alpha)
+    table_buf, work_buf = np.empty((2, nx * ncells * block))
+    group = block // GRID_RUN_ROWS  # runs whose candidates fill at most one block
     base, base_dist = np.empty((nx, ncells, per)), np.empty(per)
     best_obj, best_index = np.inf, -1
     for p0 in range(0, nprefix, per):
@@ -555,66 +548,55 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
         for w in range(nw - 1):
             base[:, :, :n] += parts[w][:, :, prefix[:, w]]
             base_dist[:n] += dist[w, prefix[:, w]]
-        for r0, last_dist, *runs in slices:
-            width = len(last_dist)
-            if cfg.lam == 0.0:
-                values = np.add(base_dist[:n, None], last_dist,
-                                out=values_buf[: n * width].reshape(n, width)).ravel()
-                local = int(np.argmin(values))
-                if values[local] < best_obj:
-                    best_obj = float(values[local])
-                    best_index = (p0 + local // width) * nr + r0 + local % width
+        cutoff = min(best_obj, cut) + slack
+        limit = cutoff + floor
+        if not math.isfinite(limit):  # an objective overflowed: no bound holds
+            limit = math.inf
+        # the runs that hold a candidate within the H(X | S) bound: the least
+        # of a run's sums is its least distortion's sum
+        run_values = (base_dist[:n, None] + run_dist).ravel()
+        live = np.flatnonzero(run_values <= limit)
+        limits = np.empty(len(live))
+        for j0 in range(0, len(live), block):
+            at, run = np.divmod(live[j0 : j0 + block], len(run_dist))
+            shape = (nx, ncells, len(at))
+            tables = np.take(base, at, axis=2, mode="clip",
+                             out=table_buf[: nx * ncells * len(at)].reshape(shape))
+            tables += np.take(corners, run, axis=2, mode="clip",
+                              out=work_buf[: tables.size].reshape(shape))
+            np.minimum(_arimoto_entropy(tables, cfg.alpha), h_s, out=limits[j0 : j0 + block])
+        limits *= cfg.lam
+        limits += cutoff
+        limits[~np.isfinite(limits)] = math.inf
+        hold = run_values[live] <= limits
+        live, limits = live[hold], limits[hold]
+        # the candidates of a block's worth of runs within their run's bound
+        # (a sum is NaN past the grid), in index order
+        for j0 in range(0, len(live), group):
+            at, run = np.divmod(live[j0 : j0 + group], len(run_dist))
+            values = run_rows[run]
+            values += base_dist[at, None]
+            keep = np.flatnonzero(values <= limits[j0 : j0 + len(at), None])
+            if not len(keep):
                 continue
-            run_rows, run_dist, corners = runs
-            cutoff = min(best_obj, cut) + slack
-            limit = cutoff + floor
-            if not math.isfinite(limit):  # an objective overflowed: no bound holds
-                limit = math.inf
-            # the runs that hold a candidate within the H(X | S) bound: the
-            # least of a run's sums is its least distortion's sum
-            run_values = (base_dist[:n, None] + run_dist).ravel()
-            live = np.flatnonzero(run_values <= limit)
-            limits = np.empty(len(live))
-            for j0 in range(0, len(live), block):
-                at, run = np.divmod(live[j0 : j0 + block], len(run_dist))
-                shape = (nx, ncells, len(at))
-                tables = np.take(base, at, axis=2, mode="clip",
-                                 out=table_buf[: nx * ncells * len(at)].reshape(shape))
-                tables += np.take(corners, run, axis=2, mode="clip",
-                                  out=work_buf[: tables.size].reshape(shape))
-                np.minimum(_arimoto_entropy(tables, cfg.alpha), h_s, out=limits[j0 : j0 + block])
-            limits *= cfg.lam
-            limits += cutoff
-            limits[~np.isfinite(limits)] = math.inf
-            hold = run_values[live] <= limits
-            live, limits = live[hold], limits[hold]
-            # the candidates of a block's worth of runs within their run's
-            # bound (a sum is NaN past the slice), in index order
-            for j0 in range(0, len(live), group):
-                at, run = np.divmod(live[j0 : j0 + group], len(run_dist))
-                values = run_rows[run]
-                values += base_dist[at, None]
-                keep = np.flatnonzero(values <= limits[j0 : j0 + len(at), None])
-                if not len(keep):
-                    continue
-                if len(keep) == 1:  # a lone survivor is scored as a pair of copies
-                    keep = np.repeat(keep, 2)
-                runs_at, offset = np.divmod(keep, GRID_RUN_ROWS)
-                prefix_at = at[runs_at]
-                last_at = r0 + GRID_RUN_ROWS * run[runs_at] + offset
-                shape = (nx, ncells, len(keep))
-                work = work_buf[: nx * ncells * len(keep)].reshape(shape)
-                # mode="clip" writes straight to ``out`` ("raise" would buffer);
-                # the last rows' parts pass through the kernel's work buffer
-                tables = np.take(base, prefix_at, axis=2, mode="clip",
-                                 out=table_buf[: work.size].reshape(shape))
-                tables += np.take(parts[-1], last_at, axis=2, mode="clip", out=work)
-                scores = values.ravel()[keep]
-                scores -= cfg.lam * _arimoto_entropy(tables, cfg.alpha, work=work)
-                local = int(np.argmin(scores))
-                if scores[local] < best_obj:
-                    best_obj = float(scores[local])
-                    best_index = (p0 + int(prefix_at[local])) * nr + int(last_at[local])
+            if len(keep) == 1:  # a lone survivor is scored as a pair of copies
+                keep = np.repeat(keep, 2)
+            runs_at, offset = np.divmod(keep, GRID_RUN_ROWS)
+            prefix_at = at[runs_at]
+            last_at = GRID_RUN_ROWS * run[runs_at] + offset
+            shape = (nx, ncells, len(keep))
+            work = work_buf[: nx * ncells * len(keep)].reshape(shape)
+            # mode="clip" writes straight to ``out`` ("raise" would buffer);
+            # the last rows' parts pass through the kernel's work buffer
+            tables = np.take(base, prefix_at, axis=2, mode="clip",
+                             out=table_buf[: work.size].reshape(shape))
+            tables += np.take(parts[-1], last_at, axis=2, mode="clip", out=work)
+            scores = values.ravel()[keep]
+            scores -= cfg.lam * _arimoto_entropy(tables, cfg.alpha, work=work)
+            local = int(np.argmin(scores))
+            if scores[local] < best_obj:
+                best_obj = float(scores[local])
+                best_index = (p0 + int(prefix_at[local])) * nr + int(last_at[local])
     choice = _decode(np.array([best_index]), nr, nw)[0]
     return ReleaseChannel(rows[choice]), best_obj
 

@@ -1,4 +1,4 @@
-"""Evaluation metrics: normalized error, balanced accuracy, rank correlation."""
+"""Evaluation metrics: normalized error and balanced accuracy."""
 
 from __future__ import annotations
 
@@ -42,27 +42,3 @@ def balanced_accuracy(predictions, labels, num_classes) -> float:
         if mask.any():
             recalls.append(float((predictions[mask] == k).mean()))
     return float(np.mean(recalls))
-
-
-def _average_ranks(values):
-    """1-based ranks of ``values``; a tie group shares the mean of the
-    ranks it spans, its cumulative count minus (count - 1) / 2."""
-    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
-
-
-def spearman_rho(a, b) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.size < 2:
-        raise ValidationError("need two equal-length sequences of at least 2 points")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("rank correlation needs finite values")
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = np.sqrt((ra**2).sum() * (rb**2).sum())
-    if denom == 0.0:
-        raise ValidationError("rank correlation undefined for constant sequences")
-    return float((ra * rb).sum() / denom)

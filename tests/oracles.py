@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from alphaprivacy.errors import ValidationError
+
 
 def shannon_direct(p):
     p = np.asarray(p, dtype=float)
@@ -130,6 +132,24 @@ def average_ranks_direct(values):
         1 + sum(w < v for w in values) + (sum(w == v for w in values) - 1) / 2
         for v in values
     ])
+
+
+def spearman_rho(a, b):
+    """Spearman rank correlation with average ranks for ties: the Pearson
+    correlation of the two sequences' average ranks."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.size < 2:
+        raise ValidationError("need two equal-length sequences of at least 2 points")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValidationError("rank correlation needs finite values")
+    ra, rb = average_ranks_direct(a), average_ranks_direct(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    denom = np.sqrt((ra**2).sum() * (rb**2).sum())
+    if denom == 0.0:
+        raise ValidationError("rank correlation undefined for constant sequences")
+    return float((ra * rb).sum() / denom)
 
 
 def si_only_rule_direct(train_s, train_x, eval_s):

@@ -31,7 +31,7 @@ from alphaprivacy.measures import (
     batch_sequence_arimoto_entropy,
     renyi_entropy,
 )
-from alphaprivacy.metrics import normalized_error, spearman_rho
+from alphaprivacy.metrics import normalized_error
 from alphaprivacy.nets import Network, dense, recurrent
 from alphaprivacy.sweep import (
     calibrate_si_correlation,
@@ -51,6 +51,7 @@ from oracles import (
     renyi_entropy_direct,
     sequence_entropy_exhaustive,
     shannon_direct,
+    spearman_rho,
 )
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]

@@ -446,7 +446,7 @@ class TestGridOracleAgainstBruteForce:
     @pytest.mark.parametrize("num_w, num_z, resolution", [(2, 2, 301), (1, 3, 257)])
     def test_blocked_scan_matches_batch_objective(self, num_w, num_z, resolution):
         # more candidates than one block holds: prefix blocks (|W| = 2) and
-        # slices of the last row's grid (|W| = 1, 33153 rows)
+        # many blocks of one last-row grid (|W| = 1, 33153 rows)
         rng = np.random.default_rng(37)
         distortion = np.ones((num_z, num_z)) - np.eye(num_z)
         world = _world(rng.random((2, num_w, num_z)) + 0.05, ("X", "W", "Y"), distortion)
@@ -880,7 +880,7 @@ def allocating_grid_oracle(world, cfg, resolution):
 
 
 # (world, resolution): several workspace blocks with a short last one in
-# every case; single_row_world's 33153-row grid is cut into slices
+# every case; single_row_world's 33153 last-row grid rows fill about half a chunk
 ORACLE_WORLDS = (
     [(lambda p0=p0, flip=flip: noisy_world(p0, flip), 301) for p0, flip in CRITERION5_WORLDS]
     + [(side_world, 301), (wide_world, 11), (single_row_world, 257)]
@@ -916,6 +916,17 @@ class TestGridOracleWorkspace:
             assert obj == want
             np.testing.assert_array_equal(channel.probs, want_channel.probs)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_a_last_row_grid_larger_than_a_chunk_equals_the_allocating_scan(self, alpha, lam):
+        # 80601 last-row grid rows, more than a chunk's candidates
+        assert len(enumerate_grid_rows(3, 401)) > channel_module.GRID_CHUNK_ENTRIES
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam)
+        channel, obj = grid_oracle(single_row_world(), cfg, 401)
+        want_channel, want = allocating_grid_oracle(single_row_world(), cfg, 401)
+        assert obj == want
+        np.testing.assert_array_equal(channel.probs, want_channel.probs)
+
     @pytest.mark.parametrize("make_world, resolution", [(single_row_world, 257),
                                                          (noisy_world, 41)])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -927,7 +938,6 @@ class TestGridOracleWorkspace:
         _, best = grid_oracle(world, cfg, resolution)
         rows = enumerate_grid_rows(world.num_symbols, resolution)
         nr, nw, nx = len(rows), world.size("W"), world.size("X")
-        assert nr <= channel_module.GRID_CHUNK_ENTRIES  # one slice of the last row's grid
         parts = np.einsum("xws,rz->wxzsr", world._xws, rows).reshape(nw, nx, -1, nr)
         # a candidate's table is its prefix's part (none when |W| = 1) plus
         # its last row's, bit for bit
@@ -1064,7 +1074,7 @@ class TestGridOraclePruning:
         shape=st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2)]),
         num_s=st.sampled_from([0, 2]),
         alpha=PRUNING_ORDERS,
-        lam=st.floats(0.05, 3.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
         resolution=st.integers(3, 13),
     )
     def test_equals_the_allocating_scan_on_random_worlds(
@@ -1087,9 +1097,9 @@ class TestGridOraclePruning:
     @pytest.mark.parametrize("make_world", [side_world, single_row_world])
     @pytest.mark.parametrize("lam", [0.3, 0.7, 2.0])
     def test_lone_survivor_is_scored_in_a_pair(self, monkeypatch, make_world, lam):
-        # three candidates per chunk leave many chunks one survivor; at
-        # alpha = 1 a lone table's Shannon sum over 9 or 12 entries would
-        # run pairwise
+        # with one prefix per chunk many scoring calls find one survivor; at
+        # alpha = 1 a lone table's Shannon sum over 9 or 12 entries would run
+        # pairwise
         world, cfg = make_world(), ChannelOptConfig(alpha=1.0, lam=lam)
         want_channel, want = allocating_grid_oracle(world, cfg, 41)
         monkeypatch.setattr(channel_module, "GRID_CHUNK_ENTRIES", 3)

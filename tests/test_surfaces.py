@@ -1,0 +1,71 @@
+"""Every module-level function and class of the package is used outside its
+own definition: by its own module, by another module of the package, by
+``__all__``, or in a ``perfbench/*.py`` script, whose hook table names the
+functions it traces as strings.  A surface that only tests reach fails, so
+it gets a command that uses it or is deleted.  The modules are parsed, not
+imported.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "alphaprivacy"
+# the Bayes adversary's posterior under a channel, public API that the
+# optimizer's tests read the adversary's beliefs from
+KEPT = {"bayes_posterior"}
+
+
+def referenced_names(tree, skip=None):
+    """Names that ``tree`` uses outside the node ``skip``: names, attributes,
+    names imported from a module, and string constants."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unused_surfaces(modules, scripts):
+    """``module.name`` of each module-level function and class in
+    ``modules`` (module name to source) that nothing references outside its
+    own definition; ``scripts`` are the sources of other callers."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    uses = {name: referenced_names(tree) for name, tree in trees.items()}
+    callers = set().union(*(referenced_names(ast.parse(source)) for source in scripts))
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = callers.union(*(used for other, used in uses.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in elsewhere | referenced_names(tree, skip=node):
+                unused.append(f"{name}.{node.name}")
+    return unused
+
+
+def test_every_surface_has_a_caller():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    scripts = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    unused = unused_surfaces(modules, scripts)
+    assert [u for u in unused if u.split(".")[1] not in KEPT] == []
+
+
+def test_the_check_sees_a_surface_only_tests_reach():
+    modules = {
+        "a": "def used():\n    pass\n\n\ndef lonely():\n    return lonely()\n\n\n"
+             "class Hooked:\n    pass\n",
+        "b": "from .a import used\n\n\ndef main():\n    used()\n",
+    }
+    scripts = ['HOOKS = [("pkg.a", "Hooked")]\n']
+    assert unused_surfaces(modules, scripts) == ["a.lonely", "b.main"]
