@@ -28,11 +28,11 @@ MAX_EXACT_ALPHABET = 16
 
 # Halved steps an optimizer iteration tries before it keeps its channel.
 MAX_TRIALS = 40
-# Halved steps scored per backtracking round.  On the criterion-5 worlds
-# about nine iterations in ten accept one of the first four, so one round
-# usually ends an iteration; a wider round wastes trial work on the
-# iterations that accept the full step (width 8 ran an 8 x 8 x 8 world
-# with an S axis 40% slower).
+# Halved steps scored per backtracking round.  At the default step every
+# iteration on the criterion-5 worlds accepts one of the first four (44%
+# the full step), so one round ends an iteration; a wider round wastes
+# trial work (width 8 ran those worlds 45% slower, and an 8 x 8 x 8 world
+# with an S axis 70% slower).
 LADDER_WIDTH = 4
 
 
@@ -163,11 +163,13 @@ class WorldModel:
 
 @dataclass
 class ChannelOptConfig:
-    """Optimizer settings; ``lam`` is the privacy weight."""
+    """Optimizer settings; ``lam`` is the privacy weight.  ``step_size``
+    scales the gradient in log units: a step multiplies each channel entry
+    by ``exp(-step_size * gradient)`` before its row is renormalized."""
 
     alpha: float = 1.0
     lam: float = 0.0
-    step_size: float = 0.5
+    step_size: float = 8.0
     max_iters: int = 500
     tolerance: float = 1e-10
     restarts: int = 4
@@ -251,23 +253,6 @@ def releaser_objective(
     return float(_batch_objective(world, channel.probs[None], cfg)[0])
 
 
-def _project_rows(mat):
-    """Row-wise Euclidean projection of a 2-D array onto the simplex
-    (sort-based).  The projection is shift-invariant, so each row is first
-    shifted to a maximum of 0: then tau lies in (0, 1] and every kept entry
-    in (-1, 0], and the projected row sums to 1 up to the rounding of
-    numbers no larger than 1, whatever the scale of the row."""
-    mat = mat - mat.max(axis=1, keepdims=True)
-    n = mat.shape[1]
-    u = -np.sort(-mat, axis=1)
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, n + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index satisfying cond
-    tau = (1.0 - css[np.arange(mat.shape[0]), rho]) / (rho + 1.0)
-    return np.maximum(mat + tau[:, None], 0.0)
-
-
 def objective_gradient(world: WorldModel, channel: ReleaseChannel, cfg: ChannelOptConfig):
     """Analytic gradient of :func:`releaser_objective` in the channel entries,
     treating the Bayes adversary as re-solved at the current channel.
@@ -314,17 +299,20 @@ def _check_finite_step(cfg: ChannelOptConfig, values):
         )
 
 
-# overflow is reported by _check_finite_step, once, without NumPy's warnings
-@np.errstate(over="ignore", invalid="ignore")
+# log 0 = -inf keeps an underflowed entry at zero; overflow is reported by
+# _check_finite_step, once, without NumPy's warnings
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def optimize_channel(
     world: WorldModel, cfg: ChannelOptConfig, seed: int
 ) -> ChannelOptResult:
-    """Projected gradient descent on the channel against the exact Bayes
-    adversary.
+    """Exponentiated gradient (mirror) descent on the channel against the
+    exact Bayes adversary.
 
     Rows are initialized from a flat Dirichlet; each iteration takes a
-    gradient step with backtracking (step halved until the objective does
-    not increase) and re-projects every row onto the simplex.  Runs
+    multiplicative step with backtracking (step halved until the objective
+    does not increase): each row becomes the softmax of ``log P - step *
+    gradient``, a distribution with no projection, in which an entry
+    reaches zero only if its exp underflows.  Runs
     ``cfg.restarts`` independent starts and keeps the best; the returned
     trace belongs to the winning start and is non-increasing.  A start
     stops once the per-iteration improvement falls below ``cfg.tolerance``;
@@ -334,18 +322,18 @@ def optimize_channel(
     The starts run as one ``(R, |W|, |Z|)`` stack, and their halvings as a
     step ladder: each backtracking round takes the next ``LADDER_WIDTH``
     halved steps ``step_size * 2**-k`` of every start still halving as one
-    ``(LADDER_WIDTH * n, |W|, |Z|)`` stack, which gets one projection, one
-    row check and one objective call, and each start keeps its first
-    accepted step, as halving one step at a time would.  The objective call
-    returns the gradients too, and a start's accepted trial carries its
-    gradient into the next iteration, so no iteration makes a separate
-    gradient call.  Numerics: NumPy sums a stack's entries in order, but a
-    lone channel's (n = 1) contiguous sums pairwise from 8 entries on: the
-    Shannon sum over |X| * |Z| * |S| entries at alpha = 1, else the
-    log-sum-exp over |Z| * |S| cells.  Where that sum has 8 or more terms,
-    the result can differ by a few ulps from restarts run one at a time,
-    and from halving one step at a time whenever that scored a lone
-    channel; elsewhere it is bit-identical to both.
+    ``(LADDER_WIDTH * n, |W|, |Z|)`` stack, which gets one row update and
+    one objective call, and each start keeps its first accepted step, as
+    halving one step at a time would.  The objective call returns the
+    gradients too, and a start's accepted trial carries its gradient into
+    the next iteration, so no iteration makes a separate gradient call.
+    Numerics: NumPy sums a stack's entries in order, but a lone channel's
+    (n = 1) contiguous sums pairwise from 8 entries on: the Shannon sum
+    over |X| * |Z| * |S| entries at alpha = 1, else the log-sum-exp over
+    |Z| * |S| cells.  Where that sum has 8 or more terms, the result can
+    differ by a few ulps from restarts run one at a time, and from halving
+    one step at a time whenever that scored a lone channel; elsewhere it
+    is bit-identical to both.
     """
     check_count("seed", seed, 0)
     for lbl in world.joint.axis_labels:
@@ -378,10 +366,12 @@ def optimize_channel(
         before = obj[active]
         pending = active  # starts still halving
         for ladder in rounds:
-            moved = probs[pending] - ladder * grad[pending]  # (rung, start, |W|, |Z|)
-            trials = _project_rows(moved.reshape(-1, nz)).reshape(-1, nw, nz)
+            # rung-major: the softmax of log P - step * grad, row by row
+            trials = (np.log(probs[pending]) - ladder * grad[pending]).reshape(-1, nw, nz)
+            trials -= trials.max(axis=-1, keepdims=True)
+            np.exp(trials, out=trials)
+            trials /= trials.sum(axis=-1, keepdims=True)
             _check_finite_step(cfg, trials)
-            _check_channel_rows(trials)
             values, grads = _batch_objective(world, trials, cfg, grad=True)
             accept = values.reshape(LADDER_WIDTH, -1) <= obj[pending]
             hit = accept.any(axis=0)

@@ -294,13 +294,16 @@ def build_parser():
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_measures)
 
+    defaults = ChannelOptConfig()
     p = sub.add_parser("optimize", help="exact release-channel optimization")
     p.add_argument("--world", required=True, help="world model JSON")
-    p.add_argument("--alpha", dest="alpha_value", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--alpha", dest="alpha_value", type=float, default=defaults.alpha)
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-size", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--step-size", type=float, default=defaults.step_size,
+                   help="gradient step, in log units (default %(default)g)")
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters,
+                   help="iterations per restart (default %(default)d)")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_optimize)
 

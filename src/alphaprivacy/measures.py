@@ -178,9 +178,11 @@ def _arimoto_entropy(table, alpha, grad=False, work=None):
     new one.  The table itself is only read.
 
     With ``grad`` the result is ``(value, dH/dtable)``.  Boundary
-    convention: entries whose mass is zero get gradient 0 (they are flat
-    from inside the feasible set for alpha >= 1 and are pinned for
-    alpha < 1 as well).
+    convention: entries whose mass is zero get gradient 0, the limit from
+    inside the feasible set for alpha > 1.  For alpha <= 1 the slope of
+    such an entry is infinite when its cell holds other mass; the channel
+    optimizer's multiplicative steps keep its iterates interior, so a zero
+    reaches it only where an entry's exp underflowed.
     """
     logj = _masked_log(table, out=work)
     if alpha == 1.0:

@@ -100,30 +100,6 @@ def random_joint(rng, shape):
     return table / table.sum()
 
 
-def simplex_projection_exhaustive(v):
-    """Exact projection onto the simplex by enumerating active sets.
-
-    For each candidate support S, the equality-constrained minimizer is
-    v_i + (1 - sum_S v) / |S| on S and 0 elsewhere; the best feasible
-    candidate over all supports is the projection.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    best, best_dist = None, np.inf
-    for mask_bits in range(1, 2**n):
-        mask = np.array([(mask_bits >> i) & 1 for i in range(n)], dtype=bool)
-        x = np.zeros(n)
-        shift = (1.0 - v[mask].sum()) / mask.sum()
-        x[mask] = v[mask] + shift
-        if np.any(x[mask] < -1e-12):
-            continue
-        x = np.clip(x, 0.0, None)
-        dist = np.sum((x - v) ** 2)
-        if dist < best_dist - 1e-15:
-            best, best_dist = x, dist
-    return best
-
-
 def average_ranks_direct(values):
     """1-based average ranks from the definition: one plus the number of
     smaller values, plus half the number of other values equal to it."""

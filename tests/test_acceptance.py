@@ -232,7 +232,7 @@ def test_criterion_4_gradient_fidelity():
 
 
 def test_criterion_5_exact_optimizer_vs_oracle():
-    """Projected gradient matches an exhaustive resolution-1001 grid."""
+    """Exponentiated gradient matches an exhaustive resolution-1001 grid."""
     instances = [
         (0.5, 0.0, 2.0, 0.5), (0.5, 0.2, 2.0, 0.5), (0.6, 0.1, 2.0, 0.3),
         (0.3, 0.15, 0.5, 0.8), (0.5, 0.0, 3.0, 1.0), (0.7, 0.25, 1.0, 0.4),

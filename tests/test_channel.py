@@ -21,7 +21,6 @@ from alphaprivacy.channel import (
     _batch_objective,
     _check_channel_rows,
     _decode,
-    _project_rows,
     bayes_posterior,
     enumerate_grid_rows,
     expected_distortion,
@@ -33,8 +32,6 @@ from alphaprivacy.channel import (
 )
 from alphaprivacy.errors import DataFormatError, ValidationError
 from alphaprivacy.measures import JointPmf, Pmf, arimoto_conditional_entropy, renyi_entropy
-
-from oracles import simplex_projection_exhaustive
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -220,44 +217,6 @@ class TestReleaserObjective:
         batch = _batch_objective(world, channels, cfg)
         for i in range(32):
             assert batch[i] == releaser_objective(world, ReleaseChannel(channels[i]), cfg)
-
-
-def project(v):
-    """One vector through the row-wise simplex projection."""
-    return _project_rows(np.array([v], dtype=np.float64))[0]
-
-
-class TestSimplexProjection:
-    def test_symmetric_point(self):
-        np.testing.assert_allclose(project([0.6, 0.6]), [0.5, 0.5], atol=1e-15)
-
-    def test_idempotent_on_simplex_points(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(4))
-            np.testing.assert_allclose(project(p), p, atol=1e-12)
-
-    def test_clipping_case(self):
-        np.testing.assert_allclose(project([1.2, -0.3]), [1.0, 0.0], atol=1e-15)
-
-    def test_matches_active_set_enumeration(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            v = rng.normal(scale=2.0, size=n)
-            np.testing.assert_allclose(project(v), simplex_projection_exhaustive(v), atol=1e-10)
-
-    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e9, 1e12, -1e12])
-    def test_rows_far_from_the_simplex_keep_their_normalization(self, offset):
-        # the projection is shift-invariant: an offset row projects as the
-        # row itself (up to the rounding of the offset sum), and its sum
-        # stays 1 to a few ulps, not to a few ulps of the offset
-        rows = np.random.default_rng(14).normal(size=(200, 4))
-        got = _project_rows(rows + offset)
-        np.testing.assert_allclose(got, _project_rows(rows), rtol=0,
-                                   atol=4 * np.spacing(abs(offset)))
-        assert np.abs(got.sum(axis=1) - 1.0).max() <= 4e-16
-        _check_channel_rows(got)
 
 
 class TestObjectiveGradient:
@@ -497,6 +456,55 @@ class TestOptimizerProperties:
         for rival in rivals:
             assert got <= releaser_objective(world, ReleaseChannel(rival), cfg) + 1e-6
 
+    @pytest.mark.parametrize("p0, flip, alpha, lam, step_size", [
+        (0.7, 0.25, 1.0, 0.4, 8.0),
+        (0.7, 0.25, 1.0, 0.4, 16.0),
+        (0.7, 0.25, 1.0, 0.4, 32.0),
+        (0.3, 0.15, 0.5, 0.8, 32.0),
+    ])
+    def test_large_steps_reach_the_grid_optimum(self, p0, flip, alpha, lam, step_size):
+        # W = X, so p(z = 1 | w = 0) = 0 sits inside the live cell z = 1, where
+        # the entropy's slope is infinite at alpha <= 1 but the kernel reads 0:
+        # a step that lands an iterate on that face stops it there, converged,
+        # 6.25e-3 to 1.88e-2 above the optimum
+        world = noisy_world(p0, flip)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam, step_size=step_size, max_iters=400)
+        result = optimize_channel(world, cfg, seed=7)
+        _, grid_obj = grid_oracle(world, cfg, resolution=1001)
+        assert releaser_objective(world, result.channel, cfg) <= grid_obj + 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nx=st.sampled_from([2, 3]),
+        ny=st.sampled_from([2, 3]),
+        nw_nz=st.sampled_from([(2, 2), (3, 2), (2, 3)]),  # at most 4 free parameters
+        with_side_info=st.booleans(),
+        sparse=st.booleans(),
+        alpha=st.sampled_from([0.5, 0.9, 1.0, 1.1, 2.0, 3.0, 10.0]),
+        lam=st.floats(0.1, 1.5),
+    )
+    def test_default_step_reaches_the_grid_oracle(
+        self, seed, nx, ny, nw_nz, with_side_info, sparse, alpha, lam
+    ):
+        # a sparse joint leaves zero entries inside live cells, as W = X does
+        nw, nz = nw_nz
+        rng = np.random.default_rng(seed)
+        shape = (nx, nw, ny, 2) if with_side_info else (nx, nw, ny)
+        table = rng.random(shape) + 0.02
+        if sparse:
+            table[rng.random(shape) < 0.4] = 0.0
+            table.flat[0] = 1.0
+        distortion = rng.random((nz, ny))
+        if nz == ny:
+            np.fill_diagonal(distortion, 0.0)
+        world = _world(table, ("X", "W", "Y", "S")[: len(shape)], distortion)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam)
+        result = optimize_channel(world, cfg, seed)
+        resolution = 201 if free_parameter_count(world) <= 2 else 31
+        _, grid_obj = grid_oracle(world, cfg, resolution)
+        assert releaser_objective(world, result.channel, cfg) <= grid_obj + 1e-3
+
 
 class TestChannelOptConfigValidation:
     @pytest.mark.parametrize("field", ["max_iters", "restarts"])
@@ -522,6 +530,17 @@ class TestChannelOptConfigValidation:
             ChannelOptConfig(**{field: value})
 
 
+def multiplicative_step(probs, step, grad):
+    """optimize_channel's row update, the row softmax of log P - step * grad,
+    with the same ufuncs in the same order."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        trial = np.log(probs) - step * grad
+        trial -= trial.max(axis=-1, keepdims=True)
+        np.exp(trial, out=trial)
+        trial /= trial.sum(axis=-1, keepdims=True)
+    return trial
+
+
 def serial_optimize(world, cfg, seed):
     """optimize_channel one restart at a time through the public
     single-channel functions: the reference for the stacked engine.
@@ -537,8 +556,7 @@ def serial_optimize(world, cfg, seed):
             grad = objective_gradient(world, channel, cfg)
             step, cand, cand_obj = cfg.step_size, channel, obj
             for _ in range(40):
-                moved = channel.probs - step * grad
-                trial = ReleaseChannel(_project_rows(moved))
+                trial = ReleaseChannel(multiplicative_step(channel.probs, step, grad))
                 trial_obj = releaser_objective(world, trial, cfg)
                 if trial_obj <= obj:
                     cand, cand_obj = trial, trial_obj
@@ -656,9 +674,10 @@ class TestStackedRestarts:
 
 def halving_optimize(world, cfg, seed):
     """optimize_channel as it was before its step ladder: per iteration one
-    gradient call over the live restarts, then one projection, row check
-    and objective call per halving for the restarts still halving.  The
-    reference for the ladder, which must take the same steps."""
+    gradient call over the live restarts, then one multiplicative row step,
+    row check and objective call per halving for the restarts still
+    halving.  The reference for the ladder, which must take the same
+    steps."""
     nw, nz = world.size("W"), world.num_symbols
     probs = np.stack([
         np.random.default_rng(np.random.SeedSequence([int(seed), r])).dirichlet(
@@ -677,8 +696,7 @@ def halving_optimize(world, cfg, seed):
         pending = np.arange(len(active))
         for _ in range(40):
             rows = active[pending]
-            trial = probs[rows] - step * grad[pending]
-            trial = _project_rows(trial.reshape(-1, nz)).reshape(trial.shape)
+            trial = multiplicative_step(probs[rows], step, grad[pending])
             _check_channel_rows(trial)
             trial_obj = _batch_objective(world, trial, cfg)
             accept = trial_obj <= obj[rows]
@@ -766,7 +784,7 @@ class TestStepLadder:
     ])
     def test_large_step_takes_several_rounds(self, monkeypatch, make_world, alpha):
         world = make_world()
-        cfg = ChannelOptConfig(alpha=alpha, lam=1.5, step_size=64, max_iters=80)
+        cfg = ChannelOptConfig(alpha=alpha, lam=1.5, step_size=1024, max_iters=80)
         calls = count_kernel_calls(monkeypatch)
         got = optimize_channel(world, cfg, seed=2)
         # one call for the starts, then more than one round per iteration
@@ -778,8 +796,8 @@ class TestStepLadder:
         (1e6, 64, 3), (1e8, 0.5, 1), (1e15, 64, 1),
     ])
     def test_huge_lambda_runs_as_halving_runs(self, lam, step_size, seed):
-        # huge gradients move the trial rows far from the simplex; the
-        # projection must still return rows that sum to 1
+        # huge gradients push the trial rows' entries to underflow; the
+        # multiplicative step must still return rows that sum to 1
         world = _random_square_world(3, 2, True)
         cfg = ChannelOptConfig(alpha=10.0, lam=lam, step_size=step_size, max_iters=50)
         got = optimize_channel(world, cfg, seed)
@@ -787,12 +805,33 @@ class TestStepLadder:
         assert_same_as_halving(got, world, cfg, seed)
 
     def test_large_lambda_on_the_side_world_finishes(self):
-        # steps of order 1e6 move the rows far from the simplex; unshifted,
-        # their projections missed a row sum of 1 by 3.6e-12 and the run aborted
+        # steps of order 1e6 underflow most entries to zero; the rows must
+        # still sum to 1 within NORMALIZATION_TOL, or the run aborts
         cfg = ChannelOptConfig(alpha=0.5, lam=1e6)
         got = optimize_channel(side_world(), cfg, seed=1)
         assert all(b <= a for a, b in zip(got.trace, got.trace[1:]))
         assert_same_as_halving(got, side_world(), cfg, 1)
+
+    @pytest.mark.parametrize("make_world, alpha, lam", [
+        (lambda: noisy_world(0.55, 0.3), 0.5, 0.0),
+        (lambda: noisy_world(0.55, 0.3), 2.0, 0.0),
+        (side_world, 2.0, 1.5),
+        (side_world, 3.0, 0.7),
+    ])
+    def test_an_underflowed_entry_stays_zero(self, make_world, alpha, lam):
+        # step * gradient gaps above about 745 underflow entries to exactly 0,
+        # and a later step starts from them: log 0 = -inf keeps them at 0
+        # without NumPy's warnings, where P * exp(-step * grad) made 0/0
+        world = make_world()
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam, step_size=1e4, max_iters=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = optimize_channel(world, cfg, seed=7)
+        assert (got.channel.probs == 0.0).any() and len(got.trace) > 2
+        _check_channel_rows(got.channel.probs)
+        _, grid_obj = grid_oracle(world, cfg, resolution=201)
+        assert releaser_objective(world, got.channel, cfg) <= grid_obj + 1e-12
+        assert_same_as_halving(got, world, cfg, 7)
 
     def test_overflowing_step_fails_as_halving_fails(self):
         # step_size * gradient overflows, so the first trial rows are non-finite;
@@ -812,9 +851,10 @@ class TestStepLadder:
 
 class TestCallBudget:
     def test_about_one_kernel_call_per_iteration(self, monkeypatch):
-        # alpha = 2, lambda = 1.5 runs every iteration, and about half of
-        # them need 5 to 8 halvings, i.e. two rounds of the ladder; the
-        # halving loop made 1900 calls here (4.75 per iteration)
+        # alpha = 2, lambda = 1.5 runs every iteration, and each accepts one
+        # of its first four halvings (most the third or fourth), i.e. one
+        # round of the ladder: 401 calls; the halving loop made 1985 here
+        # (4.96 per iteration)
         calls = count_kernel_calls(monkeypatch)
         cfg = ChannelOptConfig(alpha=2.0, lam=1.5, max_iters=400)
         result = optimize_channel(noisy_world(0.55, 0.3), cfg, seed=0)

@@ -11,7 +11,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from alphaprivacy.cli import _build_run_pieces, main
+from alphaprivacy.channel import ChannelOptConfig
+from alphaprivacy.cli import _build_run_pieces, build_parser, main
 from alphaprivacy.datasets import SynthConfig
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.plotting import curves_csv, tradeoff_svg
@@ -155,6 +156,17 @@ class TestOptimizeCommand:
         trace = doc["trace"]
         assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
 
+    def test_defaults_are_the_optimizer_config_defaults(self, capsys):
+        args = build_parser().parse_args(["optimize", "--world", "world.json"])
+        defaults = ChannelOptConfig()
+        assert (args.alpha_value, args.lam, args.step_size, args.max_iters) == (
+            defaults.alpha, defaults.lam, defaults.step_size, defaults.max_iters
+        )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["optimize", "--help"])
+        usage = capsys.readouterr().out
+        assert f"(default {defaults.step_size:g})" in usage
+        assert f"(default {defaults.max_iters})" in usage
 
     @pytest.mark.parametrize("field, value", [
         ("joint", [0.5, 0, 0, 0, 0, 0, 0, "half"]),

@@ -2,7 +2,9 @@
 own definition: by its own module, by another module of the package, by
 ``__all__``, or in a ``perfbench/*.py`` script, whose hook table names the
 functions it traces as strings.  A surface that only tests reach fails, so
-it gets a command that uses it or is deleted.  The modules are parsed, not
+it gets a command that uses it or is deleted.  Likewise every oracle in
+``tests/oracles.py`` is read by a test module or a ``perfbench/*.py``
+script, so an oracle outlives no subject.  The modules are parsed, not
 imported.
 """
 
@@ -59,6 +61,23 @@ def test_every_surface_has_a_caller():
     scripts = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     unused = unused_surfaces(modules, scripts)
     assert [u for u in unused if u.split(".")[1] not in KEPT] == []
+
+
+def test_every_oracle_has_a_reader():
+    tests = ROOT / "tests"
+    oracles = {"oracles": (tests / "oracles.py").read_text()}
+    readers = [p.read_text() for p in sorted(tests.glob("*.py")) if p.name != "oracles.py"]
+    readers += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unused_surfaces(oracles, readers) == []
+
+
+def test_the_check_sees_an_oracle_no_test_reads():
+    oracles = {
+        "oracles": "def used_direct(p):\n    return p\n\n\n"
+                   "def orphan_direct(p):\n    return orphan_direct(p)\n",
+    }
+    readers = ["from oracles import used_direct\n\n\ndef test_it():\n    used_direct(1)\n"]
+    assert unused_surfaces(oracles, readers) == ["oracles.orphan_direct"]
 
 
 def test_the_check_sees_a_surface_only_tests_reach():
