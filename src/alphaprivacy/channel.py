@@ -14,14 +14,13 @@ pathway covers instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError, check_count, check_real
-from .fileio import read_json, write_text_atomic
+from .fileio import read_json
 from .measures import ZERO_PROB, JointPmf, _arimoto_entropy, _check_distributions
 
 MAX_EXACT_ALPHABET = 16
@@ -115,21 +114,10 @@ class WorldModel:
     def size(self, label):
         return self.joint.probs.shape[self.joint.axis(label)]
 
-    # --- JSON round trip ------------------------------------------------
+    # --- JSON reader -----------------------------------------------------
     # Schema: {"axes": ["X","W","Y"(,"S")], "sizes": {axis: int, "Z": int},
     #          "joint": [row-major flat probabilities over the axes],
     #          "distortion": [[d(z,y) ...] per z]}
-
-    def to_dict(self):
-        return {
-            "axes": list(self.joint.axis_labels),
-            "sizes": {
-                **{lbl: int(self.size(lbl)) for lbl in self.joint.axis_labels},
-                "Z": int(self.num_symbols),
-            },
-            "joint": self.joint.probs.ravel().tolist(),
-            "distortion": self.distortion_table.tolist(),
-        }
 
     @classmethod
     def from_dict(cls, doc):
@@ -147,6 +135,8 @@ class WorldModel:
             raise DataFormatError(
                 f"world joint has {flat.size} entries, expected {int(np.prod(shape))}"
             )
+        if table.ndim != 2:
+            raise DataFormatError(f"world distortion must be a table, got shape {table.shape}")
         if "Z" in sizes and table.shape[0] != sizes["Z"]:
             raise DataFormatError(
                 f"distortion table has {table.shape[0]} rows, sizes.Z = {sizes['Z']}"
@@ -156,9 +146,6 @@ class WorldModel:
     @classmethod
     def from_json(cls, path):
         return cls.from_dict(read_json(path))
-
-    def to_json(self, path):
-        write_text_atomic(path, json.dumps(self.to_dict(), indent=2))
 
 
 @dataclass
@@ -240,6 +227,7 @@ def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterio
 
 def expected_distortion(world: WorldModel, channel: ReleaseChannel) -> float:
     """E[d(Z, Y)] under the induced joint, by exact summation."""
+    _check_channel_shape(world, channel.probs)
     return float(np.sum(channel.probs * world._cost))
 
 
@@ -327,13 +315,8 @@ def optimize_channel(
     halving one step at a time would.  The objective call returns the
     gradients too, and a start's accepted trial carries its gradient into
     the next iteration, so no iteration makes a separate gradient call.
-    Numerics: NumPy sums a stack's entries in order, but a lone channel's
-    (n = 1) contiguous sums pairwise from 8 entries on: the Shannon sum
-    over |X| * |Z| * |S| entries at alpha = 1, else the log-sum-exp over
-    |Z| * |S| cells.  Where that sum has 8 or more terms, the result can
-    differ by a few ulps from restarts run one at a time, and from halving
-    one step at a time whenever that scored a lone channel; elsewhere it
-    is bit-identical to both.
+    The stack and the ladder return, bit for bit, what the restarts run
+    one at a time, halving one step at a time, return.
     """
     check_count("seed", seed, 0)
     for lbl in world.joint.axis_labels:
@@ -489,12 +472,10 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
     running best) by more than the kernel's rounding (:func:`_bound_slack`)
     is ruled out.  The survivors are gathered in index order into a table
     buffer and scored at most ``max(GRID_RUN_ROWS, GRID_BLOCK_ENTRIES //
-    (|X| * cells))`` per kernel call, and never alone: a lone candidate's
-    sums would run pairwise (see :func:`optimize_channel`), so it is scored
-    twice over.  The scoring calls alone pass the kernel a ``work`` buffer.
-    Every buffer is allocated once per call, and each scoring call's arrays
-    are leading, C-contiguous parts of them, so the values are those of a
-    full scan to the bit.
+    (|X| * cells))`` per kernel call.  The scoring calls alone pass the
+    kernel a ``work`` buffer.  Every buffer is allocated once per call, and
+    each scoring call's arrays are leading, C-contiguous parts of them, so
+    the values are those of a full scan to the bit.
     """
     nfree = free_parameter_count(world)
     if nfree > 4:
@@ -569,8 +550,6 @@ def grid_oracle(world: WorldModel, cfg: ChannelOptConfig, resolution: int):
             keep = np.flatnonzero(values <= limits[j0 : j0 + len(at), None])
             if not len(keep):
                 continue
-            if len(keep) == 1:  # a lone survivor is scored as a pair of copies
-                keep = np.repeat(keep, 2)
             runs_at, offset = np.divmod(keep, GRID_RUN_ROWS)
             prefix_at = at[runs_at]
             last_at = GRID_RUN_ROWS * run[runs_at] + offset

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import ChannelOptConfig, WorldModel, expected_distortion, optimize_channel, releaser_objective
+from .channel import ChannelOptConfig, WorldModel, expected_distortion, optimize_channel
 from .datasets import BatchStream, SynthConfig, train_eval_split
 from .errors import DataFormatError, DivergenceError, ValidationError, check_count, is_count
 from .fileio import read_json, write_text_atomic
@@ -118,7 +118,7 @@ def cmd_optimize(args):
         max_iters=args.max_iters,
     )
     result = optimize_channel(world, cfg, seed=args.seed)
-    objective = releaser_objective(world, result.channel, cfg)
+    objective = result.trace[-1]
     doc = {
         "alpha": cfg.alpha,
         "lambda": cfg.lam,

@@ -183,7 +183,15 @@ def _arimoto_entropy(table, alpha, grad=False, work=None):
     such an entry is infinite when its cell holds other mass; the channel
     optimizer's multiplicative steps keep its iterates interior, so a zero
     reaches it only where an entry's exp underflowed.
+
+    A batched table gets the same value and gradient, bit for bit, alone
+    as in any batch.  NumPy sums a batch's reductions entry by entry but
+    the contiguous reductions of a one-element batch pairwise, so such a
+    batch is scored as a pair of copies.
     """
+    if table.ndim > 2 and table[0, 0].size == 1:
+        out = _arimoto_entropy(np.concatenate((table, table), axis=-1), alpha, grad)
+        return (out[0][..., :1], out[1][..., :1]) if grad else out[..., :1]
     logj = _masked_log(table, out=work)
     if alpha == 1.0:
         # H(X | cells) = H(joint) - H(cells)
@@ -264,8 +272,13 @@ def _per_model(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _x_first(joint: JointPmf):
-    """The joint's table as (X, cells): private axis first, the rest flat."""
+def _x_first(joint: JointPmf, name, labels=("X", "Z")):
+    """The joint's table as (X, cells): private axis first, the rest flat.
+    A ValidationError naming ``name`` unless the joint's axes are ``labels``."""
+    if set(joint.axis_labels) != set(labels):
+        raise ValidationError(
+            f"{name}: expected axes {', '.join(labels)}, got {joint.axis_labels}"
+        )
     table = np.moveaxis(joint.probs, joint.axis("X"), 0)
     return table.reshape(table.shape[0], -1)
 
@@ -287,18 +300,14 @@ def arimoto_conditional_entropy(joint: JointPmf, alpha) -> float:
     probability contribute nothing.
     """
     alpha = float(check_real("alpha", alpha, 0.0, strict=True))
-    if set(joint.axis_labels) != {"X", "Z"}:
-        raise ValidationError(
-            f"arimoto_conditional_entropy: expected axes X and Z, got {joint.axis_labels}"
-        )
-    return float(_arimoto_entropy(_x_first(joint), alpha))
+    return float(_arimoto_entropy(_x_first(joint, "arimoto_conditional_entropy"), alpha))
 
 
 def alpha_mutual_information(joint: JointPmf, alpha) -> float:
     """Arimoto alpha-mutual information I^A_alpha(X; Z) = H_alpha(X) - H^A_alpha(X|Z)."""
     alpha = float(check_real("alpha", alpha, 0.0, strict=True))
-    h_x = renyi_entropy(joint.marginal(("X",)), alpha)
-    return h_x - float(_arimoto_entropy(_x_first(joint), alpha))
+    table = _x_first(joint, "alpha_mutual_information")
+    return renyi_entropy(joint.marginal(("X",)), alpha) - float(_arimoto_entropy(table, alpha))
 
 
 def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
@@ -306,12 +315,9 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
     I^A_alpha(X; Z | S) = H^A_alpha(X | S) - H^A_alpha(X | Z, S).
     """
     alpha = float(check_real("alpha", alpha, 0.0, strict=True))
-    if set(joint.axis_labels) != {"X", "Z", "S"}:
-        raise ValidationError(
-            f"conditional_alpha_mi_given_s: expected axes X, Z, S, got {joint.axis_labels}"
-        )
+    table = _x_first(joint, "conditional_alpha_mi_given_s", ("X", "Z", "S"))
     h_x_given_s = _arimoto_entropy(joint.marginal(("X", "S")).probs, alpha)
-    return float(h_x_given_s - _arimoto_entropy(_x_first(joint), alpha))
+    return float(h_x_given_s - _arimoto_entropy(table, alpha))
 
 
 def batch_sequence_arimoto_entropy(posteriors: PosteriorBatch, alpha) -> float:

@@ -54,6 +54,17 @@ def noisy_world(p0=0.5, flip=0.2):
     return WorldModel(JointPmf(table, ("X", "W", "Y")), HAMMING)
 
 
+def world_document(world):
+    """The JSON document ``WorldModel.from_dict`` reads for ``world``."""
+    return {
+        "axes": list(world.joint.axis_labels),
+        "sizes": {**{a: world.size(a) for a in world.joint.axis_labels},
+                  "Z": world.num_symbols},
+        "joint": world.joint.probs.ravel().tolist(),
+        "distortion": world.distortion_table.tolist(),
+    }
+
+
 class TestWorldModel:
     def test_rejects_negative_distortion(self):
         joint = JointPmf(np.full((2, 2, 2), 0.125), ("X", "W", "Y"))
@@ -68,7 +79,7 @@ class TestWorldModel:
     def test_json_round_trip(self, tmp_path):
         world = noisy_world(0.6, 0.1)
         path = tmp_path / "world.json"
-        world.to_json(path)
+        path.write_text(json.dumps(world_document(world)))
         back = WorldModel.from_json(path)
         np.testing.assert_array_equal(back.joint.probs, world.joint.probs)
         np.testing.assert_array_equal(back.distortion_table, world.distortion_table)
@@ -83,7 +94,7 @@ class TestWorldModel:
     @pytest.mark.parametrize("axis, value", [("X", 2.9), ("W", 2.0), ("Y", True), ("Z", 2.9),
                                               ("Z", "2"), ("X", 0)])
     def test_sizes_must_be_counts(self, axis, value):
-        doc = WorldModel(copy_world().joint, HAMMING).to_dict()
+        doc = world_document(copy_world())
         doc["sizes"][axis] = value
         with pytest.raises(DataFormatError, match=f"sizes.{axis} must be an integer >= 1"):
             WorldModel.from_dict(doc)
@@ -208,6 +219,13 @@ class TestReleaserObjective:
             channel = ReleaseChannel(probs)
             assert releaser_objective(world, channel, cfg) == expected_distortion(world, channel)
             assert batch[i] == expected_distortion(world, channel)
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [[0.2, 0.3, 0.5]], np.full((2, 3), 1 / 3)])
+    def test_channel_of_the_wrong_shape_rejected(self, probs):
+        world, cfg = copy_world(), ChannelOptConfig(alpha=2.0, lam=0.5)
+        for score in (expected_distortion, lambda w, c: releaser_objective(w, c, cfg)):
+            with pytest.raises(ValidationError, match="^channel has "):
+                score(world, ReleaseChannel(probs))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
     def test_stacked_objective_equals_single_channel_bit_for_bit(self, alpha):
@@ -604,8 +622,6 @@ class TestStackedRestarts:
         [(0.5, 0.0), (0.5, 0.7), (1.0, 0.0), (2.0, 0.0), (2.0, 0.7), (3.0, 0.0), (3.0, 0.7)],
     )
     def test_side_information_world_matches_serial_bit_for_bit(self, alpha, lam):
-        # |X| = 2, |Z| = |S| = 2: below 8 entries in every kernel reduction
-        # except the alpha = 1 Shannon sum (see the pairwise test below)
         world = _random_square_world(3, 2, True)
         cfg = ChannelOptConfig(alpha=alpha, lam=lam, max_iters=150)
         for seed in (1, 2):
@@ -615,7 +631,6 @@ class TestStackedRestarts:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_three_symbol_world_matches_serial_bit_for_bit(self, alpha, lam):
-        # |W| = |Z| = 3: the distortion sums 9 entries, pairwise in both paths
         world = _random_square_world(5, 3, False)
         cfg = ChannelOptConfig(alpha=alpha, lam=lam, max_iters=150)
         want, _ = serial_optimize(world, cfg, seed=6)
@@ -624,18 +639,14 @@ class TestStackedRestarts:
     @pytest.mark.parametrize(
         "make_world", [lambda: _random_square_world(3, 2, True), side_world]
     )
-    def test_pairwise_sums_agree_within_1e_9(self, make_world):
-        # at alpha = 1 the Shannon sum spans |X| * |Z| * |S| >= 8 entries, and
-        # the |X| = 3 world's gradient sums |X| * |S| = 6 terms: a lone
-        # channel sums pairwise, a stack in entry order
+    def test_shannon_sums_of_eight_or_more_terms_match_serial_bit_for_bit(self, make_world):
+        # at alpha = 1 the Shannon sum spans |X| * |Z| * |S| >= 8 entries
         world = make_world()
         cfg = ChannelOptConfig(alpha=1.0, lam=0.7, max_iters=300)
         want, _ = serial_optimize(world, cfg, seed=4)
         got = optimize_channel(world, cfg, seed=4)
-        assert got.trace[-1] == pytest.approx(want.trace[-1], abs=1e-9)
-        assert releaser_objective(world, got.channel, cfg) == pytest.approx(
-            want.trace[-1], abs=1e-9
-        )
+        assert_same_result(got, want)
+        assert releaser_objective(world, got.channel, cfg) == want.trace[-1]
 
     def test_single_restart(self):
         world = noisy_world(0.6, 0.1)
@@ -672,73 +683,6 @@ class TestStackedRestarts:
         assert_same_result(got, serial_optimize(world, cfg, seed=9)[0])
 
 
-def halving_optimize(world, cfg, seed):
-    """optimize_channel as it was before its step ladder: per iteration one
-    gradient call over the live restarts, then one multiplicative row step,
-    row check and objective call per halving for the restarts still
-    halving.  The reference for the ladder, which must take the same
-    steps."""
-    nw, nz = world.size("W"), world.num_symbols
-    probs = np.stack([
-        np.random.default_rng(np.random.SeedSequence([int(seed), r])).dirichlet(
-            np.ones(nz), size=nw
-        )
-        for r in range(cfg.restarts)
-    ])
-    _check_channel_rows(probs)
-    obj = _batch_objective(world, probs, cfg)
-    traces = [[value] for value in obj.tolist()]
-    converged = np.zeros(cfg.restarts, dtype=bool)
-    active = np.arange(cfg.restarts)
-    for _ in range(cfg.max_iters):
-        grad = _batch_objective(world, probs[active], cfg, grad=True)[1]
-        step, new_obj = cfg.step_size, obj[active]
-        pending = np.arange(len(active))
-        for _ in range(40):
-            rows = active[pending]
-            trial = multiplicative_step(probs[rows], step, grad[pending])
-            _check_channel_rows(trial)
-            trial_obj = _batch_objective(world, trial, cfg)
-            accept = trial_obj <= obj[rows]
-            probs[rows[accept]] = trial[accept]
-            new_obj[pending[accept]] = trial_obj[accept]
-            pending = pending[~accept]
-            if not len(pending):
-                break
-            step *= 0.5
-        improvement = obj[active] - new_obj
-        obj[active] = new_obj
-        for r, value in zip(active.tolist(), new_obj.tolist()):
-            traces[r].append(value)
-        done = improvement < cfg.tolerance
-        converged[active[done]] = True
-        active = active[~done]
-        if not len(active):
-            break
-    best = int(np.argmin(obj))
-    return ChannelOptResult(ReleaseChannel(probs[best]), traces[best], bool(converged[best]))
-
-
-def kernel_sums_in_order(world, cfg):
-    """True when no entropy-kernel sum of a lone channel spans 8 or more
-    terms (the Shannon sum over |X| * |Z| * |S| entries at alpha = 1, else
-    the log-sum-exp over |Z| * |S| cells).  NumPy sums those of a lone
-    channel pairwise but a stack's in order, and the halving loop scores a
-    lone channel whenever one restart is left halving."""
-    if cfg.lam == 0.0:
-        return True
-    cells = world.num_symbols * (world.size("S") if world.has_side_information else 1)
-    return (world.size("X") * cells if cfg.alpha == 1.0 else cells) < 8
-
-
-def assert_same_as_halving(got, world, cfg, seed):
-    want = halving_optimize(world, cfg, seed)
-    if kernel_sums_in_order(world, cfg):
-        assert_same_result(got, want)
-    else:
-        assert got.trace[-1] == pytest.approx(want.trace[-1], abs=1e-9)
-
-
 def count_kernel_calls(monkeypatch):
     """Record the stack size of every entropy-kernel call channel makes."""
     calls = []
@@ -754,7 +698,7 @@ def count_kernel_calls(monkeypatch):
 class TestStepLadder:
     """optimize_channel scores LADDER_WIDTH halvings of every restart still
     halving in one call; each restart must take the step that halving one
-    step at a time takes."""
+    step at a time takes (serial_optimize)."""
 
     @settings(max_examples=80)
     @given(
@@ -775,7 +719,8 @@ class TestStepLadder:
         else:
             world = _world(rng.random((nx, nw, nz)) + 0.02, ("X", "W", "Y"), distortion)
         cfg = ChannelOptConfig(alpha=alpha, lam=lam, restarts=restarts, max_iters=60)
-        assert_same_as_halving(optimize_channel(world, cfg, seed), world, cfg, seed)
+        want, _ = serial_optimize(world, cfg, seed)
+        assert_same_result(optimize_channel(world, cfg, seed), want)
 
     @pytest.mark.parametrize("make_world, alpha", [
         (lambda: noisy_world(0.55, 0.3), 2.0),
@@ -790,7 +735,7 @@ class TestStepLadder:
         # one call for the starts, then more than one round per iteration
         assert len(calls) - 1 > len(got.trace) - 1
         monkeypatch.undo()
-        assert_same_as_halving(got, world, cfg, 2)
+        assert_same_result(got, serial_optimize(world, cfg, 2)[0])
 
     @pytest.mark.parametrize("lam, step_size, seed", [
         (1e6, 64, 3), (1e8, 0.5, 1), (1e15, 64, 1),
@@ -802,7 +747,7 @@ class TestStepLadder:
         cfg = ChannelOptConfig(alpha=10.0, lam=lam, step_size=step_size, max_iters=50)
         got = optimize_channel(world, cfg, seed)
         _check_channel_rows(got.channel.probs)
-        assert_same_as_halving(got, world, cfg, seed)
+        assert_same_result(got, serial_optimize(world, cfg, seed)[0])
 
     def test_large_lambda_on_the_side_world_finishes(self):
         # steps of order 1e6 underflow most entries to zero; the rows must
@@ -810,7 +755,7 @@ class TestStepLadder:
         cfg = ChannelOptConfig(alpha=0.5, lam=1e6)
         got = optimize_channel(side_world(), cfg, seed=1)
         assert all(b <= a for a, b in zip(got.trace, got.trace[1:]))
-        assert_same_as_halving(got, side_world(), cfg, 1)
+        assert_same_result(got, serial_optimize(side_world(), cfg, 1)[0])
 
     @pytest.mark.parametrize("make_world, alpha, lam", [
         (lambda: noisy_world(0.55, 0.3), 0.5, 0.0),
@@ -831,7 +776,7 @@ class TestStepLadder:
         _check_channel_rows(got.channel.probs)
         _, grid_obj = grid_oracle(world, cfg, resolution=201)
         assert releaser_objective(world, got.channel, cfg) <= grid_obj + 1e-12
-        assert_same_as_halving(got, world, cfg, 7)
+        assert_same_result(got, serial_optimize(world, cfg, 7)[0])
 
     def test_overflowing_step_fails_as_halving_fails(self):
         # step_size * gradient overflows, so the first trial rows are non-finite;
@@ -846,15 +791,14 @@ class TestStepLadder:
                 optimize_channel(side_world(), cfg, 1)
         with pytest.raises(ValidationError,
                            match="^ReleaseChannel: entries must be non-negative and finite$"):
-            halving_optimize(side_world(), cfg, 1)
+            serial_optimize(side_world(), cfg, 1)
 
 
 class TestCallBudget:
     def test_about_one_kernel_call_per_iteration(self, monkeypatch):
         # alpha = 2, lambda = 1.5 runs every iteration, and each accepts one
         # of its first four halvings (most the third or fourth), i.e. one
-        # round of the ladder: 401 calls; the halving loop made 1985 here
-        # (4.96 per iteration)
+        # round of the ladder: 401 calls
         calls = count_kernel_calls(monkeypatch)
         cfg = ChannelOptConfig(alpha=2.0, lam=1.5, max_iters=400)
         result = optimize_channel(noisy_world(0.55, 0.3), cfg, seed=0)
@@ -989,9 +933,8 @@ class TestGridOracleWorkspace:
         block = channel_module.GRID_BLOCK_ENTRIES // (nx * parts.shape[2])
         scored = []
         for tables in calls:
-            assert 2 <= tables.shape[-1] <= block
-            found = [index[tables[:, :, j].tobytes()] for j in range(tables.shape[-1])]
-            scored += found[:1] if found == found[:1] * 2 else found  # a lone survivor twice
+            assert 1 <= tables.shape[-1] <= block
+            scored += [index[tables[:, :, j].tobytes()] for j in range(tables.shape[-1])]
         assert len(set(scored)) == len(scored)
         ruled_out = np.array(sorted(set(range(total)) - set(scored)))
         assert 0 < len(ruled_out) and len(scored) + len(ruled_out) == total
@@ -1136,10 +1079,9 @@ class TestGridOraclePruning:
 
     @pytest.mark.parametrize("make_world", [side_world, single_row_world])
     @pytest.mark.parametrize("lam", [0.3, 0.7, 2.0])
-    def test_lone_survivor_is_scored_in_a_pair(self, monkeypatch, make_world, lam):
-        # with one prefix per chunk many scoring calls find one survivor; at
-        # alpha = 1 a lone table's Shannon sum over 9 or 12 entries would run
-        # pairwise
+    def test_lone_survivors_equal_the_allocating_scan(self, monkeypatch, make_world, lam):
+        # with one prefix per chunk many scoring calls find one survivor, whose
+        # Shannon sum at alpha = 1 spans 9 or 12 entries
         world, cfg = make_world(), ChannelOptConfig(alpha=1.0, lam=lam)
         want_channel, want = allocating_grid_oracle(world, cfg, 41)
         monkeypatch.setattr(channel_module, "GRID_CHUNK_ENTRIES", 3)
@@ -1147,8 +1089,7 @@ class TestGridOraclePruning:
         channel, obj = grid_oracle(world, cfg, 41)
         assert obj == want
         np.testing.assert_array_equal(channel.probs, want_channel.probs)
-        assert min(t.shape[-1] for t in calls) == 2
-        assert any(t.shape[-1] == 2 and np.array_equal(t[..., 0], t[..., 1]) for t in calls)
+        assert min(t.shape[-1] for t in calls) == 1
 
     @pytest.mark.parametrize("lam", [1e308, 1.7e308])
     def test_overflowing_objective_is_scanned_in_full(self, lam):

@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from alphaprivacy.channel import ChannelOptConfig
+from alphaprivacy.channel import ChannelOptConfig, ReleaseChannel, WorldModel, releaser_objective
 from alphaprivacy.cli import _build_run_pieces, build_parser, main
 from alphaprivacy.datasets import SynthConfig
 from alphaprivacy.losses import DistortionSpec
@@ -156,6 +156,28 @@ class TestOptimizeCommand:
         trace = doc["trace"]
         assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
 
+    def test_objective_is_the_last_trace_value(self, tmp_path):
+        # |Z| * |S| = 9 cells: the objective of the winner scored alone has
+        # the bits it had in the optimizer's stack
+        rng = np.random.default_rng(0)
+        joint = rng.random((2, 3, 3, 3)) + 0.05
+        world = {
+            "axes": ["X", "W", "Y", "S"],
+            "sizes": {"X": 2, "W": 3, "Y": 3, "S": 3, "Z": 3},
+            "joint": (joint / joint.sum()).ravel().tolist(),
+            "distortion": (np.ones((3, 3)) - np.eye(3)).tolist(),
+        }
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world))
+        rc = main(["optimize", "--world", str(path), "--alpha", "2", "--lambda", "0.7",
+                   "--seed", "1", "--max-iters", "100", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "channel.json").read_text())
+        assert doc["objective"] == doc["trace"][-1]
+        cfg = ChannelOptConfig(alpha=2.0, lam=0.7)
+        channel = ReleaseChannel(doc["channel"])
+        assert releaser_objective(WorldModel.from_json(path), channel, cfg) == doc["objective"]
+
     def test_defaults_are_the_optimizer_config_defaults(self, capsys):
         args = build_parser().parse_args(["optimize", "--world", "world.json"])
         defaults = ChannelOptConfig()
@@ -171,6 +193,7 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("field, value", [
         ("joint", [0.5, 0, 0, 0, 0, 0, 0, "half"]),
         ("distortion", [[0, 1], [1]]),
+        ("distortion", 5),
         ("sizes", {"X": 2.9, "W": 2, "Y": 2, "Z": 2}),
         ("sizes", {"X": 2, "W": 2, "Y": 2, "Z": 2.9}),
     ])

@@ -312,6 +312,12 @@ class TestAlphaMutualInformation:
                     alpha_mi_direct(table, alpha), abs=1e-10
                 )
 
+    @pytest.mark.parametrize("labels", [("X", "Z", "S"), ("X", "W", "Y")])
+    def test_axes_other_than_x_and_z_rejected(self, labels):
+        joint = JointPmf(random_joint(np.random.default_rng(33), (2, 3, 2)), labels)
+        with pytest.raises(ValidationError, match="^alpha_mutual_information: expected axes X"):
+            alpha_mutual_information(joint, 2.0)
+
 
 class TestConditionalAlphaMiGivenS:
     def test_irrelevant_side_information_reduces_to_marginal_mi(self):
@@ -606,6 +612,34 @@ class TestInPlaceValuePath:
         _arimoto_entropy(tables, alpha, grad=grad)
         _arimoto_entropy(tables, alpha, grad=grad, work=np.empty_like(tables))
         np.testing.assert_array_equal(tables, before)
+
+
+class TestBatchInvariance:
+    """A table gets the same entropy and gradient, bit for bit, scored alone
+    as in any batch."""
+
+    @given(seed=SEEDS, nx=st.integers(1, 5), ncells=st.integers(1, 40),
+           nbatch=st.integers(2, 6), sparsity=st.sampled_from([0.0, 0.4]),
+           zero_cells=st.integers(0, 3), alpha=ANY_ALPHA)
+    def test_each_table_alone_equals_its_batch_column(
+        self, seed, nx, ncells, nbatch, sparsity, zero_cells, alpha
+    ):
+        # exact zeros, whole zero cells, every table of mass 1
+        rng = np.random.default_rng(seed)
+        tables = rng.random((nx, ncells, nbatch)) ** 3
+        tables[rng.random(tables.shape) < sparsity] = 0.0
+        dead = rng.choice(ncells, size=min(zero_cells, ncells - 1), replace=False)
+        tables[:, dead] = 0.0
+        live = np.setdiff1d(np.arange(ncells), dead)
+        tables[rng.integers(nx), rng.choice(live), :] += 0.1
+        tables /= tables.sum(axis=(0, 1))
+        values, grads = _arimoto_entropy(tables, alpha, grad=True)
+        for j in range(nbatch):
+            value, grad = _arimoto_entropy(tables[:, :, j : j + 1], alpha, grad=True)
+            alone = _arimoto_entropy(tables[:, :, j : j + 1], alpha)
+            np.testing.assert_array_equal(value, values[j : j + 1])
+            np.testing.assert_array_equal(alone, values[j : j + 1])
+            np.testing.assert_array_equal(grad[:, :, 0], grads[:, :, j])
 
 
 # --- the small-table helpers against their earlier forms --------------------
