@@ -301,7 +301,10 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-size", type=float, default=defaults.step_size,
-                   help="gradient step, in log units (default %(default)g)")
+                   help="start step of the first iteration, and of any iteration "
+                        "whose adaptive step is undefined, in log units; later "
+                        "start steps are capped at a fixed multiple of it "
+                        "(default %(default)g)")
     p.add_argument("--max-iters", type=int, default=defaults.max_iters,
                    help="iterations per restart (default %(default)d)")
     p.add_argument("--out-dir")

@@ -2,14 +2,20 @@
 
 Everything here evaluates definitions directly in linear probability space
 (plain sums, explicit loops, sequence enumeration) so it shares no code
-path with the library's log-space implementations.
+path with the library's log-space implementations.  The one exception is
+``bayes_posterior``, the exact Bayes adversary that the optimizer's tests
+read the adversary's beliefs from, which builds its joint with the
+optimizer's own contraction.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from alphaprivacy.channel import ReleaseChannel, WorldModel, _check_channel_shape, _joint_tables
 from alphaprivacy.errors import ValidationError
+from alphaprivacy.measures import JointPmf
 
 
 def shannon_direct(p):
@@ -143,3 +149,40 @@ def si_only_rule_direct(train_s, train_x, eval_s):
         return min(tally, key=lambda label: (-tally[label], label))
 
     return np.array([most_common(tallies.get(sym, overall)) for sym in eval_s])
+
+
+@dataclass
+class BayesPosterior:
+    """Exact adversary best response to a fixed channel.
+
+    ``conditional[x, z(, s)]`` is p(x | z[, s]); cells with zero release
+    probability are filled with the prior on X and flagged dead in
+    ``support`` so downstream expectations can skip them.
+    """
+
+    joint: JointPmf
+    conditional: np.ndarray
+    support: np.ndarray
+
+
+def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterior:
+    """Exact posterior p(X | Z[, S]) induced by the world and the channel.
+
+    This is the minimizer of the KL divergence from the true posterior,
+    i.e. the best possible adversary for the given release mechanism.
+    """
+    _check_channel_shape(world, channel.probs)
+    table = _joint_tables(world, channel.probs[None]).reshape(
+        len(world._xws), world.num_symbols, -1
+    )
+    if not world.has_side_information:
+        table = table[:, :, 0]
+    cond_mass = table.sum(axis=0)
+    support = cond_mass > 0.0
+    cond = table / np.where(support, cond_mass, 1.0)
+    # dead cells: fall back to the prior, flagged via `support`
+    if not support.all():
+        prior = world._prior.reshape((-1,) + (1,) * (table.ndim - 1))
+        cond = np.where(support, cond, prior)
+    labels = ("X", "Z", "S") if world.has_side_information else ("X", "Z")
+    return BayesPosterior(JointPmf(table, labels), cond, support)

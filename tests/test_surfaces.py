@@ -13,9 +13,6 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "alphaprivacy"
-# the Bayes adversary's posterior under a channel, public API that the
-# optimizer's tests read the adversary's beliefs from
-KEPT = {"bayes_posterior"}
 
 
 def referenced_names(tree, skip=None):
@@ -59,8 +56,7 @@ def unused_surfaces(modules, scripts):
 def test_every_surface_has_a_caller():
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     scripts = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    unused = unused_surfaces(modules, scripts)
-    assert [u for u in unused if u.split(".")[1] not in KEPT] == []
+    assert unused_surfaces(modules, scripts) == []
 
 
 def test_every_oracle_has_a_reader():
