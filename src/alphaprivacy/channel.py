@@ -25,20 +25,33 @@ from .measures import ZERO_PROB, JointPmf, _arimoto_entropy, _check_distribution
 
 MAX_EXACT_ALPHABET = 16
 
-# Halved steps an optimizer iteration tries before it keeps its channel.
-MAX_TRIALS = 40
+# Halved steps an optimizer iteration tries before it keeps its channel:
+# 14 whole ladder rounds, so that the least rung of the largest start,
+# step_size * MAX_START_RATIO * 2**-(MAX_TRIALS - 1), stays far below the
+# step_size * 2**-33 of a 64 cap with 40 trials.
+MAX_TRIALS = 56
 # Halved steps scored per backtracking round.  A wider round wastes trial
 # work whenever an early rung is accepted (width 8 ran the criterion-5
 # worlds 45% slower, and an 8 x 8 x 8 world with an S axis 70% slower, when
 # every start was the fixed step).
 LADDER_WIDTH = 4
-# Largest start step, in units of ``step_size``, so that ``step_size``
-# still bounds every trial step (and lowering it can cure an overflowing
-# step).  On 300 random worlds (the hypothesis draws of the grid-oracle
-# property test) the winners took 30771 iterations with the fixed start,
-# and 10802, 6221, 4891 and 4268 with caps 16, 64, 256 and none; the worst
-# gaps to the grid oracle were 1.3e-5, 1.2e-5, 9.5e-6, 2.7e-6 and 2.1e-6.
-MAX_START_RATIO = 64.0
+# Largest start step, in units of ``step_size``: finite, so that
+# ``step_size`` still bounds every trial step (and lowering it can cure an
+# overflowing step).  On 300 random worlds (the hypothesis draws of the
+# grid-oracle property test) the winners took 30771 iterations with the
+# fixed start, and 10802, 6221, 4891 and 4268 with caps 16, 64, 256 and
+# none; the worst gaps to the grid oracle were 1.3e-5, 1.2e-5, 9.5e-6,
+# 2.7e-6 and 2.1e-6.  A sweep against cap 64 on the test's 300 draws and
+# on 400 seeded worlds (|X| 2-3, |W| 2-4, |Y| = |Z| 2-3, half of them
+# sparse, alpha 0.3 to 5, lambda 0.05 to 2, step_size 8 to 64, 400
+# iterations) took 6954 and 11262 winner iterations at 64, 4042 and 7547
+# at 216, and 3031 and 6342 at 2**20.  Of 21 caps from 96 to 2**20, only
+# 192 and 216 left no world of either set above its cap-64 objective by
+# more than 1e-7.  From about 1536 up, a start that large can jump an
+# alpha <= 1 iterate onto a face, where the kernel's zero gradient stops
+# it early (up to +8.2e-5); below that, the worse worlds are alpha > 1
+# runs that end elsewhere, and about as many end better.
+MAX_START_RATIO = 216.0
 
 
 def _check_channel_rows(probs):
@@ -161,7 +174,9 @@ class ChannelOptConfig:
     by ``exp(-step * gradient)`` before its row is renormalized.  It is
     the first iteration's start step, the start wherever the
     Barzilai-Borwein step is undefined, and the unit of the start's cap
-    ``MAX_START_RATIO``."""
+    ``MAX_START_RATIO`` = 216, the largest cap of a sweep from 96 to 2**20
+    that left no test world above its objective at cap 64 by more than
+    1e-7 (see the comment at the constant)."""
 
     alpha: float = 1.0
     lam: float = 0.0

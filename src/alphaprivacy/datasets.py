@@ -69,15 +69,17 @@ class DatasetBatch:
         return self.y.shape[1]
 
     def take(self, idx):
-        """Sub-batch at the given 1-D indices.
+        """The rows at ``idx``, an integer array whose shape leads every
+        field's: a sub-batch for 1-D indices, a stack of sub-batches (a
+        leading model axis) for a 2-D block.
 
-        Rows of a validated batch are valid, so the sub-batch is built
+        Rows of a validated batch are valid, so the result is built
         without re-running ``__post_init__``.
         """
         sub = object.__new__(DatasetBatch)
-        sub.y, sub.x, sub.u = self.y[idx], self.x[idx], self.u[idx]
-        sub.s = None if self.s is None else self.s[idx]
-        sub.c = None if self.c is None else self.c[idx]
+        for name in ("y", "x", "u", "s", "c"):
+            rows = getattr(self, name)
+            setattr(sub, name, None if rows is None else rows.take(idx, axis=0))
         return sub
 
 
@@ -88,11 +90,13 @@ class BatchStream:
         self.data = data
         self.rng = np.random.default_rng(seed)
 
-    def draw(self, nbatch: int, count: int = 1) -> DatasetBatch:
-        """``count`` successive mini-batches of ``nbatch`` rows, stacked.
+    def draw(self, nbatch: int, count: int = 1) -> np.ndarray:
+        """Row indices into ``data`` of ``count`` successive mini-batches of
+        ``nbatch`` rows, concatenated; ``data.take`` gathers the rows.
 
         Each mini-batch is sampled without replacement by its own RNG call,
-        so the rows equal those of ``count`` separate ``draw(nbatch)`` calls.
+        so the indices equal those of ``count`` separate ``draw(nbatch)``
+        calls.
         """
         if nbatch < 1 or nbatch > self.data.size:
             raise ValidationError(
@@ -100,9 +104,8 @@ class BatchStream:
             )
         if count < 1:
             raise ValidationError(f"count must be >= 1, got {count}")
-        idx = [self.rng.choice(self.data.size, size=nbatch, replace=False)
-               for _ in range(count)]
-        return self.data.take(np.concatenate(idx))
+        return np.concatenate([self.rng.choice(self.data.size, size=nbatch, replace=False)
+                               for _ in range(count)])
 
 
 @dataclass

@@ -89,9 +89,20 @@ def run_group(
 ):
     """The :func:`run_point` outcomes of every lambda in ``lams`` at one
     alpha, trained and attacked as one stack; each point keeps its own
-    seeds, and a diverged one fails alone."""
+    seeds, and a diverged one fails alone.
+
+    The private alphabet is the training split's, so an evaluation label
+    beyond it is a ValidationError, raised before any point trains."""
     seeds = [_point_seed(base_hyper.seed, alpha, lam) for lam in lams]
     train_data, eval_data = train_eval_split(data_cfg)
+    num_private = int(train_data.x.max()) + 1
+    missing = sorted(set(eval_data.x[eval_data.x >= num_private].tolist()))
+    if missing:
+        raise ValidationError(
+            f"the evaluation split holds private label {', '.join(map(str, missing))}, "
+            f"which the training split lacks; "
+            f"the training split sets the private alphabet to [0, {num_private})"
+        )
     outcomes = train_group(
         [replace(base_hyper, alpha=alpha, lam=lam, seed=seed) for lam, seed in zip(lams, seeds)],
         [BatchStream(train_data, _derive_seed(seed, "train-stream")) for seed in seeds],
@@ -153,7 +164,8 @@ def sweep(
 
     Each alpha's sorted lambdas are split into ``ceil(workers / len(alphas))``
     near-equal contiguous groups, so that a pool has at least one job per
-    worker; each group is one :func:`run_group` job.  With ``workers > 1``
+    worker; each group is one :func:`run_group` job, and every job checks
+    the data's split before it trains.  With ``workers > 1``
     the jobs run in a process pool of at most one worker per job and are
     merged back in grid order.
     """

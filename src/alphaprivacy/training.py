@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -247,15 +246,11 @@ def _releaser_step(opt_r, adversary, utility, batch, spec, lam, hyper, si_enable
 
 
 def _draw(streams, nbatch, count=1):
-    """One ``draw`` from each model's stream, every field stacked along a
-    leading model axis (``s`` and ``c`` stay None when the pool lacks them)."""
-    batches = [stream.draw(nbatch, count=count) for stream in streams]
-
-    def stacked(name):
-        parts = [getattr(batch, name) for batch in batches]
-        return None if parts[0] is None else np.stack(parts)
-
-    return SimpleNamespace(**{name: stacked(name) for name in ("y", "x", "u", "s", "c")})
+    """One ``draw`` from each model's stream, gathered from their common
+    pool as one batch whose fields carry a leading model axis (``s`` and
+    ``c`` stay None when the pool lacks them): one gather per field."""
+    idx = np.stack([stream.draw(nbatch, count=count) for stream in streams])
+    return streams[0].data.take(idx)
 
 
 def _check_group(hypers, streams):

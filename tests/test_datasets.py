@@ -162,7 +162,7 @@ class TestBatchStream:
         data = generate(SynthConfig(total=64, seed=2))
         a = BatchStream(data, seed=3).draw(16)
         b = BatchStream(data, seed=3).draw(16)
-        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a, b)
 
     def test_oversized_draw_rejected(self):
         data = generate(SynthConfig(total=8, seed=2))
@@ -176,8 +176,8 @@ class TestBatchStream:
     def test_stacked_draw_equals_successive_draws(self, cfg):
         data = generate(cfg)
         stacked_stream, single_stream = BatchStream(data, seed=8), BatchStream(data, seed=8)
-        stacked = stacked_stream.draw(12, count=3)
-        singles = [single_stream.draw(12) for _ in range(3)]
+        stacked = data.take(stacked_stream.draw(12, count=3))
+        singles = [data.take(single_stream.draw(12)) for _ in range(3)]
         for field in ("y", "x", "u", "s", "c"):
             parts = [getattr(b, field) for b in singles]
             if parts[0] is None:
@@ -185,7 +185,7 @@ class TestBatchStream:
             else:
                 np.testing.assert_array_equal(getattr(stacked, field), np.concatenate(parts))
         # both streams are left at the same position
-        np.testing.assert_array_equal(stacked_stream.draw(12).y, single_stream.draw(12).y)
+        np.testing.assert_array_equal(stacked_stream.draw(12), single_stream.draw(12))
 
     def test_draw_count_below_one_rejected(self):
         data = generate(SynthConfig(total=8, seed=2))

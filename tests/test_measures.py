@@ -318,6 +318,29 @@ class TestAlphaMutualInformation:
         with pytest.raises(ValidationError, match="^alpha_mutual_information: expected axes X"):
             alpha_mutual_information(joint, 2.0)
 
+    @given(seed=SEEDS, nx=st.integers(1, 9), nz=st.integers(1, 12),
+           zero_rows=st.integers(0, 2), zero_cells=st.integers(0, 3),
+           sparsity=st.sampled_from([0.0, 0.4]), z_first=st.booleans(),
+           alpha=st.one_of(st.just(1.0), st.floats(0.1, 0.95), st.floats(1.05, 50.0)))
+    def test_equals_marginal_entropy_minus_conditional_entropy(
+        self, seed, nx, nz, zero_rows, zero_cells, sparsity, z_first, alpha
+    ):
+        # one kernel call scores both entropies; the X-marginal's table has
+        # zero cells, which must drop out as the joint's zero cells do
+        rng = np.random.default_rng(seed)
+        table = rng.random((nx, nz)) ** 3
+        table[rng.random(table.shape) < sparsity] = 0.0
+        rows = rng.choice(nx, size=min(zero_rows, nx - 1), replace=False)
+        cells = rng.choice(nz, size=min(zero_cells, nz - 1), replace=False)
+        table[rows] = 0.0
+        table[:, cells] = 0.0
+        table[np.setdiff1d(np.arange(nx), rows)[0], np.setdiff1d(np.arange(nz), cells)[0]] += 0.1
+        table /= table.sum()
+        joint = JointPmf(table.T if z_first else table, ("Z", "X") if z_first else ("X", "Z"))
+        want = (renyi_entropy(joint.marginal(("X",)), alpha)
+                - arimoto_conditional_entropy(joint, alpha))
+        assert alpha_mutual_information(joint, alpha) == pytest.approx(want, rel=0, abs=1e-13)
+
 
 class TestConditionalAlphaMiGivenS:
     def test_irrelevant_side_information_reduces_to_marginal_mi(self):

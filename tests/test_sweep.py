@@ -86,6 +86,24 @@ class TestSweep:
         assert all(p.error for p in points)
         assert all(np.isnan(p.ne) for p in points)
 
+    @pytest.mark.parametrize("run", [
+        lambda hyper, cfg: sweep(hyper, [0.0], [1.0], cfg),
+        lambda hyper, cfg: sweep(hyper, [0.0], [1.0], cfg, workers=2),
+        lambda hyper, cfg: run_group(hyper, 1.0, [0.0], cfg, DistortionSpec("p_norm", p=2.0),
+                                     False, False),
+    ])
+    def test_a_private_label_only_the_evaluation_split_holds_is_named(self, monkeypatch, run):
+        # every training label is 0 and the evaluation labels are [1, 1]
+        cfg = SynthConfig(total=10, seed=362, class_bias=0.45)
+        train_data, eval_data = train_eval_split(cfg)
+        assert set(train_data.x.ravel()) == {0} and eval_data.x.ravel().tolist() == [1, 1]
+        monkeypatch.setattr(sweep_module, "train_group", None)  # no point may train
+        with pytest.raises(ValidationError, match=(
+            r"^the evaluation split holds private label 1, which the training split lacks; "
+            r"the training split sets the private alphabet to \[0, 1\)$"
+        )):
+            run(HyperParams(iterations=2, batch_size=4, adversary_steps=1), cfg)
+
     def test_single_point_carries_seed_provenance(self):
         point = run_point(QUICK_HYPER, 1.0, 0.0, QUICK_DATA,
                           DistortionSpec("p_norm", p=2.0), False, False)

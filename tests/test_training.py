@@ -19,6 +19,7 @@ from alphaprivacy.training import (
     COUNT_FIELDS,
     HyperParams,
     TrainedSystem,
+    _draw,
     assemble_observed,
     evaluate_system,
     train,
@@ -432,13 +433,39 @@ class TestStackedRelease:
         data = make_data()
         releaser = Network.build(specs, seed=17)
         mode = "concat_xy" if data.num_steps > 1 else "y_only"
-        rows = BatchStream(data, 9).draw(nbatch, count=steps)
+        rows = data.take(BatchStream(data, 9).draw(nbatch, count=steps))
         z_rows, _ = releaser.forward(assemble_observed(rows.y, rows.x, rows.u, mode))
         single = BatchStream(data, 9)
         for step in range(steps):
-            batch = single.draw(nbatch)
+            batch = data.take(single.draw(nbatch))
             z, _ = releaser.forward(assemble_observed(batch.y, batch.x, batch.u, mode))
             np.testing.assert_array_equal(z_rows[step * nbatch:(step + 1) * nbatch], z)
+
+
+class TestGroupDraw:
+    @pytest.mark.parametrize("make_data, nbatch, count", [
+        (lambda: clusters_data(total=300, seed=5), 32, 1),
+        (lambda: clusters_data(total=300, seed=5), 16, 10),
+        (lambda: markov_data(total=90, seed=6, num_steps=5), 12, 4),
+    ])
+    def test_equals_the_per_stream_draws_bit_for_bit(self, make_data, nbatch, count):
+        # clusters carry c but no s, markov data s but no c
+        data = make_data()
+        group = [BatchStream(data, seed) for seed in (3, 8, 21)]
+        lone = [BatchStream(data, seed) for seed in (3, 8, 21)]
+        for _ in range(2):  # the second draw starts where the first left off
+            got = _draw(group, nbatch, count=count)
+            want = [data.take(stream.draw(nbatch, count=count)) for stream in lone]
+            for name in ("y", "x", "u", "s", "c"):
+                parts = [getattr(batch, name) for batch in want]
+                if parts[0] is None:
+                    assert getattr(got, name) is None
+                    continue
+                stacked = getattr(got, name)
+                assert stacked.dtype == parts[0].dtype and stacked.flags.c_contiguous
+                np.testing.assert_array_equal(stacked, np.stack(parts))
+        for a, b in zip(group, lone):
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 class TestParameterFreezing:
@@ -460,7 +487,7 @@ class TestParameterFreezing:
         opt_r = SgdMomentum(manual_rel, 0.05, 0.0)
         opt_a = SgdMomentum(manual_adv, 0.1, 0.0)
         # adversary step: theta must not move
-        batch = stream.draw(8)
+        batch = data.take(stream.draw(8))
         w = assemble_observed(batch.y, batch.x, batch.u, "y_only")
         theta_before = [l.w.copy() for l in manual_rel.layers]
         z, _ = manual_rel.forward(w)
@@ -471,7 +498,7 @@ class TestParameterFreezing:
         for before, layer in zip(theta_before, manual_rel.layers):
             np.testing.assert_array_equal(before, layer.w)
         # releaser step: phi must not move
-        batch = stream.draw(8)
+        batch = data.take(stream.draw(8))
         w = assemble_observed(batch.y, batch.x, batch.u, "y_only")
         phi_before = [l.w.copy() for l in manual_adv.layers]
         z, trr = manual_rel.forward(w)
