@@ -30,6 +30,8 @@ MAX_EXACT_ALPHABET = 16
 # step_size * MAX_START_RATIO * 2**-(MAX_TRIALS - 1), stays far below the
 # step_size * 2**-33 of a 64 cap with 40 trials.
 MAX_TRIALS = 56
+# A start stops once one iteration improves its objective by less than this.
+TOLERANCE = 1e-10
 # Halved steps scored per backtracking round.  A wider round wastes trial
 # work whenever an early rung is accepted (width 8 ran the criterion-5
 # worlds 45% slower, and an 8 x 8 x 8 world with an S axis 70% slower, when
@@ -112,18 +114,13 @@ class WorldModel:
             )
         self.joint = joint
         self.distortion_table = table
-        # p(x, w, s) (a unit S axis when there is none), p(x) and
+        # p(x, w, s) (a unit S axis when there is none) and
         # C[w, z] = sum_y p(w, y) d(z, y), so that E[d] = sum_{w,z} p(z|w) C[w, z]
         if "S" in labels:
             self._xws = joint.marginal(("X", "W", "S")).probs
         else:
             self._xws = joint.marginal(("X", "W")).probs[:, :, None]
-        self._prior = joint.marginal(("X",)).probs
         self._cost = joint.marginal(("W", "Y")).probs @ table.T
-
-    @property
-    def has_side_information(self):
-        return "S" in self.joint.axis_labels
 
     @property
     def num_symbols(self):
@@ -182,14 +179,12 @@ class ChannelOptConfig:
     lam: float = 0.0
     step_size: float = 8.0
     max_iters: int = 500
-    tolerance: float = 1e-10
     restarts: int = 4
 
     def __post_init__(self):
         check_real("alpha", self.alpha, 0.0, strict=True)
         check_real("lam", self.lam, 0.0)
         check_real("step_size", self.step_size, 0.0, strict=True)
-        check_real("tolerance", self.tolerance, 0.0, strict=True)
         for name in ("max_iters", "restarts"):
             check_count(name, getattr(self, name))
 
@@ -319,7 +314,7 @@ def optimize_channel(
     at most ``MAX_START_RATIO`` times ``cfg.step_size``.  Runs
     ``cfg.restarts`` independent starts and keeps the best; the returned
     trace belongs to the winning start and is non-increasing.  A start
-    stops once the per-iteration improvement falls below ``cfg.tolerance``;
+    stops once the per-iteration improvement falls below ``TOLERANCE``;
     ``converged`` is False if the winner ran out of iterations instead.
     Ties go to the lowest restart index.
 
@@ -385,7 +380,7 @@ def optimize_channel(
         for r, value in zip(active.tolist(), obj[active].tolist()):
             traces[r].append(value)
         start[active] = _start_steps(cfg, logp[active] - logp_before, grad[active] - grad_before)
-        done = improvement < cfg.tolerance
+        done = improvement < TOLERANCE
         converged[active[done]] = True
         active = active[~done]
         if not len(active):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -91,18 +90,23 @@ def run_group(
     alpha, trained and attacked as one stack; each point keeps its own
     seeds, and a diverged one fails alone.
 
-    The private alphabet is the training split's, so an evaluation label
-    beyond it is a ValidationError, raised before any point trains."""
+    The private alphabet, and the utility one when the utility network is
+    on, is the training split's, so an evaluation label beyond it is a
+    ValidationError, raised before any point trains."""
     seeds = [_point_seed(base_hyper.seed, alpha, lam) for lam in lams]
     train_data, eval_data = train_eval_split(data_cfg)
-    num_private = int(train_data.x.max()) + 1
-    missing = sorted(set(eval_data.x[eval_data.x >= num_private].tolist()))
-    if missing:
-        raise ValidationError(
-            f"the evaluation split holds private label {', '.join(map(str, missing))}, "
-            f"which the training split lacks; "
-            f"the training split sets the private alphabet to [0, {num_private})"
-        )
+    alphabets = [("private", train_data.x, eval_data.x)]
+    if utility_enabled and train_data.c is not None:
+        alphabets.append(("utility", train_data.c, eval_data.c))
+    for kind, train_labels, eval_labels in alphabets:
+        size = int(train_labels.max()) + 1
+        missing = sorted(set(eval_labels[eval_labels >= size].tolist()))
+        if missing:
+            raise ValidationError(
+                f"the evaluation split holds {kind} label {', '.join(map(str, missing))}, "
+                f"which the training split lacks; "
+                f"the training split sets the {kind} alphabet to [0, {size})"
+            )
     outcomes = train_group(
         [replace(base_hyper, alpha=alpha, lam=lam, seed=seed) for lam, seed in zip(lams, seeds)],
         [BatchStream(train_data, _derive_seed(seed, "train-stream")) for seed in seeds],
@@ -180,6 +184,9 @@ def sweep(
         for group in _chunks(lambdas, max(1, -(-workers // len(alphas))))
     ]
     if workers > 1:
+        # imported here, not at the top: every set-up and CLI command
+        # imports this module, and a sequential sweep never needs the pool
+        from concurrent.futures import ProcessPoolExecutor
         # fork starts every worker at the first submit, needed or not
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             groups = list(pool.map(run_group, *zip(*jobs)))
@@ -191,12 +198,13 @@ def sweep(
 # --- side-information calibration -------------------------------------------
 
 
-def si_only_accuracy(train_data, eval_data, num_private=2) -> float:
+def si_only_accuracy(train_data, eval_data) -> float:
     """Balanced accuracy of a classifier that sees only the SI symbol.
 
     Fits the empirical argmax rule x_hat(s) on the training pool and scores
     it on held-out per-step labels; a symbol the pool never shows gets the
-    pool's overall argmax.
+    pool's overall argmax.  The private alphabet is the pool's, as the
+    adversary's is, so a held-out label beyond it is a ValidationError.
     """
     if train_data.s is None or eval_data.s is None:
         raise ValidationError("datasets carry no side information")
@@ -207,13 +215,11 @@ def si_only_accuracy(train_data, eval_data, num_private=2) -> float:
     np.add.at(counts, (train_s[:, None], train_data.x), 1)  # (symbol, label) pairs
     rule = np.where(counts.any(axis=1), counts.argmax(axis=1), counts.sum(axis=0).argmax())
     preds = np.repeat(rule[eval_s][:, None], eval_data.num_steps, axis=1)
-    return balanced_accuracy(preds.ravel(), eval_data.x.ravel(), num_private)
+    return balanced_accuracy(preds.ravel(), eval_data.x.ravel(), counts.shape[1])
 
 
 def measure_si_floor(data_cfg: SynthConfig) -> float:
-    train_data, eval_data = train_eval_split(data_cfg)
-    num_private = int(max(train_data.x.max(), eval_data.x.max())) + 1
-    return si_only_accuracy(train_data, eval_data, num_private)
+    return si_only_accuracy(*train_eval_split(data_cfg))
 
 
 def calibrate_si_correlation(

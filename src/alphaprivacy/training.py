@@ -127,8 +127,6 @@ class TrainedSystem:
     hyper: HyperParams
     distortion: DistortionSpec
     si_enabled: bool
-    utility_enabled: bool
-    num_private: int
     releaser_history: list = field(default_factory=list)
     adversary_history: list = field(default_factory=list)
     utility_history: list = field(default_factory=list)
@@ -148,8 +146,8 @@ class TrainedSystem:
             "hyper": asdict(self.hyper),
             "distortion": asdict(self.distortion),
             "si_enabled": self.si_enabled,
-            "utility_enabled": self.utility_enabled,
-            "num_private": self.num_private,
+            "utility_enabled": self.utility is not None,
+            "num_private": self.adversary.out_dim,
             "releaser": self.releaser.to_dict(),
             "adversary": self.adversary.to_dict(),
             "utility": None if self.utility is None else self.utility.to_dict(),
@@ -253,8 +251,10 @@ def _draw(streams, nbatch, count=1):
     return streams[0].data.take(idx)
 
 
-def _check_group(hypers, streams):
-    """The shared hyperparameters and training pool of a group."""
+def _check_group(hypers, streams, si_enabled):
+    """The shared hyperparameters and training pool of a group, and the
+    classifiers' input width: the release's, plus the side information's
+    when it is on."""
     if not hypers or len(streams) != len(hypers):
         raise ValidationError("a group needs one stream per hyperparameter set, and at least one")
     first = hypers[0]
@@ -263,7 +263,9 @@ def _check_group(hypers, streams):
     pool = streams[0].data
     if any(stream.data is not pool for stream in streams):
         raise ValidationError("the streams of a group must draw from one dataset")
-    return first, pool
+    if si_enabled and pool.s is None:
+        raise ValidationError("si_enabled but the dataset carries no side information")
+    return first, pool, pool.y.shape[2] + (pool.s.shape[1] if si_enabled else 0)
 
 
 def _sole(outcomes):
@@ -309,13 +311,11 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     failed.  ``log_stream`` gets each model's line per iteration, in stack
     order, until that model fails.
     """
-    hyper, pool = _check_group(hypers, streams)
+    hyper, pool, d_in = _check_group(hypers, streams, si_enabled)
     if pool.num_steps != hyper.num_steps:
         raise ValidationError(
             f"data has T={pool.num_steps} but hyperparameters say T={hyper.num_steps}"
         )
-    if si_enabled and pool.s is None:
-        raise ValidationError("si_enabled but the dataset carries no side information")
     if utility_enabled and pool.c is None:
         raise ValidationError("utility_enabled but the dataset has no utility labels")
     if utility_enabled and hyper.num_steps != 1:
@@ -323,10 +323,8 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     if spec.needs_utility and not utility_enabled:
         raise ValidationError("composite distortion requires the utility network")
 
-    num_private = int(pool.x.max()) + 1
     d_y = pool.y.shape[2]
     d_w = assemble_observed(pool.y[:1], pool.x[:1], pool.u[:1], hyper.observed_mode).shape[2]
-    d_s = pool.s.shape[1] if si_enabled else 0
 
     def stacked_net(role, num_steps, d_in, hidden, d_out, head):
         return Network.stack([
@@ -337,8 +335,9 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     releaser = stacked_net(
         "releaser", hyper.num_steps, d_w, hyper.hidden_releaser, d_y, "linear"
     )
+    # the training pool sets both class alphabets; the networks carry them
     adversary = stacked_net(
-        "adversary", hyper.num_steps, d_y + d_s, hyper.hidden_adversary, num_private,
+        "adversary", hyper.num_steps, d_in, hyper.hidden_adversary, int(pool.x.max()) + 1,
         "softmax",
     )
     opt_r = SgdMomentum(releaser, hyper.lr_releaser, hyper.momentum)
@@ -414,8 +413,6 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
             hyper=hypers[g],
             distortion=spec,
             si_enabled=si_enabled,
-            utility_enabled=utility_enabled,
-            num_private=num_private,
             releaser_history=[rel_values[g] for _, rel_values in history],
             adversary_history=[a[g] for k_steps, _ in history for a, _ in k_steps],
             utility_history=[
@@ -452,16 +449,12 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
     training; a diverged model stays in the stack, unread, as in
     :func:`train_group`.
     """
-    hyper, pool = _check_group([s.hyper for s in systems], streams)
-    if si_enabled and pool.s is None:
-        raise ValidationError("si_enabled but the dataset carries no side information")
-    d_s = pool.s.shape[1] if si_enabled else 0
-    d_y = pool.y.shape[2]
+    hyper, _, d_in = _check_group([s.hyper for s in systems], streams, si_enabled)
     releaser = Network.stack([s.releaser for s in systems])
     attacker = Network.stack([
         _two_layer_net(
-            hyper.num_steps, d_y + d_s, hyper.hidden_adversary,
-            systems[0].num_private, "softmax", seed,
+            hyper.num_steps, d_in, hyper.hidden_adversary, systems[0].adversary.out_dim,
+            "softmax", seed,
         )
         for seed in seeds
     ])
@@ -495,11 +488,9 @@ def evaluate_system(
     z = system.release(batch)
     ne = normalized_error(z, batch.y)
     preds = classifier_predictions(attacker, _with_side_info(z, batch.s, si_enabled))
-    attacker_acc = balanced_accuracy(
-        preds.ravel(), batch.x.ravel(), system.num_private
-    )
+    attacker_acc = balanced_accuracy(preds.ravel(), batch.x.ravel(), system.adversary.out_dim)
     utility_acc = None
     if system.utility is not None and batch.c is not None:
         upreds = classifier_predictions(system.utility, z)[:, 0]
-        utility_acc = balanced_accuracy(upreds, batch.c, int(batch.c.max()) + 1)
+        utility_acc = balanced_accuracy(upreds, batch.c, system.utility.out_dim)
     return {"ne": ne, "attacker_accuracy": attacker_acc, "utility_accuracy": utility_acc}

@@ -172,17 +172,18 @@ def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterio
     i.e. the best possible adversary for the given release mechanism.
     """
     _check_channel_shape(world, channel.probs)
+    side_information = "S" in world.joint.axis_labels
     table = _joint_tables(world, channel.probs[None]).reshape(
         len(world._xws), world.num_symbols, -1
     )
-    if not world.has_side_information:
+    if not side_information:
         table = table[:, :, 0]
     cond_mass = table.sum(axis=0)
     support = cond_mass > 0.0
     cond = table / np.where(support, cond_mass, 1.0)
     # dead cells: fall back to the prior, flagged via `support`
     if not support.all():
-        prior = world._prior.reshape((-1,) + (1,) * (table.ndim - 1))
+        prior = world.joint.marginal(("X",)).probs.reshape((-1,) + (1,) * (table.ndim - 1))
         cond = np.where(support, cond, prior)
-    labels = ("X", "Z", "S") if world.has_side_information else ("X", "Z")
+    labels = ("X", "Z", "S") if side_information else ("X", "Z")
     return BayesPosterior(JointPmf(table, labels), cond, support)

@@ -1,5 +1,6 @@
-"""Every module-level function and class of the package is used outside its
-own definition: by its own module, by another module of the package, by
+"""Every module-level function and class of the package, and every method
+and property of those classes but the dunders, is used outside its own
+definition: by its own module, by another module of the package, by
 ``__all__``, or in a ``perfbench/*.py`` script, whose hook table names the
 functions it traces as strings.  A surface that only tests reach fails, so
 it gets a command that uses it or is deleted.  Likewise every oracle in
@@ -35,21 +36,35 @@ def referenced_names(tree, skip=None):
     return names
 
 
+def surfaces(tree):
+    """(qualified name, node) of each module-level function and class of
+    ``tree``, and of each method and property of those classes but the
+    dunders, which Python itself calls."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unused_surfaces(modules, scripts):
-    """``module.name`` of each module-level function and class in
-    ``modules`` (module name to source) that nothing references outside its
-    own definition; ``scripts`` are the sources of other callers."""
+    """``module.name`` of each surface (see :func:`surfaces`) in ``modules``
+    (module name to source) that nothing references outside its own
+    definition; ``scripts`` are the sources of other callers."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     uses = {name: referenced_names(tree) for name, tree in trees.items()}
     callers = set().union(*(referenced_names(ast.parse(source)) for source in scripts))
     unused = []
     for name, tree in trees.items():
         elsewhere = callers.union(*(used for other, used in uses.items() if other != name))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for qualname, node in surfaces(tree):
             if node.name not in elsewhere | referenced_names(tree, skip=node):
-                unused.append(f"{name}.{node.name}")
+                unused.append(f"{name}.{qualname}")
     return unused
 
 
@@ -84,3 +99,16 @@ def test_the_check_sees_a_surface_only_tests_reach():
     }
     scripts = ['HOOKS = [("pkg.a", "Hooked")]\n']
     assert unused_surfaces(modules, scripts) == ["a.lonely", "b.main"]
+
+
+def test_the_check_sees_a_method_only_tests_reach():
+    modules = {
+        "a": "class Box:\n"
+             "    def __len__(self):\n        return 0\n\n"
+             "    @property\n    def size(self):\n        return self.size\n\n"
+             "    def used(self):\n        return 1\n\n"
+             "    def hooked(self):\n        pass\n\n\n"
+             "def main():\n    return Box().used()\n\n\nmain()\n",
+    }
+    scripts = ['HOOKS = [("pkg.a", "Box", "hooked")]\n']
+    assert unused_surfaces(modules, scripts) == ["a.Box.size"]

@@ -1,5 +1,6 @@
 """Tests for the trade-off sweep harness and SI calibration."""
 
+import concurrent.futures
 import json
 import os
 from dataclasses import asdict, replace
@@ -72,7 +73,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         pooled = sweep(QUICK_HYPER, [0.0, 0.5, 1.0], [1.0, 3.0], QUICK_DATA, workers=64)
         assert sizes == [6]
         seq = sweep(QUICK_HYPER, [0.0, 0.5, 1.0], [1.0, 3.0], QUICK_DATA, workers=1)
@@ -103,6 +104,34 @@ class TestSweep:
             r"the training split sets the private alphabet to \[0, 1\)$"
         )):
             run(HyperParams(iterations=2, batch_size=4, adversary_steps=1), cfg)
+
+    @pytest.mark.parametrize("run", [
+        lambda hyper, cfg: sweep(hyper, [0.0], [1.0], cfg, utility_enabled=True),
+        lambda hyper, cfg: sweep(hyper, [0.0], [1.0], cfg, utility_enabled=True, workers=2),
+        lambda hyper, cfg: run_group(hyper, 1.0, [0.0], cfg, DistortionSpec("composite_img"),
+                                     False, True),
+    ])
+    def test_a_utility_label_only_the_evaluation_split_holds_is_named(self, monkeypatch, run):
+        # the training utility labels are 0-2 and the evaluation ones [3, 0]
+        cfg = SynthConfig(total=12, seed=23, num_classes=4)
+        train_data, eval_data = train_eval_split(cfg)
+        assert set(train_data.c.tolist()) == {0, 1, 2} and eval_data.c.tolist() == [3, 0]
+        monkeypatch.setattr(sweep_module, "train_group", None)  # no point may train
+        with pytest.raises(ValidationError, match=(
+            r"^the evaluation split holds utility label 3, which the training split lacks; "
+            r"the training split sets the utility alphabet to \[0, 3\)$"
+        )):
+            run(HyperParams(iterations=2, batch_size=4, adversary_steps=1), cfg)
+
+    def test_utility_classes_come_from_the_training_split(self):
+        # the training utility labels are 0-3 and the evaluation ones [0, 0],
+        # so the utility network predicts classes the evaluation split lacks
+        cfg = SynthConfig(total=12, seed=2, num_classes=4)
+        train_data, eval_data = train_eval_split(cfg)
+        assert set(train_data.c.tolist()) == {0, 1, 2, 3} and eval_data.c.tolist() == [0, 0]
+        (point,) = sweep(HyperParams(iterations=2, batch_size=4, adversary_steps=1), [0.0],
+                         [1.0], cfg, utility_enabled=True)
+        assert not point.failed and np.isfinite(point.utility_accuracy)
 
     def test_single_point_carries_seed_provenance(self):
         point = run_point(QUICK_HYPER, 1.0, 0.0, QUICK_DATA,
@@ -190,14 +219,9 @@ class TestSiCalibration:
         # most common overall, so the unseen symbol 5 is predicted as 0
         train = si_pool([0] * 5 + [1] * 5, [1, 1, 1, 0, 0, 2, 2, 2, 0, 0])
         held_out = si_pool([0, 1, 5, 5], [1, 2, 0, 1])
-        acc = si_only_accuracy(train, held_out, num_private=3)
+        acc = si_only_accuracy(train, held_out)
         # recalls: label 0 1/1, label 1 1/2 (symbol 5 -> 0), label 2 1/1
         assert acc == pytest.approx((1.0 + 0.5 + 1.0) / 3)
-
-    def test_rule_predicting_a_label_past_num_private_is_rejected(self):
-        train = si_pool([0, 0, 1], [2, 2, 0])
-        with pytest.raises(ValidationError, match="predictions outside"):
-            si_only_accuracy(train, si_pool([0, 1], [0, 1]), num_private=2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_markov_split_equals_the_per_symbol_rule(self, seed):

@@ -213,12 +213,12 @@ class TestSystemDocument:
                                       system.release(data))
 
     def test_settings_and_counts_are_recorded(self, trained):
-        _, system, doc = trained
+        data, system, doc = trained
         assert HyperParams(**doc["hyper"]) == system.hyper
         assert DistortionSpec(**doc["distortion"]) == system.distortion
         assert doc["si_enabled"] == system.si_enabled
-        assert doc["utility_enabled"] == system.utility_enabled
-        assert doc["num_private"] == system.num_private
+        assert doc["utility_enabled"] == (system.utility is not None)
+        assert doc["num_private"] == system.adversary.out_dim == int(data.x.max()) + 1
         assert doc["updates"] == {"releaser": system.releaser_updates,
                                   "adversary": system.adversary_updates,
                                   "utility": system.utility_updates}
