@@ -281,11 +281,16 @@ def _start_steps(cfg: ChannelOptConfig, s, y):
     the same bits alone as in any stack."""
     add = np.add.reduce
     live = np.isfinite(s)
-    count = add(live, axis=-1, keepdims=True)
-    s = np.where(live, s, 0.0)
-    y = np.where(live, y, 0.0)
-    s = np.where(live, s - add(s, axis=-1, keepdims=True) / count, 0.0)
-    y = np.where(live, y - add(y, axis=-1, keepdims=True) / count, 0.0)
+    if live.all():  # no underflowed entry: each mask below returns its input
+        nz = s.shape[-1]
+        s = s - add(s, axis=-1, keepdims=True) / nz
+        y = y - add(y, axis=-1, keepdims=True) / nz
+    else:
+        count = add(live, axis=-1, keepdims=True)
+        s = np.where(live, s, 0.0)
+        y = np.where(live, y, 0.0)
+        s = np.where(live, s - add(s, axis=-1, keepdims=True) / count, 0.0)
+        y = np.where(live, y - add(y, axis=-1, keepdims=True) / count, 0.0)
     ss = add(add(s * s, axis=-1), axis=-1)
     sy = add(add(s * y, axis=-1), axis=-1)
     step = ss / sy
@@ -318,10 +323,11 @@ def optimize_channel(
     ``converged`` is False if the winner ran out of iterations instead.
     Ties go to the lowest restart index.
 
-    The starts run as one ``(R, |W|, |Z|)`` stack, and their halvings as a
-    step ladder: each backtracking round takes the next ``LADDER_WIDTH``
-    halved steps ``start * 2**-k`` of every start still halving as one
-    ``(LADDER_WIDTH * n, |W|, |Z|)`` stack, which gets one row update and
+    The running starts form one ``(n, |W|, |Z|)`` stack, which a start
+    leaves when it stops, and their halvings a step ladder: each
+    backtracking round takes the next ``LADDER_WIDTH`` halved steps
+    ``start * 2**-k`` of the m starts still halving as one
+    ``(LADDER_WIDTH * m, |W|, |Z|)`` stack, which gets one row update and
     one objective call, and each start keeps its first accepted step, as
     halving one step at a time would.  The objective call returns the
     gradients too, and a start's accepted trial carries its gradient into
@@ -354,40 +360,50 @@ def optimize_channel(
     start = np.full((cfg.restarts, 1, 1), cfg.step_size, dtype=np.float64)
     traces = [[value] for value in obj.tolist()]
     converged = np.zeros(cfg.restarts, dtype=bool)
-    active = np.arange(cfg.restarts)
+    final_probs, final_obj = probs.copy(), obj.copy()
+    # the running starts as a compact stack: row i of probs, logp, grad, obj
+    # and start is restart ids[i]; a start that stops leaves it
+    ids = np.arange(cfg.restarts)
     for _ in range(cfg.max_iters):
-        before, logp_before, grad_before = obj[active], logp[active], grad[active]
-        pending = active  # starts still halving
+        next_probs, next_obj, next_grad = probs.copy(), obj.copy(), grad.copy()
+        pending = np.arange(len(ids))  # rows still halving
+        at = slice(None)  # indexes them: every row in the first round
         for factors in rounds:
             # rung-major: the softmax of log P - step * grad, row by row
-            ladder = factors * start[pending]
-            trials = (logp[pending] - ladder * grad[pending]).reshape(-1, nw, nz)
+            ladder = factors * start[at]
+            trials = (logp[at] - ladder * grad[at]).reshape(-1, nw, nz)
             trials -= trials.max(axis=-1, keepdims=True)
             np.exp(trials, out=trials)
             trials /= trials.sum(axis=-1, keepdims=True)
             _check_finite_step(cfg, trials)
             values, grads = _batch_objective(world, trials, cfg, grad=True)
-            accept = values.reshape(LADDER_WIDTH, -1) <= obj[pending]
+            accept = values.reshape(LADDER_WIDTH, -1) <= obj[at]
             hit = accept.any(axis=0)
             pick = (accept.argmax(axis=0) * len(pending) + np.arange(len(pending)))[hit]
             rows = pending[hit]
-            probs[rows], obj[rows], grad[rows] = trials[pick], values[pick], grads[pick]
-            logp[rows] = np.log(probs[rows])
-            pending = pending[~hit]
+            next_probs[rows], next_obj[rows] = trials[pick], values[pick]
+            next_grad[rows] = grads[pick]
+            at = pending = pending[~hit]
             if not len(pending):
                 break
-        improvement = before - obj[active]
-        for r, value in zip(active.tolist(), obj[active].tolist()):
+        next_logp = np.log(next_probs)
+        for r, value in zip(ids.tolist(), next_obj.tolist()):
             traces[r].append(value)
-        start[active] = _start_steps(cfg, logp[active] - logp_before, grad[active] - grad_before)
-        done = improvement < TOLERANCE
-        converged[active[done]] = True
-        active = active[~done]
-        if not len(active):
-            break
-    _check_finite_step(cfg, obj)
-    best = int(np.argmin(obj))  # the first of equal minima
-    return ChannelOptResult(ReleaseChannel(probs[best]), traces[best], bool(converged[best]))
+        start = _start_steps(cfg, next_logp - logp, next_grad - grad)
+        done = obj - next_obj < TOLERANCE
+        probs, logp, grad, obj = next_probs, next_logp, next_grad, next_obj
+        if done.any():
+            stopped, live = ids[done], ~done
+            converged[stopped] = True
+            final_probs[stopped], final_obj[stopped] = probs[done], obj[done]
+            ids, probs, logp, grad, obj, start = (
+                ids[live], probs[live], logp[live], grad[live], obj[live], start[live])
+            if not len(ids):
+                break
+    final_probs[ids], final_obj[ids] = probs, obj
+    _check_finite_step(cfg, final_obj)
+    best = int(np.argmin(final_obj))  # the first of equal minima
+    return ChannelOptResult(ReleaseChannel(final_probs[best]), traces[best], bool(converged[best]))
 
 
 def free_parameter_count(world: WorldModel) -> int:
@@ -403,7 +419,8 @@ def enumerate_grid_rows(num_symbols: int, resolution: int):
     check_count("grid resolution", resolution, 2)
     pts = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([pts] * (num_symbols - 1)), indexing="ij")
-    lead = np.stack([g.ravel() for g in grids], axis=1)
+    # one symbol: a single row [1.0], whose lead is empty
+    lead = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
     remainder = 1.0 - lead.sum(axis=1)
     keep = remainder >= -1e-12
     rows = np.concatenate([lead[keep], np.clip(remainder[keep], 0.0, None)[:, None]], axis=1)

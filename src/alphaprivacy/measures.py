@@ -95,19 +95,27 @@ class JointPmf:
         Returns a ``Pmf`` for a single kept axis, else a ``JointPmf``.
         """
         keep_labels = tuple(keep_labels)
-        axes = [self.axis(lbl) for lbl in keep_labels]
-        drop = tuple(i for i in range(self.probs.ndim) if i not in axes)
-        table = self.probs.sum(axis=drop) if drop else self.probs
-        # reorder the surviving axes to match keep_labels
-        surviving = [lbl for lbl in self.axis_labels if lbl in keep_labels]
-        perm = [surviving.index(lbl) for lbl in keep_labels]
-        table = np.transpose(table, perm)
+        table = _marginal_table(self, keep_labels)
         if len(keep_labels) == 1:
             return Pmf(table)
         return JointPmf(table, keep_labels)
 
     def __repr__(self):
         return f"JointPmf(shape={self.probs.shape}, axes={self.axis_labels})"
+
+
+def _marginal_table(joint: JointPmf, keep_labels):
+    """The joint's table summed onto the axes ``keep_labels``, in that
+    order, as a raw array (no validation: a sum of valid masses)."""
+    axes = [joint.axis(lbl) for lbl in keep_labels]
+    kept = sorted(set(axes))
+    if len(kept) < len(axes):
+        repeated = next(lbl for lbl in keep_labels if keep_labels.count(lbl) > 1)
+        raise ValidationError(f"JointPmf: axis {repeated!r} repeated in {keep_labels}")
+    drop = tuple(i for i in range(joint.probs.ndim) if i not in axes)
+    table = np.add.reduce(joint.probs, axis=drop) if drop else joint.probs
+    # the kept axes survive in storage order; reorder them to match keep_labels
+    return table.transpose([kept.index(i) for i in axes])
 
 
 class PosteriorBatch:
@@ -139,13 +147,13 @@ def _masked_log(p, out=None):
 def _logsumexp(a, axis=-1, out=None):
     """Stable log(sum(exp(a))) along ``axis``; tolerates -inf entries.  The
     shifted exponentials go to ``out`` (which may be ``a`` itself), else to
-    a new array."""
+    a new array.  A slice of only -inf entries takes log 0 = -inf: the
+    caller suppresses that divide-by-zero warning, once per evaluation."""
     amax = np.maximum.reduce(a, axis=axis, keepdims=True)
-    amax[~np.isfinite(amax)] = 0.0
+    amax = np.where(np.isfinite(amax), amax, 0.0)
     shifted = np.subtract(a, amax, out=out)
     s = np.add.reduce(np.exp(shifted, out=shifted), axis=axis)
-    with np.errstate(divide="ignore"):
-        return np.log(s) + amax.reshape(np.shape(s))
+    return np.log(s) + amax.reshape(np.shape(s))
 
 
 def _shannon(p, axis=None, logp=None):
@@ -209,9 +217,12 @@ def _arimoto_entropy(table, alpha, grad=False, work=None):
         finite = np.isfinite(logj)
         logj_safe = np.where(finite, logj, 0.0)
     np.multiply(logj, alpha, out=logj)
-    log_norms = _logsumexp(logj, axis=0, out=logj)  # (cells, *batch)
-    log_norms /= alpha
-    log_total = _logsumexp(log_norms, axis=0)
+    with np.errstate(divide="ignore"):  # a cell, or table, of zero mass
+        log_norms = _logsumexp(logj, axis=0, out=logj)  # (cells, *batch)
+        log_norms /= alpha
+        # over one cell, log-sum-exp returns its input to the bit; a copy,
+        # since the gradient path edits log_norms
+        log_total = log_norms[0].copy() if len(log_norms) == 1 else _logsumexp(log_norms, axis=0)
     value = alpha / (1.0 - alpha) * log_total
     if not grad:
         return value
@@ -255,6 +266,9 @@ def _sequence_entropy(p, logp, alpha, grad=False):
         if not grad:
             return value
         return value, -(logp + 1.0) / (nbatch * nsteps)
+    # no errstate: a step's largest posterior entry is far above ZERO_PROB
+    # (and the gradient path floors every entry), so each log-sum-exp here
+    # sums at least exp(0) = 1 and never takes log 0
     log_step_sums = _logsumexp(alpha * logp, axis=-1)  # (B, T): log sum_x p^alpha
     log_seq_norms = log_step_sums.sum(axis=-1) / alpha  # (B,): log prod_t ||p_bt||_alpha
     log_total = _logsumexp(log_seq_norms, axis=-1)
@@ -318,7 +332,7 @@ def alpha_mutual_information(joint: JointPmf, alpha) -> float:
     table = _x_first(joint, "alpha_mutual_information")
     tables = np.zeros(table.shape + (2,))
     tables[..., 0] = table
-    tables[:, 0, 1] = joint.marginal(("X",)).probs
+    tables[:, 0, 1] = _marginal_table(joint, ("X",))
     h_x_given_z, h_x = _arimoto_entropy(tables, alpha).tolist()
     return h_x - h_x_given_z
 
@@ -329,7 +343,7 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
     """
     alpha = float(check_real("alpha", alpha, 0.0, strict=True))
     table = _x_first(joint, "conditional_alpha_mi_given_s", ("X", "Z", "S"))
-    h_x_given_s = _arimoto_entropy(joint.marginal(("X", "S")).probs, alpha)
+    h_x_given_s = _arimoto_entropy(_marginal_table(joint, ("X", "S")), alpha)
     return float(h_x_given_s - _arimoto_entropy(table, alpha))
 
 

@@ -21,6 +21,7 @@ from alphaprivacy.channel import (
     _batch_objective,
     _check_channel_rows,
     _decode,
+    _start_steps,
     enumerate_grid_rows,
     expected_distortion,
     free_parameter_count,
@@ -357,6 +358,16 @@ class TestGridOracle:
 
     def test_numpy_integer_resolution_accepted(self):
         assert len(enumerate_grid_rows(3, np.int64(4))) == 10
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_one_symbol_release_has_one_candidate(self, alpha):
+        # |Z| = 1: a single grid row [1.0], no free parameter
+        assert enumerate_grid_rows(1, 11).tolist() == [[1.0]]
+        world = WorldModel(copy_world(0.4).joint, [[0.0, 1.0]])
+        cfg = ChannelOptConfig(alpha=alpha, lam=0.5)
+        channel, obj = grid_oracle(world, cfg, 11)
+        assert channel.probs.tolist() == [[1.0], [1.0]]
+        assert obj == releaser_objective(world, channel, cfg)
 
     def test_too_many_free_parameters_rejected(self):
         probs = np.full((2, 5, 2), 1.0 / 20)
@@ -1157,3 +1168,73 @@ class TestGridOraclePruning:
             want_channel, want = allocating_grid_oracle(side_world(), cfg, 21)
         assert obj == want
         np.testing.assert_array_equal(channel.probs, want_channel.probs)
+
+
+def serial_start_steps(cfg, s, y):
+    """The start steps of a stack, one restart at a time through
+    ``barzilai_borwein_start``, which masks every entry."""
+    steps = [barzilai_borwein_start(cfg, s_r, y_r) for s_r, y_r in zip(s, y)]
+    return np.array(steps, dtype=np.float64)[:, None, None]
+
+
+class TestStartStepShortcut:
+    """``_start_steps`` skips its masks when every change in log P is
+    finite; it must return what the masked path returns, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 5)),
+           scale=st.sampled_from([1e-12, 1e-3, 1.0, 40.0]),
+           step_size=st.sampled_from([1e-3, 8.0, 64.0]))
+    def test_finite_stacks_equal_the_masked_path(self, seed, shape, scale, step_size):
+        rng = np.random.default_rng(seed)
+        s = rng.normal(0.0, scale, shape)
+        y = rng.normal(0.0, 1.0, shape) + rng.choice([0.0, 3.0]) * s  # <s, y> of both signs
+        s[rng.random(shape) < 0.2] = 0.0
+        cfg = ChannelOptConfig(step_size=step_size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = _start_steps(cfg, s, y), serial_start_steps(cfg, s, y)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_an_underflowed_entry_takes_the_masked_path(self):
+        # y = 2 s on the live entries: the masked path's start is 1/2 exactly,
+        # where unmasked centring would make <s, s> NaN and fall back to step_size
+        rng = np.random.default_rng(5)
+        s = rng.normal(0.0, 1.0, (3, 2, 3))
+        y = 2.0 * s
+        s[1, 0, 2] = -np.inf
+        cfg = ChannelOptConfig()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = _start_steps(cfg, s, y), serial_start_steps(cfg, s, y)
+        assert got.tobytes() == want.tobytes()
+        assert got.ravel().tolist() == [0.5, 0.5, 0.5]
+
+
+def warning_worlds():
+    """Worlds whose kernel tables have zero cells (X = W = Y copies), an
+    all-zero X row (x = 2 never occurs) and one cell (|Z| = 1, no S)."""
+    copy = copy_world(0.4).joint.probs
+    zero_row = np.zeros((3, 2, 2))
+    zero_row[:2] = np.random.default_rng(43).random((2, 2, 2)) + 0.05
+    side = np.random.default_rng(47).random((2, 2, 2, 2)) + 0.05
+    side[1, :, :, 0] = 0.0
+    return [
+        _world(copy, ("X", "W", "Y"), HAMMING),
+        _world(zero_row, ("X", "W", "Y"), HAMMING),
+        _world(side, ("X", "W", "Y", "S"), HAMMING),
+        _world(copy, ("X", "W", "Y"), [[0.0, 1.0]]),
+        _world(side, ("X", "W", "Y", "S"), [[0.0, 1.0]]),
+    ]
+
+
+class TestNoWarnings:
+    """The optimizer and the grid oracle let no NumPy warning out on tables
+    with zero cells, all-zero X rows or one cell."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 50.0])
+    def test_optimizer_and_oracle(self, alpha):
+        cfg = ChannelOptConfig(alpha=alpha, lam=0.7, max_iters=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for world in warning_worlds():
+                optimize_channel(world, cfg, seed=2)
+                grid_oracle(world, cfg, 11)

@@ -1,6 +1,7 @@
 """Unit and property tests for the discrete alpha-information measures."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from alphaprivacy.measures import (
     _check_distributions,
     _logsumexp,
     _masked_log,
+    _x_first,
     alpha_mutual_information,
     arimoto_conditional_entropy,
     batch_sequence_arimoto_entropy,
@@ -108,6 +110,17 @@ class TestValidation:
     def test_joint_label_mismatch(self):
         with pytest.raises(ValidationError):
             JointPmf(np.ones((2, 2)) / 4.0, ("X", "Z", "S"))
+
+    @pytest.mark.parametrize("shape, axes, keep", [
+        ((2, 2), ("X", "Z"), ("X", "X")),
+        ((2, 3, 2), ("X", "Z", "S"), ("S", "X", "S")),
+        ((2, 3, 2), ("X", "Z", "S"), ("Z", "Z", "Z")),
+    ])
+    def test_repeated_marginal_label_is_named(self, shape, axes, keep):
+        joint = JointPmf(np.full(shape, 1.0 / np.prod(shape)), axes)
+        repeated = next(lbl for lbl in keep if keep.count(lbl) > 1)
+        with pytest.raises(ValidationError, match=f"^JointPmf: axis '{repeated}' repeated in"):
+            joint.marginal(keep)
 
     def test_empty_posterior_batch_rejected(self):
         with pytest.raises(ValidationError):
@@ -636,6 +649,23 @@ class TestInPlaceValuePath:
         _arimoto_entropy(tables, alpha, grad=grad, work=np.empty_like(tables))
         np.testing.assert_array_equal(tables, before)
 
+    @pytest.mark.parametrize("alpha", ZERO_ALPHAS)
+    def test_one_cell_tables_take_the_same_path(self, alpha):
+        # one cell, where the kernel skips the reduction over the cells; the
+        # batch holds whole zero tables
+        tables = sparse_table(np.random.default_rng(9), (3, 1, 5, 7), 0.4)
+        tables[:, :, 2] = 0.0
+        before = tables.copy()
+        np.testing.assert_array_equal(
+            _arimoto_entropy(tables, alpha), allocating_arimoto_entropy(tables, alpha)
+        )
+        for grad in (False, True):
+            got = _arimoto_entropy(tables, alpha, grad=grad, work=np.full(tables.shape, np.nan))
+            want = _arimoto_entropy(tables, alpha, grad=grad)
+            for g, w in zip(got, want) if grad else [(got, want)]:
+                np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(tables, before)
+
 
 class TestBatchInvariance:
     """A table gets the same entropy and gradient, bit for bit, scored alone
@@ -748,7 +778,8 @@ class TestLeanHelpers:
         a = drawn_array(data.draw, LOG_ENTRIES)
         axis = data.draw(st.integers(-a.ndim, a.ndim - 1))
         b, c = a.copy(), a.copy()
-        got = _logsumexp(b, axis, out=b if in_place else None)
+        with np.errstate(divide="ignore"):  # the helper's callers suppress log 0
+            got = _logsumexp(b, axis, out=b if in_place else None)
         want = wrapper_logsumexp(c, axis, out=c if in_place else None)
         assert_same_bits(got, want)
         assert_same_bits(b, c)  # the shifted exponentials, when written in place
@@ -757,7 +788,8 @@ class TestLeanHelpers:
     def test_logsumexp_of_all_minus_inf_slices_is_minus_inf(self):
         a = np.full((3, 2), -np.inf)
         a[:, 1] = [0.0, -np.inf, np.log(3.0)]
-        got = _logsumexp(a, axis=0)
+        with np.errstate(divide="ignore"):
+            got = _logsumexp(a, axis=0)
         assert got[0] == -np.inf and got[1] == pytest.approx(np.log(4.0))
         assert_same_bits(got, wrapper_logsumexp(a, axis=0))
 
@@ -791,3 +823,195 @@ class TestLeanHelpers:
             assert_same_bits(got, want)
         if np.size(probs) == 0:
             assert got == (ValidationError, "T: empty probability table")
+
+
+# --- the kernel's shortcuts against the paths they replace ------------------
+
+
+def validated_marginal(joint, keep_labels):
+    """``JointPmf.marginal`` as written before it wrapped a raw table: the
+    sum and transpose, then a new ``Pmf`` or ``JointPmf``."""
+    axes = [joint.axis(lbl) for lbl in keep_labels]
+    drop = tuple(i for i in range(joint.probs.ndim) if i not in axes)
+    table = joint.probs.sum(axis=drop) if drop else joint.probs
+    surviving = [lbl for lbl in joint.axis_labels if lbl in keep_labels]
+    table = np.transpose(table, [surviving.index(lbl) for lbl in keep_labels])
+    return Pmf(table) if len(keep_labels) == 1 else JointPmf(table, keep_labels)
+
+
+def marginal_alpha_mutual_information(joint, alpha):
+    """``alpha_mutual_information`` as written with the X-marginal built and
+    validated as a ``Pmf``."""
+    table = _x_first(joint, "alpha_mutual_information")
+    tables = np.zeros(table.shape + (2,))
+    tables[..., 0] = table
+    tables[:, 0, 1] = validated_marginal(joint, ("X",)).probs
+    h_x_given_z, h_x = _arimoto_entropy(tables, alpha).tolist()
+    return h_x - h_x_given_z
+
+
+def marginal_conditional_alpha_mi_given_s(joint, alpha):
+    """``conditional_alpha_mi_given_s`` as written with the (X, S) marginal
+    built and validated as a ``JointPmf``."""
+    table = _x_first(joint, "conditional_alpha_mi_given_s", ("X", "Z", "S"))
+    h_x_given_s = _arimoto_entropy(validated_marginal(joint, ("X", "S")).probs, alpha)
+    return float(h_x_given_s - _arimoto_entropy(table, alpha))
+
+
+def two_reduction_arimoto_entropy(table, alpha, grad=False):
+    """``_arimoto_entropy`` as written before a one-cell table skipped the
+    log-sum-exp over its cells, every step in a new array: the reference
+    for that shortcut, gradient included."""
+    if table.ndim > 2 and table[0, 0].size == 1:
+        out = two_reduction_arimoto_entropy(np.concatenate((table, table), axis=-1), alpha, grad)
+        return (out[0][..., :1], out[1][..., :1]) if grad else out[..., :1]
+    logj = masking_log(table)
+    finite = np.isfinite(logj)
+    dj = np.zeros(table.shape)
+    if alpha == 1.0:
+        value = allocating_arimoto_entropy(table, alpha)
+        np.subtract(masking_log(table.sum(axis=0)), logj, out=dj, where=finite)
+        return (value, dj) if grad else value
+    log_norms = wrapper_logsumexp(alpha * logj, axis=0) / alpha
+    log_total = wrapper_logsumexp(log_norms, axis=0)
+    value = alpha / (1.0 - alpha) * log_total
+    safe_norms = np.where(np.isfinite(log_norms), log_norms, 0.0)
+    expo = np.where(finite, logj, 0.0) * (alpha - 1.0) + safe_norms * (1.0 - alpha) - log_total
+    np.exp(expo, out=dj, where=finite)
+    dj *= alpha / (1.0 - alpha)
+    return (value, dj) if grad else value
+
+
+def labelled_joint(rng, sizes, labels, sparsity, zero_cells):
+    """A sparse joint over ``labels`` (in that storage order) with
+    ``zero_cells`` whole zero cells of the axes other than X."""
+    table = sparse_table(rng, sizes, sparsity)
+    x = labels.index("X")
+    for _ in range(zero_cells):
+        cell = tuple(slice(None) if i == x else rng.integers(n) for i, n in enumerate(sizes))
+        if table[cell].sum() < table.sum():
+            table[cell] = 0.0
+    return JointPmf(table / table.sum(), labels)
+
+
+class TestRawMarginals:
+    """The measures read their marginals as raw tables; each must equal the
+    path through a validated ``Pmf``/``JointPmf`` bit for bit."""
+
+    @given(seed=SEEDS, sizes=st.tuples(*[st.integers(1, 3)] * 4), data=st.data())
+    def test_marginal_equals_the_validated_form(self, seed, sizes, data):
+        labels = data.draw(st.permutations(("X", "Z", "S", "W")))
+        keep = tuple(data.draw(st.permutations(labels))[: data.draw(st.integers(1, 4))])
+        joint = labelled_joint(np.random.default_rng(seed), sizes, labels, 0.3, 0)
+        got, want = joint.marginal(keep), validated_marginal(joint, keep)
+        assert type(got) is type(want) and getattr(got, "axis_labels", keep) == keep
+        assert_same_bits(got.probs, want.probs)
+
+    @given(seed=SEEDS, sizes=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+           order=st.sampled_from(list(itertools.permutations(("X", "Z")))),
+           sparsity=st.sampled_from([0.0, 0.4]), zero_cells=st.integers(0, 2),
+           alpha=ANY_ALPHA)
+    def test_alpha_mutual_information(self, seed, sizes, order, sparsity, zero_cells, alpha):
+        joint = labelled_joint(np.random.default_rng(seed), sizes, order, sparsity, zero_cells)
+        assert_same_bits(alpha_mutual_information(joint, alpha),
+                         marginal_alpha_mutual_information(joint, alpha))
+
+    @given(seed=SEEDS, sizes=st.tuples(*[st.integers(1, 4)] * 3),
+           order=st.sampled_from(list(itertools.permutations(("X", "Z", "S")))),
+           sparsity=st.sampled_from([0.0, 0.4]), zero_cells=st.integers(0, 2),
+           alpha=ANY_ALPHA)
+    def test_conditional_alpha_mi_given_s(self, seed, sizes, order, sparsity, zero_cells,
+                                          alpha):
+        # every storage order: X last, S in the middle, ...
+        joint = labelled_joint(np.random.default_rng(seed), sizes, order, sparsity, zero_cells)
+        assert_same_bits(conditional_alpha_mi_given_s(joint, alpha),
+                         marginal_conditional_alpha_mi_given_s(joint, alpha))
+
+
+class TestOneCellTables:
+    """Over one cell the kernel skips the log-sum-exp over the cells; its
+    value and gradient must be those of both reductions, bit for bit."""
+
+    @given(seed=SEEDS, nx=st.integers(1, 9), batch=st.sampled_from([(), (1,), (4,), (2, 3)]),
+           sparsity=st.sampled_from([0.0, 0.4]), all_zero=st.booleans(), orders=ORDERS)
+    def test_equal_the_two_reduction_path(self, seed, nx, batch, sparsity, all_zero, orders):
+        table = sparse_table(np.random.default_rng(seed), (nx, 1) + batch, sparsity)
+        if all_zero:
+            table.reshape(nx, -1)[:, 0] = 0.0  # the first table of the batch, or the table
+        for alpha in orders + [1.0]:
+            with np.errstate(divide="ignore"):
+                want, want_grad = two_reduction_arimoto_entropy(table, alpha, grad=True)
+            got, grad = _arimoto_entropy(table, alpha, grad=True)
+            assert_same_bits(got, want)
+            assert_same_bits(grad, want_grad)
+            assert_same_bits(_arimoto_entropy(table, alpha), want)
+
+
+def warning_tables():
+    """(X, Z) joints with a zero cell, an all-zero X row, one cell, and one
+    cell with an all-zero X row."""
+    return [
+        np.array([[0.5, 0.0], [0.5, 0.0]]),
+        np.array([[0.25, 0.75], [0.0, 0.0]]),
+        np.array([[0.3], [0.7]]),
+        np.array([[1.0], [0.0], [0.0]]),
+    ]
+
+
+class TestNoWarnings:
+    """Each kernel evaluation suppresses its log of zero once; no public
+    measure may let a NumPy warning out."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS + [50.0])
+    def test_measures_on_zero_cells_zero_rows_and_one_cell(self, alpha):
+        joints = [JointPmf(t, ("X", "Z")) for t in warning_tables()]
+        joints += [JointPmf(t.T, ("Z", "X")) for t in warning_tables()]
+        side = [JointPmf(t[:, :, None] * [0.5, 0.5], ("X", "Z", "S")) for t in warning_tables()]
+        side += [JointPmf(t[:, None, :] * [[1.0], [0.0]], ("X", "S", "Z"))
+                 for t in warning_tables()]
+        pmfs = [Pmf([1.0]), Pmf([0.5, 0.0, 0.5]), Pmf([0.0, 1.0])]
+        posteriors = [np.eye(3)[[0, 2, 1, 0]].reshape(2, 2, 3), np.ones((1, 1, 1)),
+                      np.array([[[0.5, 0.5, 0.0]]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in pmfs:
+                renyi_entropy(p, alpha)
+            for joint in joints:
+                arimoto_conditional_entropy(joint, alpha)
+                alpha_mutual_information(joint, alpha)
+            for joint in side:
+                conditional_alpha_mi_given_s(joint, alpha)
+            for probs in posteriors:
+                batch_sequence_arimoto_entropy(PosteriorBatch(probs), alpha)
+                batch_sequence_arimoto_entropy_grad(probs, alpha)
+
+
+class TestNoRevalidation:
+    """A measure trusts an already-built ``Pmf``/``JointPmf``: it makes no
+    call to ``_check_distributions``."""
+
+    def test_measures_make_no_validation_call(self, monkeypatch):
+        import alphaprivacy.measures as measures_module
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return _check_distributions(*args, **kwargs)
+
+        rng = np.random.default_rng(3)
+        joint = JointPmf(sparse_table(rng, (3, 4), 0.3), ("Z", "X"))
+        side = JointPmf(sparse_table(rng, (2, 3, 2), 0.3), ("S", "X", "Z"))
+        pmf = Pmf(sparse_table(rng, (4,), 0.3))
+        posteriors = PosteriorBatch(random_posteriors(rng, 3, 2, 3))
+        monkeypatch.setattr(measures_module, "_check_distributions", spy)
+        for alpha in ALPHAS:
+            renyi_entropy(pmf, alpha)
+            arimoto_conditional_entropy(joint, alpha)
+            alpha_mutual_information(joint, alpha)
+            conditional_alpha_mi_given_s(side, alpha)
+            batch_sequence_arimoto_entropy(posteriors, alpha)
+            batch_sequence_arimoto_entropy_grad(posteriors.probs, alpha)
+        assert calls == []
+        joint.marginal(("X",))  # the spy sees what validates
+        assert calls == ["Pmf"]
