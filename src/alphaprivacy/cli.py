@@ -171,6 +171,7 @@ def _build_run_pieces(args, config):
         hyper_doc = dict(_config_entry(config, "hyper", dict, {}))
         if args.seed is not None:
             hyper_doc["seed"] = args.seed
+        hyper_doc.setdefault("num_steps", data_cfg.num_steps)
         hyper = HyperParams(**hyper_doc)
         spec = (
             DistortionSpec(**distortion)
@@ -180,7 +181,8 @@ def _build_run_pieces(args, config):
     except TypeError as exc:
         raise DataFormatError(f"config: {exc}") from None
     if hyper.num_steps != data_cfg.num_steps:
-        hyper = HyperParams(**{**hyper_doc, "num_steps": data_cfg.num_steps})
+        raise ValidationError(f"config: hyper.num_steps is {hyper.num_steps} but "
+                              f"data.num_steps is {data_cfg.num_steps}")
     return data_cfg, hyper, spec, si_enabled, utility_enabled
 
 

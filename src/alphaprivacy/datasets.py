@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import ValidationError, check_count, check_real
 
+# radius of the circle the labeled_clusters class means sit on
+CLASS_SPREAD = 3.0
+
 
 @dataclass
 class DatasetBatch:
@@ -122,12 +125,9 @@ class SynthConfig:
     # labeled_clusters
     num_classes: int = 4
     separation: float = 4.0
-    class_spread: float = 3.0
     class_bias: float = 0.1
-    cluster_scale: float = 1.0
     # markov_load
     stay_prob: float = 0.8
-    base_load: float = 1.0
     occupancy_bump: float = 1.0
     load_noise: float = 0.25
     si_correlation: float = 0.0
@@ -138,9 +138,8 @@ class SynthConfig:
         for name in ("total", "num_steps", "d_y", "noise_dim", "num_classes"):
             check_count(name, getattr(self, name))
         check_count("seed", self.seed, 0)
-        # cluster_scale and stay_prob are bounded by the generator that uses them
-        for name in ("class_spread", "class_bias", "cluster_scale", "stay_prob", "base_load",
-                     "occupancy_bump", "load_noise"):
+        # stay_prob is bounded by the generator that uses it
+        for name in ("class_bias", "stay_prob", "occupancy_bump", "load_noise"):
             check_real(name, getattr(self, name))
         check_real("separation", self.separation, 0.0)
         if not 0.0 <= check_real("si_correlation", self.si_correlation) <= 1.0:
@@ -157,9 +156,9 @@ def _class_means(cfg):
     """Base mean per utility class, spread over the leading coordinates."""
     means = np.zeros((cfg.num_classes, cfg.d_y))
     angles = 2.0 * np.pi * np.arange(cfg.num_classes) / cfg.num_classes
-    means[:, 0] = cfg.class_spread * np.cos(angles)
+    means[:, 0] = CLASS_SPREAD * np.cos(angles)
     if cfg.d_y > 1:
-        means[:, 1] = cfg.class_spread * np.sin(angles)
+        means[:, 1] = CLASS_SPREAD * np.sin(angles)
     return means
 
 
@@ -180,8 +179,6 @@ def gen_labeled_clusters(cfg: SynthConfig) -> DatasetBatch:
     with a class-dependent bias, emission mean depending on both."""
     if cfg.generator != "labeled_clusters":
         raise ValidationError("config is not for labeled_clusters")
-    if cfg.cluster_scale <= 0.0:
-        raise ValidationError("cluster_scale must be positive (degenerate covariance)")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.total
     c = rng.integers(0, cfg.num_classes, size=n)
@@ -192,7 +189,7 @@ def gen_labeled_clusters(cfg: SynthConfig) -> DatasetBatch:
     y = (
         means
         + x[:, None] * _private_shift(cfg)
-        + cfg.cluster_scale * rng.normal(size=(n, cfg.d_y))
+        + rng.normal(size=(n, cfg.d_y))
     )
     u = rng.random((n, 1, cfg.noise_dim))
     return DatasetBatch(y=y[:, None, :], x=x[:, None], u=u, s=None, c=c)
@@ -213,7 +210,7 @@ def gen_markov_load(cfg: SynthConfig) -> DatasetBatch:
         stay = rng.random(n) < cfg.stay_prob
         x[:, t] = np.where(stay, x[:, t - 1], 1 - x[:, t - 1])
     y = (
-        cfg.base_load
+        1.0
         + cfg.occupancy_bump * x[:, :, None]
         + cfg.load_noise * rng.normal(size=(n, nsteps, cfg.d_y))
     )

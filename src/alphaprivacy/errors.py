@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the input rules for
-counts and real-valued settings."""
+counts, real-valued settings and batch shapes."""
 
 import math
 from numbers import Integral, Real
@@ -35,6 +35,16 @@ def check_real(name, value, low=None, strict=False):
         bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
         raise ValidationError(f"{name} must be a finite number{bound}, got {value!r}")
     return value
+
+
+def check_nonempty(name, shape, axes=("batch", "time", "class")):
+    """Raise a ValidationError naming ``name`` and the first empty axis of
+    ``shape``, whose trailing axes are ``axes`` and any leading one the
+    model axis of a stack.  A shape test only, with no reduction."""
+    if 0 in shape:
+        axis = shape.index(0) - len(shape) + len(axes)
+        label = axes[axis] if axis >= 0 else "model"
+        raise ValidationError(f"{name}: empty {label} axis in shape {shape}")
 
 
 class ValidationError(ValueError):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_nonempty, check_real
 from .measures import (
     ZERO_PROB,
     _per_model,
@@ -34,18 +34,16 @@ class DistortionSpec:
     ``p_norm`` is the per-sample (1/T) p-norm of the flattened difference;
     ``composite_img`` adds the utility classifier's cross-entropy to an L1
     norm; ``ts_l2``, the time-series name, is read as ``p_norm`` with
-    p = 2.  ``utility_weight`` scales the classifier term of the composite.
+    p = 2.
     """
 
     kind: str = "p_norm"
     p: float = 2.0
-    utility_weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in DISTORTION_KINDS:
             raise ValidationError(f"unknown distortion kind {self.kind!r}")
         check_real("p", self.p, 1.0)
-        check_real("utility_weight", self.utility_weight, 0.0)
         if self.kind == "ts_l2":
             self.kind, self.p = "p_norm", 2.0
         elif self.kind == "composite_img":
@@ -69,6 +67,7 @@ def _norm_distortion(spec, released, target, grad=False):
             f"released/target must share a (B, T, d) shape, got "
             f"{released.shape} vs {target.shape}"
         )
+    check_nonempty("released", released.shape, ("batch", "time", "feature"))
     nbatch, nsteps = released.shape[-3], released.shape[-2]
     flat = (released - target).reshape(*released.shape[:-2], -1)
     mag = np.abs(flat)
@@ -84,7 +83,7 @@ def _norm_distortion(spec, released, target, grad=False):
 
 
 def _utility_term(spec, utility_loss):
-    """The composite's weighted utility cross-entropy, 0 for the norms; the
+    """The composite's utility cross-entropy, 0 for the norms; the
     loss is required for the composite and rejected elsewhere."""
     if spec.needs_utility and utility_loss is None:
         raise ValidationError("composite_img distortion requires utility_loss")
@@ -92,7 +91,7 @@ def _utility_term(spec, utility_loss):
         raise ValidationError(f"{spec.kind} distortion does not take utility_loss")
     if not spec.needs_utility:
         return 0.0
-    return spec.utility_weight * _per_model(np.asarray(utility_loss, dtype=np.float64))
+    return _per_model(np.asarray(utility_loss, dtype=np.float64))
 
 
 @dataclass
@@ -122,6 +121,7 @@ def adversary_loss(posterior_probs, labels) -> LossValue:
             f"posteriors (B, T, K) and labels (B, T) mismatch: "
             f"{probs.shape} vs {labels.shape}"
         )
+    check_nonempty("adversary_loss", probs.shape)
     nbatch, nsteps, nclass = probs.shape[-3:]
     if labels.min() < 0 or labels.max() >= nclass:
         raise ValidationError("labels outside the private alphabet")
@@ -166,6 +166,7 @@ def releaser_loss(
     lam = np.asarray(lam, dtype=np.float64)
     check_real("alpha", alpha, 0.0, strict=True)
     probs = np.asarray(posterior_probs, dtype=np.float64)
+    check_nonempty("releaser_loss", probs.shape)
     value, grad_released = _norm_distortion(spec, released, target, grad=True)
     value += _utility_term(spec, utility_loss)
     if not lam.any():

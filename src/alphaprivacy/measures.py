@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_nonempty, check_real
 
 # Probabilities at or below this threshold are treated as exact zeros in
 # entropy sums (the 0 * log 0 = 0 convention).
@@ -359,11 +359,14 @@ def batch_sequence_arimoto_entropy_grad(probs, alpha):
     """Value and gradient of the batch sequence alpha-entropy w.r.t. the
     posterior probabilities.
 
-    ``probs`` is the raw (B, T, |X|) array (assumed valid; training code
-    feeds softmax outputs).  Returns ``(value, grad)`` with ``grad`` the
-    same shape as ``probs``.  Probabilities are floored at ``ZERO_PROB``
-    before differentiation, so every log is finite.
+    ``probs`` is the raw (B, T, |X|) array (assumed valid, but for an empty
+    axis, which is a ValidationError; training code feeds softmax outputs).
+    Returns ``(value, grad)`` with ``grad`` the same shape as ``probs``.
+    Probabilities are floored at ``ZERO_PROB`` before differentiation, so
+    every log is finite.
     """
     alpha = float(check_real("alpha", alpha, 0.0, strict=True))
-    q = np.maximum(np.asarray(probs, dtype=np.float64), ZERO_PROB)
+    probs = np.asarray(probs, dtype=np.float64)
+    check_nonempty("batch_sequence_arimoto_entropy_grad", probs.shape)
+    q = np.maximum(probs, ZERO_PROB)
     return _sequence_entropy(q, np.log(q), alpha, grad=True)

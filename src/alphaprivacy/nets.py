@@ -387,7 +387,6 @@ class SgdMomentum:
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.velocity = None
-        self.steps = 0
 
     def step(self, grads):
         layers = self.network.layers
@@ -408,4 +407,3 @@ class SgdMomentum:
             layer.w -= self.learning_rate * vw
             layer.b -= self.learning_rate * vb
         self.network._version += 1
-        self.steps += 1

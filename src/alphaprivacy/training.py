@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import BatchStream, DatasetBatch, _derive_seed
-from .errors import DivergenceError, ValidationError, check_count, check_real, is_count
+from .errors import DivergenceError, ValidationError, check_count, check_real
 from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .metrics import balanced_accuracy, normalized_error
@@ -35,10 +35,11 @@ LOSS_CEILING = 1e6
 
 OBSERVED_MODES = ("y_only", "concat_xy")
 
-COUNT_FIELDS = (
-    "batch_size", "adversary_steps", "iterations", "num_steps",
-    "hidden_releaser", "hidden_adversary", "hidden_utility",
-)
+# hidden width of every network, and the utility classifier's learning rate
+HIDDEN = 16
+UTILITY_LR = 0.05
+
+COUNT_FIELDS = ("batch_size", "adversary_steps", "iterations", "num_steps")
 
 
 @dataclass
@@ -51,21 +52,16 @@ class HyperParams:
     num_steps: int = 1
     lr_releaser: float = 0.01
     lr_adversary: float = 0.05
-    lr_utility: float = 0.05
     lr_decay: float = 0.0
     average_tail: float = 0.0
     momentum: float = 0.9
     seed: int = 0
-    hidden_releaser: int = 16
-    hidden_adversary: int = 16
-    hidden_utility: int = 16
     observed_mode: str = "y_only"
-    attacker_iterations: Optional[int] = None
 
     def __post_init__(self):
         check_real("alpha", self.alpha, 0.0, strict=True)
         check_real("lam", self.lam, 0.0)
-        for name in ("lr_releaser", "lr_adversary", "lr_utility"):
+        for name in ("lr_releaser", "lr_adversary"):
             check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("lr_decay", self.lr_decay, 0.0)
         check_real("momentum", self.momentum, 0.0)
@@ -76,9 +72,6 @@ class HyperParams:
             raise ValidationError(f"observed_mode must be one of {OBSERVED_MODES}")
         if not 0.0 <= check_real("average_tail", self.average_tail) < 1.0:
             raise ValidationError("average_tail must lie in [0, 1)")
-        attack = self.attacker_iterations
-        if attack is not None and not is_count(attack):
-            raise ValidationError("attacker_iterations must be None or an integer >= 1")
 
 
 def assemble_observed(y, x, noise=None, mode="y_only"):
@@ -130,9 +123,6 @@ class TrainedSystem:
     releaser_history: list = field(default_factory=list)
     adversary_history: list = field(default_factory=list)
     utility_history: list = field(default_factory=list)
-    releaser_updates: int = 0
-    adversary_updates: int = 0
-    utility_updates: int = 0
 
     def release(self, batch: DatasetBatch):
         w = assemble_observed(batch.y, batch.x, batch.u, self.hyper.observed_mode)
@@ -155,9 +145,9 @@ class TrainedSystem:
             "adversary_history": self.adversary_history,
             "utility_history": self.utility_history,
             "updates": {
-                "releaser": self.releaser_updates,
-                "adversary": self.adversary_updates,
-                "utility": self.utility_updates,
+                "releaser": len(self.releaser_history),
+                "adversary": len(self.adversary_history),
+                "utility": len(self.utility_history),
             },
         }
 
@@ -165,12 +155,13 @@ class TrainedSystem:
         write_text_atomic(path, json.dumps(self.to_dict()))
 
 
-def _two_layer_net(num_steps, d_in, hidden, d_out, head, seed):
-    """A tanh hidden layer (dense at T = 1, the recurrent cell otherwise)
-    under a dense output layer with activation ``head``: the releaser's
-    shape with a linear head, every classifier's with softmax."""
-    first = dense(d_in, hidden, "tanh") if num_steps == 1 else recurrent(d_in, hidden)
-    return Network.build([first, dense(hidden, d_out, head)], seed)
+def _two_layer_net(num_steps, d_in, d_out, head, seed):
+    """A tanh hidden layer of ``HIDDEN`` units (dense at T = 1, the
+    recurrent cell otherwise) under a dense output layer with activation
+    ``head``: the releaser's shape with a linear head, every classifier's
+    with softmax."""
+    first = dense(d_in, HIDDEN, "tanh") if num_steps == 1 else recurrent(d_in, HIDDEN)
+    return Network.build([first, dense(HIDDEN, d_out, head)], seed)
 
 
 def _guard(values, iteration, who, failed):
@@ -236,7 +227,7 @@ def _releaser_step(opt_r, adversary, utility, batch, spec, lam, hyper, si_enable
     _, grad_adv_in = adversary.backward(loss.grad_posteriors, trace_a)
     grad_z += grad_adv_in[..., :z.shape[-1]]
     if utility is not None:
-        _, grad_util_in = utility.backward(spec.utility_weight * util.grad_posteriors, trace_u)
+        _, grad_util_in = utility.backward(util.grad_posteriors, trace_u)
         grad_z += grad_util_in
     grads_r, _ = releaser.backward(grad_z, trace_r, input_grad=False)
     opt_r.step(grads_r)
@@ -326,27 +317,24 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     d_y = pool.y.shape[2]
     d_w = assemble_observed(pool.y[:1], pool.x[:1], pool.u[:1], hyper.observed_mode).shape[2]
 
-    def stacked_net(role, num_steps, d_in, hidden, d_out, head):
+    def stacked_net(role, num_steps, d_in, d_out, head):
         return Network.stack([
-            _two_layer_net(num_steps, d_in, hidden, d_out, head, _derive_seed(h.seed, role))
+            _two_layer_net(num_steps, d_in, d_out, head, _derive_seed(h.seed, role))
             for h in hypers
         ])
 
-    releaser = stacked_net(
-        "releaser", hyper.num_steps, d_w, hyper.hidden_releaser, d_y, "linear"
-    )
+    releaser = stacked_net("releaser", hyper.num_steps, d_w, d_y, "linear")
     # the training pool sets both class alphabets; the networks carry them
     adversary = stacked_net(
-        "adversary", hyper.num_steps, d_in, hyper.hidden_adversary, int(pool.x.max()) + 1,
-        "softmax",
+        "adversary", hyper.num_steps, d_in, int(pool.x.max()) + 1, "softmax"
     )
     opt_r = SgdMomentum(releaser, hyper.lr_releaser, hyper.momentum)
     opt_a = SgdMomentum(adversary, hyper.lr_adversary, hyper.momentum)
     utility = opt_u = None
     if utility_enabled:
         n_classes = int(pool.c.max()) + 1
-        utility = stacked_net("utility", 1, d_y, hyper.hidden_utility, n_classes, "softmax")
-        opt_u = SgdMomentum(utility, hyper.lr_utility, hyper.momentum)
+        utility = stacked_net("utility", 1, d_y, n_classes, "softmax")
+        opt_u = SgdMomentum(utility, UTILITY_LR, hyper.momentum)
 
     lam = np.array([h.lam for h in hypers])
     failed = {}
@@ -418,9 +406,6 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
             utility_history=[
                 u[g] for k_steps, _ in history for _, u in k_steps if u is not None
             ],
-            releaser_updates=opt_r.steps,
-            adversary_updates=opt_a.steps,
-            utility_updates=opt_u.steps if opt_u is not None else 0,
         )
         for g, (rel, adv, util_net) in enumerate(members)
     ]
@@ -452,19 +437,13 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
     hyper, _, d_in = _check_group([s.hyper for s in systems], streams, si_enabled)
     releaser = Network.stack([s.releaser for s in systems])
     attacker = Network.stack([
-        _two_layer_net(
-            hyper.num_steps, d_in, hyper.hidden_adversary, systems[0].adversary.out_dim,
-            "softmax", seed,
-        )
+        _two_layer_net(hyper.num_steps, d_in, systems[0].adversary.out_dim, "softmax", seed)
         for seed in seeds
     ])
     opt = SgdMomentum(attacker, hyper.lr_adversary, hyper.momentum)
-    iters = hyper.attacker_iterations
-    if iters is None:
-        iters = hyper.iterations
     failed = {}
-    for start in range(0, iters, hyper.adversary_steps):
-        block = range(start, min(start + hyper.adversary_steps, iters))
+    for start in range(0, hyper.iterations, hyper.adversary_steps):
+        block = range(start, min(start + hyper.adversary_steps, hyper.iterations))
         rows = _draw(streams, hyper.batch_size, count=len(block))
         _classifier_steps(
             opt, None, releaser, rows, hyper, si_enabled, "attacker", block, failed

@@ -356,10 +356,9 @@ class TestTrainCommand:
         assert len(lines) == 10
         assert lines[0].startswith("iteration=0 ")
 
-    @pytest.mark.parametrize("field, value", [("lr_decay", -1), ("hidden_releaser", 0),
-                                              ("attacker_iterations", 0),
-                                              ("attacker_iterations", -5),
-                                              ("attacker_iterations", 2.5)])
+    @pytest.mark.parametrize("field, value", [("lr_decay", -1), ("batch_size", 0),
+                                              ("adversary_steps", 0), ("iterations", 0),
+                                              ("momentum", -0.5)])
     def test_out_of_range_hyper_is_a_one_line_data_error(self, tmp_path, capsys, field, value):
         config = json.loads(json.dumps(SWEEP_CONFIG))
         config["hyper"][field] = value
@@ -494,6 +493,27 @@ class TestSeedsAndDataSettings:
         assert_one_line_error(capsys, "data error: ", field)
         assert not (tmp_path / "results.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_hyper_horizon_that_conflicts_with_the_data_is_a_data_error(self, tmp_path, capsys,
+                                                                        command):
+        cfg = sweep_config_file(
+            tmp_path,
+            hyper={"num_steps": 4, "iterations": 2, "batch_size": 8},
+            data={"generator": "markov_load", "num_steps": 24, "total": 40},
+            distortion={"kind": "ts_l2"},
+        )
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", "hyper.num_steps is 4",
+                              "data.num_steps is 24")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+    @pytest.mark.parametrize("hyper", [{}, {"num_steps": 24}])
+    def test_hyper_horizon_is_the_data_horizon(self, hyper):
+        args = Namespace(si=False, utility_net=False, seed=None)
+        config = {"hyper": hyper, "data": {"generator": "markov_load", "num_steps": 24}}
+        _, hyper_params, *_ = _build_run_pieces(args, config)
+        assert hyper_params == HyperParams(num_steps=24)
+
 
 class TestPlotInputErrors:
     @pytest.mark.parametrize("text", [
@@ -592,9 +612,54 @@ REAL_SETTINGS = (
 )
 
 
+# every settable value of the four config dataclasses; a new field fails
+# the pin below until it is declared here
+CONFIG_FIELDS = {
+    HyperParams: (
+        "alpha", "lam", "batch_size", "adversary_steps", "iterations", "num_steps",
+        "lr_releaser", "lr_adversary", "lr_decay", "average_tail", "momentum", "seed",
+        "observed_mode",
+    ),
+    SynthConfig: (
+        "generator", "total", "num_steps", "d_y", "noise_dim", "seed", "num_classes",
+        "separation", "class_bias", "stay_prob", "occupancy_bump", "load_noise",
+        "si_correlation",
+    ),
+    DistortionSpec: ("kind", "p"),
+    ChannelOptConfig: ("alpha", "lam", "step_size", "max_iters", "restarts"),
+}
+
+# settings that are constants of the code, one per (config section, key)
+REMOVED_SETTINGS = [
+    ("hyper", "hidden_releaser", 16), ("hyper", "hidden_adversary", 16),
+    ("hyper", "hidden_utility", 16), ("hyper", "lr_utility", 0.05),
+    ("hyper", "attacker_iterations", 2), ("distortion", "utility_weight", 1.0),
+    ("data", "class_spread", 3.0), ("data", "cluster_scale", 1.0),
+    ("data", "base_load", 1.0),
+]
+
+
 class TestRunConfigTypes:
+    def test_config_surface_is_pinned(self):
+        got = {cls: tuple(f.name for f in fields(cls)) for cls in CONFIG_FIELDS}
+        assert got == CONFIG_FIELDS
+        assert sum(map(len, got.values())) == 33
+
+    @pytest.mark.parametrize("section, key, value", REMOVED_SETTINGS)
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_removed_setting_is_a_one_line_data_error(self, tmp_path, capsys, section, key,
+                                                      value, command):
+        config = json.loads(json.dumps(SWEEP_CONFIG))
+        config["hyper"]["iterations"] = 2
+        config.setdefault(section, {})[key] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", key)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_every_real_setting_is_listed(self):
-        assert len(REAL_SETTINGS) == 19
+        assert len(REAL_SETTINGS) == 14
         assert ("hyper", "alpha") in REAL_SETTINGS and ("distortion", "p") in REAL_SETTINGS
 
     @pytest.mark.parametrize("section, field", REAL_SETTINGS)

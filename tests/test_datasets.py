@@ -7,7 +7,6 @@ from alphaprivacy.datasets import (
     BatchStream,
     DatasetBatch,
     SynthConfig,
-    gen_labeled_clusters,
     gen_markov_load,
     generate,
     train_eval_split,
@@ -58,8 +57,8 @@ class TestValidation:
             SynthConfig(seed=value)
 
     @pytest.mark.parametrize("field", [
-        "separation", "class_spread", "class_bias", "cluster_scale", "stay_prob", "base_load",
-        "occupancy_bump", "load_noise", "si_correlation",
+        "separation", "class_bias", "stay_prob", "occupancy_bump", "load_noise",
+        "si_correlation",
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("-inf"), "abc", True, None])
     def test_non_finite_or_non_real_settings_rejected(self, field, value):
@@ -73,11 +72,6 @@ class TestValidation:
     def test_si_correlation_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             SynthConfig(generator="markov_load", si_correlation=1.5)
-
-    def test_degenerate_cluster_scale_rejected(self):
-        cfg = SynthConfig(generator="labeled_clusters", cluster_scale=0.0, total=8)
-        with pytest.raises(ValidationError):
-            gen_labeled_clusters(cfg)
 
     def test_invalid_transition_rejected(self):
         cfg = SynthConfig(generator="markov_load", stay_prob=1.2, total=8, num_steps=4)

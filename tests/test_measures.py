@@ -508,6 +508,17 @@ class TestBatchEntropyGradient:
                 value, _ = batch_sequence_arimoto_entropy_grad(probs, alpha)
                 assert batch_sequence_arimoto_entropy(PosteriorBatch(probs), alpha) == value
 
+    @pytest.mark.parametrize("shape, axis", [
+        ((0, 2, 2), "batch"), ((2, 0, 2), "time"), ((0, 1, 2), "batch"), ((2, 2, 0), "class"),
+        ((1, 0, 2, 2), "batch"), ((0, 2, 2, 2), "model"),
+    ])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_empty_axis_is_a_typed_error_naming_it(self, shape, axis, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"empty {axis} axis"):
+                batch_sequence_arimoto_entropy_grad(np.full(shape, 0.5), alpha)
+
 
 def _raw_batch_entropy(probs, alpha):
     """Evaluate the estimator on a possibly unnormalized table (for FD)."""
