@@ -159,19 +159,35 @@ def releaser_loss(
     For a stack, ``lam`` holds one weight per model.  A model with
     lambda = 0 gets the distortion as its value and a zero entropy
     gradient, exactly as a lone lambda = 0 batch does, which never
-    evaluates the entropy.
+    evaluates the entropy.  So when every lambda is 0 the posteriors may
+    be None, and ``grad_posteriors`` is then None too.  The posteriors
+    must describe the release's batch: the same (G,) B and T axes.
     """
     for weight in (lam,) if np.ndim(lam) == 0 else lam:
         check_real("lam", weight, 0.0)
     lam = np.asarray(lam, dtype=np.float64)
     check_real("alpha", alpha, 0.0, strict=True)
-    probs = np.asarray(posterior_probs, dtype=np.float64)
-    check_nonempty("releaser_loss", probs.shape)
+    probs = None
+    if posterior_probs is not None:
+        probs = np.asarray(posterior_probs, dtype=np.float64)
+        check_nonempty("releaser_loss", probs.shape)
+    elif lam.any():
+        raise ValidationError("releaser_loss needs the posteriors when a lam is > 0")
     value, grad_released = _norm_distortion(spec, released, target, grad=True)
+    if probs is not None and probs.shape[:-1] != grad_released.shape[:-1]:
+        raise ValidationError(
+            f"posteriors {probs.shape} do not describe the release {grad_released.shape}: "
+            f"their (G,) B, T axes differ"
+        )
+    if lam.ndim and lam.shape != grad_released.shape[:-3]:
+        raise ValidationError(
+            f"lam {lam.shape} must hold one weight per model of the release "
+            f"{grad_released.shape}"
+        )
     value += _utility_term(spec, utility_loss)
     if not lam.any():
         return LossValue(value=value, grad_released=grad_released,
-                         grad_posteriors=np.zeros_like(probs))
+                         grad_posteriors=None if probs is None else np.zeros_like(probs))
     entropy, dentropy = batch_sequence_arimoto_entropy_grad(probs, alpha)
     active = lam != 0.0
     return LossValue(

@@ -90,6 +90,10 @@ def run_group(
     alpha, trained and attacked as one stack; each point keeps its own
     seeds, and a diverged one fails alone.
 
+    A point reports no adversary, so a lambda = 0 point, whose releaser
+    never reads one, trains none: its system holds the untrained initial
+    adversary, and it fails only through its releaser or its attacker.
+
     The private alphabet, and the utility one when the utility network is
     on, is the training split's, so an evaluation label beyond it is a
     ValidationError, raised before any point trains."""
@@ -113,6 +117,7 @@ def run_group(
         spec,
         si_enabled=si_enabled,
         utility_enabled=utility_enabled,
+        train_idle_adversaries=False,
     )
     trained = [i for i, o in enumerate(outcomes) if isinstance(o, TrainedSystem)]
     attackers = train_attacker_group(

@@ -14,6 +14,8 @@ The points of a trade-off curve differ only in lambda and seed, so
 :mod:`.nets`), each with its own initial weights, batch stream and
 divergence outcome; :func:`train` is its G = 1 view, and
 :func:`train_attacker_group` and :func:`train_attacker` stand likewise.
+A sweep's lambda = 0 models train no adversary, since its releasers
+never read it (see :func:`train_group`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import DivergenceError, ValidationError, check_count, check_real
 from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
 from .metrics import balanced_accuracy, normalized_error
-from .nets import Network, SgdMomentum, dense, recurrent
+from .nets import Layer, Network, SgdMomentum, dense, recurrent
 
 LOSS_CEILING = 1e6
 
@@ -112,7 +114,13 @@ def _with_side_info(z, s, si_enabled):
 
 @dataclass
 class TrainedSystem:
-    """Outcome of one adversarial training run."""
+    """Outcome of one adversarial training run.
+
+    A lambda = 0 model of a group trained without its idle adversary (see
+    :func:`train_group`) holds its seeded, untrained initial adversary,
+    which carries the private class count, and an empty
+    ``adversary_history``.
+    """
 
     releaser: Network
     adversary: Network
@@ -125,9 +133,7 @@ class TrainedSystem:
     utility_history: list = field(default_factory=list)
 
     def release(self, batch: DatasetBatch):
-        w = assemble_observed(batch.y, batch.x, batch.u, self.hyper.observed_mode)
-        z, _ = self.releaser.forward(w)
-        return z
+        return _release(self.releaser, batch, self.hyper.observed_mode)
 
     # --- checkpoint bundle ----------------------------------------------
 
@@ -164,82 +170,109 @@ def _two_layer_net(num_steps, d_in, d_out, head, seed):
     return Network.build([first, dense(HIDDEN, d_out, head)], seed)
 
 
-def _guard(values, iteration, who, failed):
+def _release(releaser, batch, observed_mode):
+    """The releaser's output on ``batch``'s observed input W."""
+    return releaser.forward(assemble_observed(batch.y, batch.x, batch.u, observed_mode))[0]
+
+
+def _model_index(models):
+    """An index on the model axis selecting ``models`` (ascending model
+    indices): a slice, whose selections are views, when they are
+    contiguous, else an index array."""
+    if models and models[-1] - models[0] + 1 == len(models):
+        return slice(models[0], models[-1] + 1)
+    return np.array(models, dtype=np.intp)
+
+
+def _substack(net, index):
+    """The models ``index`` of the stack ``net`` as a stack, sharing its
+    weights when ``index`` is a slice; for forward passes only."""
+    return Network([Layer(l.w[index], l.b[index], l.activation, l.recurrent)
+                    for l in net.layers])
+
+
+def _guard(values, iteration, who, failed, models):
     """Record in ``failed`` (model index -> error) each model whose loss is
-    non-finite or beyond the ceiling; a model keeps its first error."""
-    for g, value in enumerate(values.tolist()):
+    non-finite or beyond the ceiling; a model keeps its first error.
+    ``models`` holds the model index of each entry of ``values``."""
+    for g, value in zip(models, values.tolist()):
         if g not in failed and (not np.isfinite(value) or abs(value) > LOSS_CEILING):
             failed[g] = DivergenceError(
                 f"{who} loss diverged at iteration {iteration}: {value!r}", iteration
             )
 
 
-def _classifier_step(opt, inputs, labels, iteration, who, failed):
-    """One cross-entropy update of the softmax classifiers ``opt`` trains;
-    returns their losses before the update."""
-    probs, trace = opt.network.forward(inputs)
-    loss = adversary_loss(probs, labels)
-    _guard(loss.value, iteration, who, failed)
-    grads, _ = opt.network.backward(loss.grad_posteriors, trace, input_grad=False)
-    opt.step(grads)
-    return loss.value
-
-
-def _classifier_steps(opt, opt_u, releaser, rows, hyper, si_enabled, who, iterations,
-                      failed):
-    """Updates of the classifiers ``opt`` trains, and of the utility
-    networks ``opt_u`` trains unless it is None, one step per entry of
-    ``iterations`` on its own ``batch_size`` slice of the stacked ``rows``.
-    The releaser is frozen through them, so the rows are released in one
-    pass.  Returns each step's (losses, utility losses or None) per model."""
-    z_rows = releaser.forward(
-        assemble_observed(rows.y, rows.x, rows.u, hyper.observed_mode)
-    )[0]
-    inputs = _with_side_info(z_rows, rows.s, si_enabled)
+def _classifier_steps(classifiers, iterations, batch_size, failed):
+    """Cross-entropy updates of softmax classifiers, one step per entry of
+    ``iterations`` on its own ``batch_size`` slice of their stacked inputs.
+    ``classifiers`` holds (optimizer, who, inputs, labels, models) tuples,
+    ``models`` giving the model index of each network the optimizer
+    trains.  Returns each step's losses before the update, a list per
+    ``who``."""
     steps = []
     for step, iteration in enumerate(iterations):
-        part = slice(step * hyper.batch_size, (step + 1) * hyper.batch_size)
-        loss = _classifier_step(opt, inputs[:, part], rows.x[:, part], iteration, who, failed)
-        util = None if opt_u is None else _classifier_step(
-            opt_u, z_rows[:, part], rows.c[:, part, None], iteration, "utility", failed
-        )
-        steps.append((loss.tolist(), None if util is None else util.tolist()))
+        part = slice(step * batch_size, (step + 1) * batch_size)
+        losses = {}
+        for opt, who, inputs, labels, models in classifiers:
+            probs, trace = opt.network.forward(inputs[:, part])
+            loss = adversary_loss(probs, labels[:, part])
+            _guard(loss.value, iteration, who, failed, models)
+            grads, _ = opt.network.backward(loss.grad_posteriors, trace, input_grad=False)
+            opt.step(grads)
+            losses[who] = loss.value.tolist()
+        steps.append(losses)
     return steps
 
 
-def _releaser_step(opt_r, adversary, utility, batch, spec, lam, hyper, si_enabled):
-    """One releaser update on ``batch`` with the adversary frozen, and the
-    utility network too when the composite distortion needs it (else
-    ``utility`` is None).  Returns the releaser losses and the release;
-    the backward-pass state is dropped on return."""
+def _releaser_step(opt_r, parts, utility, batch, spec, lam, hyper, si_enabled):
+    """One releaser update on ``batch`` with the other networks frozen.
+
+    ``parts`` covers the models of the stack as (index, adversary) pairs:
+    the adversary holds the models ``index`` selects, or is None, and those
+    models then get the distortion alone.  ``utility`` is the utility
+    network when the composite distortion needs it, else None.  Returns
+    the releaser losses and the release; the backward-pass state is
+    dropped on return."""
     releaser = opt_r.network
     z, trace_r = releaser.forward(
         assemble_observed(batch.y, batch.x, batch.u, hyper.observed_mode)
     )
-    probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled))
     utility_value = None
     if utility is not None:
         probs_u, trace_u = utility.forward(z)
         util = adversary_loss(probs_u, batch.c[..., None])
         utility_value = util.value
-    loss = releaser_loss(z, batch.y, probs, spec, lam, hyper.alpha, utility_value)
-    grad_z = loss.grad_released.copy()
-    _, grad_adv_in = adversary.backward(loss.grad_posteriors, trace_a)
-    grad_z += grad_adv_in[..., :z.shape[-1]]
+    values, grad_z = np.empty(len(lam)), np.empty_like(z)
+    for index, adversary in parts:
+        probs = None
+        if adversary is not None:
+            probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled)[index])
+        loss = releaser_loss(
+            z[index], batch.y[index], probs, spec, lam[index], hyper.alpha,
+            None if utility_value is None else utility_value[index],
+        )
+        values[index] = loss.value
+        grad_z[index] = loss.grad_released
+        if adversary is not None:
+            _, grad_adv_in = adversary.backward(loss.grad_posteriors, trace_a)
+            grad_z[index] += grad_adv_in[..., :z.shape[-1]]
     if utility is not None:
         _, grad_util_in = utility.backward(util.grad_posteriors, trace_u)
         grad_z += grad_util_in
     grads_r, _ = releaser.backward(grad_z, trace_r, input_grad=False)
     opt_r.step(grads_r)
-    return loss.value, z
+    return values, z
 
 
-def _draw(streams, nbatch, count=1):
+def _draw(streams, nbatch, count=1, models=slice(None)):
     """One ``draw`` from each model's stream, gathered from their common
     pool as one batch whose fields carry a leading model axis (``s`` and
-    ``c`` stay None when the pool lacks them): one gather per field."""
+    ``c`` stay None when the pool lacks them): one gather per field.
+    Every stream draws, so each stays on its own sequence, but only the
+    rows of the models ``models`` (an index on the model axis) are
+    gathered."""
     idx = np.stack([stream.draw(nbatch, count=count) for stream in streams])
-    return streams[0].data.take(idx)
+    return streams[0].data.take(idx[models])
 
 
 def _check_group(hypers, streams, si_enabled):
@@ -290,7 +323,7 @@ def train(
 
 
 def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
-                log_stream=None):
+                log_stream=None, *, train_idle_adversaries=True):
     """Train G systems that differ only in ``lam`` and ``seed`` as one stack.
 
     Model g starts from its own seed's weights and draws from
@@ -301,6 +334,16 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     the stack keeps its shape; the loop ends early once every model has
     failed.  ``log_stream`` gets each model's line per iteration, in stack
     order, until that model fails.
+
+    A model with lam = 0 is idle: its releaser minimises the distortion
+    alone and never reads its adversary.  With ``train_idle_adversaries``
+    False, which the sweep sets because it reports no adversary, the
+    adversaries of idle models are left out of the stack: they are neither
+    trained nor run, their k-block rows are released only when the utility
+    network trains on them, and every stream still draws its full block,
+    so every other value is unchanged.  An idle model's TrainedSystem then
+    holds its untrained initial adversary and an empty adversary history,
+    and the model cannot fail through its adversary.
     """
     hyper, pool, d_in = _check_group(hypers, streams, si_enabled)
     if pool.num_steps != hyper.num_steps:
@@ -317,26 +360,55 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     d_y = pool.y.shape[2]
     d_w = assemble_observed(pool.y[:1], pool.x[:1], pool.u[:1], hyper.observed_mode).shape[2]
 
-    def stacked_net(role, num_steps, d_in, d_out, head):
-        return Network.stack([
-            _two_layer_net(num_steps, d_in, d_out, head, _derive_seed(h.seed, role))
-            for h in hypers
-        ])
+    def initial_nets(role, num_steps, d_in, d_out, head):
+        return [_two_layer_net(num_steps, d_in, d_out, head, _derive_seed(h.seed, role))
+                for h in hypers]
 
-    releaser = stacked_net("releaser", hyper.num_steps, d_w, d_y, "linear")
+    lam = np.array([h.lam for h in hypers])
+    everyone = list(range(len(hypers)))
+    # the models whose adversaries train, and the others
+    adv_models = everyone if train_idle_adversaries else np.flatnonzero(lam).tolist()
+    adv_at = {g: i for i, g in enumerate(adv_models)}  # model -> adversary stack slot
+    idle = [g for g in everyone if g not in adv_at]
+
+    releaser = Network.stack(initial_nets("releaser", hyper.num_steps, d_w, d_y, "linear"))
     # the training pool sets both class alphabets; the networks carry them
-    adversary = stacked_net(
-        "adversary", hyper.num_steps, d_in, int(pool.x.max()) + 1, "softmax"
-    )
+    adversaries = initial_nets("adversary", hyper.num_steps, d_in, int(pool.x.max()) + 1,
+                               "softmax")
     opt_r = SgdMomentum(releaser, hyper.lr_releaser, hyper.momentum)
-    opt_a = SgdMomentum(adversary, hyper.lr_adversary, hyper.momentum)
+    adversary = opt_a = None
+    if adv_models:
+        adversary = Network.stack([adversaries[g] for g in adv_models])
+        opt_a = SgdMomentum(adversary, hyper.lr_adversary, hyper.momentum)
     utility = opt_u = None
     if utility_enabled:
         n_classes = int(pool.c.max()) + 1
-        utility = stacked_net("utility", 1, d_y, n_classes, "softmax")
+        utility = Network.stack(initial_nets("utility", 1, d_y, n_classes, "softmax"))
         opt_u = SgdMomentum(utility, UTILITY_LR, hyper.momentum)
 
-    lam = np.array([h.lam for h in hypers])
+    # the k-block feeds the adversaries, and the utility network's every model
+    fed = everyone if utility_enabled else adv_models
+    fed_index = _model_index(fed)
+    adv_in_fed = _model_index(adv_models) if utility_enabled else slice(None)
+    parts = [(_model_index(models), net)
+             for models, net in ((adv_models, adversary), (idle, None)) if models]
+
+    def classifiers_on(rows):
+        """The (optimizer, who, inputs, labels, models) of each classifier
+        that trains on the k-block ``rows``, released in one pass through
+        the releaser stack of the models the block feeds."""
+        if not fed:
+            return []
+        z_rows = _release(_substack(releaser, fed_index), rows, hyper.observed_mode)
+        classifiers = []
+        if adv_models:
+            inputs = _with_side_info(z_rows, rows.s, si_enabled)
+            classifiers.append((opt_a, "adversary", inputs[adv_in_fed], rows.x[adv_in_fed],
+                                adv_models))
+        if utility_enabled:
+            classifiers.append((opt_u, "utility", z_rows, rows.c[..., None], everyone))
+        return classifiers
+
     failed = {}
     history = []  # per iteration: (classifier steps, releaser losses)
 
@@ -348,17 +420,18 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
         # decayed releaser step damps the releaser/adversary oscillation so
         # the alternation settles instead of orbiting the equilibrium
         opt_r.learning_rate = hyper.lr_releaser / (1.0 + hyper.lr_decay * iteration)
-        rows = _draw(streams, hyper.batch_size, count=hyper.adversary_steps)
+        rows = _draw(streams, hyper.batch_size, hyper.adversary_steps, fed_index)
+        classifiers = classifiers_on(rows)
         steps = _classifier_steps(
-            opt_a, opt_u, releaser, rows, hyper, si_enabled, "adversary",
-            [iteration] * hyper.adversary_steps, failed,
+            classifiers, [iteration] * hyper.adversary_steps, hyper.batch_size,
+            failed,
         )
         batch = _draw(streams, hyper.batch_size)
         values, z = _releaser_step(
-            opt_r, adversary, utility if spec.needs_utility else None, batch, spec, lam,
+            opt_r, parts, utility if spec.needs_utility else None, batch, spec, lam,
             hyper, si_enabled
         )
-        _guard(values, iteration, "releaser", failed)
+        _guard(values, iteration, "releaser", failed, everyone)
         history.append((steps, values.tolist()))
 
         if hyper.average_tail > 0.0 and iteration >= avg_start:
@@ -373,11 +446,13 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
                     ab += (layer.b - ab) / avg_count
 
         if log_stream is not None:
-            for g in range(len(hypers)):
+            for g in everyone:
                 if g not in failed:
                     ne = normalized_error(z[g], batch.y[g])
+                    adversary_loss_g = (steps[-1]["adversary"][adv_at[g]]
+                                        if g in adv_at else float("nan"))
                     log_stream.write(
-                        f"iteration={iteration} adversary_loss={steps[-1][0][g]:.6f} "
+                        f"iteration={iteration} adversary_loss={adversary_loss_g:.6f} "
                         f"releaser_loss={values[g]:.6f} ne={ne:.6f}\n"
                     )
         if len(failed) == len(hypers):
@@ -389,8 +464,11 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
             layer.b[:] = ab
         releaser._version += 1
 
+    if adversary is not None:
+        for g, net in zip(adv_models, adversary.members()):
+            adversaries[g] = net
     members = zip(
-        releaser.members(), adversary.members(),
+        releaser.members(), adversaries,
         utility.members() if utility is not None else [None] * len(hypers),
     )
     return [
@@ -402,9 +480,12 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
             distortion=spec,
             si_enabled=si_enabled,
             releaser_history=[rel_values[g] for _, rel_values in history],
-            adversary_history=[a[g] for k_steps, _ in history for a, _ in k_steps],
+            adversary_history=[] if g not in adv_at else [
+                step["adversary"][adv_at[g]] for k_steps, _ in history for step in k_steps
+            ],
             utility_history=[
-                u[g] for k_steps, _ in history for _, u in k_steps if u is not None
+                step["utility"][g] for k_steps, _ in history for step in k_steps
+                if "utility" in step
             ],
         )
         for g, (rel, adv, util_net) in enumerate(members)
@@ -441,13 +522,15 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
         for seed in seeds
     ])
     opt = SgdMomentum(attacker, hyper.lr_adversary, hyper.momentum)
+    models = range(len(systems))
     failed = {}
     for start in range(0, hyper.iterations, hyper.adversary_steps):
         block = range(start, min(start + hyper.adversary_steps, hyper.iterations))
         rows = _draw(streams, hyper.batch_size, count=len(block))
-        _classifier_steps(
-            opt, None, releaser, rows, hyper, si_enabled, "attacker", block, failed
-        )
+        inputs = _with_side_info(_release(releaser, rows, hyper.observed_mode), rows.s,
+                                 si_enabled)
+        _classifier_steps([(opt, "attacker", inputs, rows.x, models)], block,
+                          hyper.batch_size, failed)
         if len(failed) == len(systems):
             break
     return [failed.get(g, net) for g, net in enumerate(attacker.members())]

@@ -826,3 +826,35 @@ class TestStackedLosses:
         probs = np.full((2, 1, 1, 2), 0.5)
         with pytest.raises(ValidationError, match="lam"):
             releaser_loss(y, y, probs, DistortionSpec("ts_l2"), [1.0, -0.1], 2.0)
+
+    def test_posteriors_of_another_batch_rejected(self):
+        # a 2-sequence distortion must not be mixed with a 4-sequence entropy
+        y = np.zeros((2, 3, 1))
+        with pytest.raises(ValidationError, match=r"\(4, 5, 2\).*\(2, 3, 1\)"):
+            releaser_loss(y, y, np.full((4, 5, 2), 0.5), DistortionSpec("ts_l2"), 1.0, 2.0)
+
+    def test_posteriors_of_another_stack_rejected(self):
+        y = np.zeros((3, 2, 3, 1))
+        with pytest.raises(ValidationError, match=r"\(2, 2, 3, 2\).*\(3, 2, 3, 1\)"):
+            releaser_loss(y, y, np.full((2, 2, 3, 2), 0.5), DistortionSpec("ts_l2"),
+                          [1.0, 0.0, 2.0], 2.0)
+
+    @pytest.mark.parametrize("lams", [[2.0], [1.0, 2.0], [0.0, 1.0, 2.0, 3.0]])
+    def test_one_lambda_per_model_required(self, lams):
+        y = np.zeros((3, 2, 3, 1))
+        with pytest.raises(ValidationError, match=r"one weight per model.*\(3, 2, 3, 1\)"):
+            releaser_loss(y, y, np.full((3, 2, 3, 2), 0.5), DistortionSpec("ts_l2"), lams,
+                          2.0)
+
+    def test_posteriors_may_be_left_out_only_when_every_lambda_is_zero(self):
+        rng = np.random.default_rng(19)
+        released, target = rng.normal(size=(2, 2, 8, 3, 1))
+        spec = DistortionSpec("ts_l2")
+        without = releaser_loss(released, target, None, spec, [0.0, 0.0], 2.0)
+        want = releaser_loss(released, target, np.full((2, 8, 3, 2), 0.5), spec, [0.0, 0.0],
+                             2.0)
+        np.testing.assert_array_equal(without.value, want.value)
+        np.testing.assert_array_equal(without.grad_released, want.grad_released)
+        assert without.grad_posteriors is None
+        with pytest.raises(ValidationError, match="needs the posteriors"):
+            releaser_loss(released, target, None, spec, [0.0, 1.0], 2.0)

@@ -1,6 +1,7 @@
 """Tests for the trade-off sweep harness and SI calibration."""
 
 import concurrent.futures
+import io
 import json
 import os
 from dataclasses import asdict, replace
@@ -8,8 +9,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from alphaprivacy.datasets import DatasetBatch, SynthConfig, train_eval_split
-from alphaprivacy.errors import ValidationError
+from alphaprivacy.datasets import (
+    BatchStream,
+    DatasetBatch,
+    SynthConfig,
+    _derive_seed,
+    train_eval_split,
+)
+from alphaprivacy.errors import DivergenceError, ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.metrics import balanced_accuracy
 from alphaprivacy import sweep as sweep_module
@@ -25,7 +32,14 @@ from alphaprivacy.sweep import (
     si_only_accuracy,
     sweep,
 )
-from alphaprivacy.training import HyperParams
+from alphaprivacy import training
+from alphaprivacy.training import (
+    HyperParams,
+    TrainedSystem,
+    evaluate_system,
+    train_attacker_group,
+    train_group,
+)
 
 from oracles import si_only_rule_direct
 
@@ -183,6 +197,157 @@ class TestRunGroup:
 
     def test_six_lambdas_over_three_workers_form_pairs(self):
         assert _chunks(list(range(6)), 3) == [[0, 1], [2, 3], [4, 5]]
+
+
+def reference_group(hyper, alpha, lams, data_cfg, spec, si_enabled, utility_enabled):
+    """``run_group``'s points built with every adversary trained: the
+    default ``train_group``, then a lone ``train_attacker_group`` and
+    ``evaluate_system`` per point.  Returns the points and the training
+    outcomes."""
+    seeds = [sweep_module._point_seed(hyper.seed, alpha, lam) for lam in lams]
+    train_data, eval_data = sweep_module.train_eval_split(data_cfg)
+    outcomes = train_group(
+        [replace(hyper, alpha=alpha, lam=lam, seed=seed) for lam, seed in zip(lams, seeds)],
+        [BatchStream(train_data, _derive_seed(seed, "train-stream")) for seed in seeds],
+        spec, si_enabled, utility_enabled,
+    )
+    points = []
+    for lam, seed, outcome in zip(lams, seeds, outcomes):
+        attacker = outcome
+        if isinstance(outcome, TrainedSystem):
+            (attacker,) = train_attacker_group(
+                [outcome], [BatchStream(train_data, _derive_seed(seed, "attacker-stream"))],
+                si_enabled, [_derive_seed(seed, "attacker-init")],
+            )
+        if isinstance(attacker, DivergenceError):
+            points.append(TradeoffPoint(alpha, lam, float("nan"), float("nan"), None, seed,
+                                        failed=True, error=str(attacker)))
+            continue
+        scores = evaluate_system(outcome, attacker, eval_data, si_enabled)
+        points.append(TradeoffPoint(alpha, lam, scores["ne"], scores["attacker_accuracy"],
+                                    scores["utility_accuracy"], seed))
+    return points, outcomes
+
+
+def recorded_run_group(monkeypatch, *args):
+    """``run_group(*args)`` and the outcomes of the ``train_group`` call it makes."""
+    calls = []
+
+    def recording(*call_args, **kwargs):
+        calls.append(train_group(*call_args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(sweep_module, "train_group", recording)
+    points = run_group(*args)
+    monkeypatch.undo()
+    (outcomes,) = calls
+    return points, outcomes
+
+
+def as_json(points):
+    # JSON writes floats exactly and NaN comparably
+    return json.dumps([asdict(p) for p in points])
+
+
+MARKOV_SI = (
+    replace(QUICK_HYPER, num_steps=24, observed_mode="concat_xy", iterations=4,
+            average_tail=0.5),
+    SynthConfig(generator="markov_load", total=200, num_steps=24, d_y=1, seed=5,
+                si_correlation=0.5),
+)
+
+
+class TestIdleAdversaries:
+    """A sweep point at lambda = 0 trains no adversary; its points equal
+    those of a group whose every adversary trains, bit for bit."""
+
+    @pytest.mark.parametrize("hyper, alpha, lams, data_cfg, spec, si_enabled, utility_enabled", [
+        pytest.param(replace(QUICK_HYPER, iterations=12, average_tail=0.5, lr_decay=0.002),
+                     0.9, [0.0, 3.0, 20.0], QUICK_DATA, DistortionSpec("p_norm"), False, False,
+                     id="dense-G3-idle-first"),
+        pytest.param(QUICK_HYPER, 0.9, [3.0, 0.0, 20.0], QUICK_DATA, DistortionSpec("p_norm"),
+                     False, False, id="dense-G3-idle-between"),
+        pytest.param(MARKOV_SI[0], 3.0, [0.0, 20.0], MARKOV_SI[1], DistortionSpec("ts_l2"),
+                     True, False, id="recurrent-si-G2"),
+        pytest.param(QUICK_HYPER, 1.0, [1.0, 0.0, 2.0], QUICK_DATA,
+                     DistortionSpec("composite_img"), False, True, id="composite-utility"),
+        pytest.param(QUICK_HYPER, 1.0, [0.0], QUICK_DATA, DistortionSpec("p_norm"), False,
+                     False, id="all-idle"),
+        pytest.param(QUICK_HYPER, 1.0, [0.0], QUICK_DATA, DistortionSpec("composite_img"),
+                     False, True, id="all-idle-utility"),
+        pytest.param(QUICK_HYPER, 1.0, [3.0, 20.0], QUICK_DATA, DistortionSpec("p_norm"),
+                     False, False, id="no-idle"),
+    ])
+    def test_points_equal_the_all_adversaries_reference(self, monkeypatch, hyper, alpha, lams,
+                                                        data_cfg, spec, si_enabled,
+                                                        utility_enabled):
+        args = (hyper, alpha, lams, data_cfg, spec, si_enabled, utility_enabled)
+        points, outcomes = recorded_run_group(monkeypatch, *args)
+        want_points, want_outcomes = reference_group(*args)
+        assert as_json(points) == as_json(want_points)
+        assert not any(p.failed for p in points)
+        for lam, got, want in zip(lams, outcomes, want_outcomes):
+            doc, want_doc = got.to_dict(), want.to_dict()
+            if lam > 0.0:
+                assert doc == want_doc
+                continue
+            # the idle adversary is the seeded initial network, untrained
+            initial = training._two_layer_net(
+                hyper.num_steps, got.adversary.in_dim, got.adversary.out_dim, "softmax",
+                _derive_seed(got.hyper.seed, "adversary"),
+            )
+            assert doc["adversary"] == initial.to_dict() != want_doc["adversary"]
+            assert doc["adversary_history"] == [] != want_doc["adversary_history"]
+            for key in ("adversary", "adversary_history", "updates"):
+                del doc[key], want_doc[key]
+            assert doc == want_doc
+
+    def test_log_of_an_idle_model_reads_no_adversary_loss(self):
+        data = train_eval_split(QUICK_DATA)[0]
+        hypers = [replace(QUICK_HYPER, lam=2.0, seed=1), replace(QUICK_HYPER, lam=0.0, seed=2)]
+        logs = []
+        for train_idle in (False, True):
+            logs.append(io.StringIO())
+            train_group(hypers, [BatchStream(data, 1), BatchStream(data, 2)],
+                        DistortionSpec("p_norm"), log_stream=logs[-1],
+                        train_idle_adversaries=train_idle)
+        got, want = (log.getvalue().splitlines() for log in logs)
+        assert got[0::2] == want[0::2]
+        for line, want_line in zip(got[1::2], want[1::2]):
+            fields, want_fields = line.split(), want_line.split()
+            assert fields[1] == "adversary_loss=nan" != want_fields[1]
+            assert fields[:1] + fields[2:] == want_fields[:1] + want_fields[2:]
+
+    # base seeds whose lambda = 0 point diverged in its adversary when every
+    # adversary trained, and the way it ends now
+    @pytest.mark.parametrize("seed, zero_outcome", [(1, "attacker"), (6, "releaser"),
+                                                    (9, None)])
+    def test_a_lambda_zero_point_fails_only_through_its_releaser_or_attacker(
+            self, monkeypatch, seed, zero_outcome):
+        # one infinite training row, as in TestTrainGroup's divergence test:
+        # models whose streams draw it diverge, each at a step of its own
+        train_data, eval_data = train_eval_split(SynthConfig(generator="labeled_clusters",
+                                                             total=500, seed=4))
+        train_data.y[0] = np.inf
+        monkeypatch.setattr(sweep_module, "train_eval_split",
+                            lambda cfg: (train_data, eval_data))
+        hyper = HyperParams(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1, iterations=19,
+                            batch_size=8, adversary_steps=2, seed=seed)
+        lams = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+        args = (hyper, 1.0, lams, QUICK_DATA, DistortionSpec("p_norm"), False, False)
+        with np.errstate(all="ignore"):
+            points = run_group(*args)
+            alone = run_point(hyper, 1.0, 0.0, *args[3:])
+            want, _ = reference_group(*args)
+            pooled = sweep(hyper, lams, [1.0], QUICK_DATA, workers=2)
+        # every lambda > 0 point keeps the outcome and message it had when
+        # every adversary trained, adversary divergences included
+        assert as_json(points[1:]) == as_json(want[1:])
+        assert "adversary" in {p.error.split()[0] for p in points[1:] if p.failed}
+        assert want[0].error.startswith("adversary loss diverged")
+        assert (points[0].error and points[0].error.split()[0]) == zero_outcome
+        assert as_json(points[:1]) == as_json([alone])
+        assert as_json(pooled) == as_json(points)
 
 
 class TestSiCalibration:
