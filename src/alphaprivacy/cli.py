@@ -74,9 +74,9 @@ def _load_joint(path):
         axes = tuple(doc["axes"])
         shape = tuple(check_count(f"shape[{i}]", n) for i, n in enumerate(doc["shape"]))
         probs = np.asarray(doc["probs"], dtype=np.float64).reshape(shape)
+        return JointPmf(probs, axes)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad joint document ({exc})") from None
-    return JointPmf(probs, axes)
 
 
 # --- subcommands ---------------------------------------------------------

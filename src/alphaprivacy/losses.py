@@ -82,16 +82,24 @@ def _norm_distortion(spec, released, target, grad=False):
     return value, g.reshape(released.shape) * (1.0 / (nbatch * nsteps))
 
 
-def _utility_term(spec, utility_loss):
+def _utility_term(spec, utility_loss, released_shape):
     """The composite's utility cross-entropy, 0 for the norms; the
-    loss is required for the composite and rejected elsewhere."""
+    loss is required for the composite and rejected elsewhere.  It holds
+    one value per model of the release of shape ``released_shape``: a
+    scalar for a single batch, (G,) for a stack."""
     if spec.needs_utility and utility_loss is None:
         raise ValidationError("composite_img distortion requires utility_loss")
     if not spec.needs_utility and utility_loss is not None:
         raise ValidationError(f"{spec.kind} distortion does not take utility_loss")
     if not spec.needs_utility:
         return 0.0
-    return _per_model(np.asarray(utility_loss, dtype=np.float64))
+    utility = np.asarray(utility_loss, dtype=np.float64)
+    if utility.shape != released_shape[:-3]:
+        raise ValidationError(
+            f"utility_loss {utility.shape} must hold one value per model of the release "
+            f"{released_shape}"
+        )
+    return _per_model(utility)
 
 
 @dataclass
@@ -184,7 +192,7 @@ def releaser_loss(
             f"lam {lam.shape} must hold one weight per model of the release "
             f"{grad_released.shape}"
         )
-    value += _utility_term(spec, utility_loss)
+    value += _utility_term(spec, utility_loss, grad_released.shape)
     if not lam.any():
         return LossValue(value=value, grad_released=grad_released,
                          grad_posteriors=None if probs is None else np.zeros_like(probs))

@@ -75,6 +75,8 @@ class JointPmf:
             raise ValidationError(
                 f"JointPmf: {probs.ndim} axes but {len(axis_labels)} labels"
             )
+        if not all(isinstance(label, str) for label in axis_labels):
+            raise ValidationError(f"JointPmf: axis labels must be strings, got {axis_labels}")
         if len(set(axis_labels)) != len(axis_labels):
             raise ValidationError(f"JointPmf: duplicate axis labels {axis_labels}")
         self.probs = _check_distributions(probs, "JointPmf")

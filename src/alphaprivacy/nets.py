@@ -1,14 +1,17 @@
 """Minimal feedforward/recurrent networks with exact reverse-mode gradients.
 
-The public interface takes and returns float64 batches of shape
-(B, T, features).  Inside, :class:`Network` runs time-major: it transposes
-its input to (T, B, d) once, so step t of a sequence is one contiguous
-(B, d) slab, and transposes its output back once.  Dense layers act per
-row, as one 2-D matrix product over the (T*B, d) view; the recurrent layer
-is a single-gate tanh cell whose stacked weight matrix holds the
-input-to-hidden block on top of the hidden-to-hidden block.  Recurrent
-state starts at zero and runs strictly forward, so outputs at time t never
-depend on inputs after t.
+The public interface takes batches of shape (B, T, features) and returns
+them in the dtype of the network's weights: float64 unless the network
+was built in another precision (see :meth:`Network.build`).  Inside,
+:class:`Network` runs time-major: it transposes its input to (T, B, d)
+once, casting it to the weights' dtype in the same copy, so step t of a
+sequence is one contiguous (B, d) slab, and transposes its output back
+once.  Every kernel below computes in the dtype of the arrays it is
+given.  Dense layers act per row, as one 2-D matrix product over the
+(T*B, d) view; the recurrent layer is a single-gate tanh cell whose
+stacked weight matrix holds the input-to-hidden block on top of the
+hidden-to-hidden block.  Recurrent state starts at zero and runs strictly
+forward, so outputs at time t never depend on inputs after t.
 
 A network may also be a stack of G independent models of one shape
 (:meth:`Network.stack`): every weight then carries a leading model axis,
@@ -59,7 +62,7 @@ def _add_bias(a, bias, nbatch):
     ``a += bias[..., None, :]`` makes."""
     rows = a.shape[-2]
     tile = nbatch if rows > nbatch else min(rows, BIAS_TILE_ROWS)
-    tiled = np.empty(bias.shape[:-1] + (1, tile, bias.shape[-1]))
+    tiled = np.empty(bias.shape[:-1] + (1, tile, bias.shape[-1]), dtype=a.dtype)
     tiled[...] = bias[..., None, None, :]
     head = rows - rows % tile
     view = a[..., :head, :].reshape(*a.shape[:-2], -1, tile, a.shape[-1])
@@ -177,6 +180,10 @@ class Network:
                 raise ValidationError("recurrent layers use the tanh cell")
             if layer.w.shape[:-2] != layers[0].w.shape[:-2]:
                 raise ValidationError("every layer of a stack needs the same model axis")
+            # forward casts its input to this dtype, and to_dict records it
+            dtype = layers[0].w.dtype
+            if not np.issubdtype(dtype, np.floating) or {layer.w.dtype, layer.b.dtype} != {dtype}:
+                raise ValidationError("every weight and bias needs one floating dtype")
             if i > 0 and layers[i - 1].out_dim != layer.in_dim:
                 raise ValidationError(
                     f"layer {i} expects {layer.in_dim} inputs, previous emits "
@@ -189,17 +196,19 @@ class Network:
     # --- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, specs, seed):
+    def build(cls, specs, seed, dtype=np.float64):
         """Create a network from ``dense``/``recurrent`` layer specs with
-        Glorot-uniform weights and zero biases."""
+        Glorot-uniform weights and zero biases, held in ``dtype``.  The
+        draws are float64 whatever ``dtype`` is, then rounded to it, so a
+        seed gives one set of weights in every precision."""
         rng = np.random.default_rng(seed)
         layers = []
         for kind, in_dim, out_dim, activation in specs:
             is_rec = kind == "recurrent"
             rows = in_dim + out_dim if is_rec else in_dim
             limit = np.sqrt(6.0 / (rows + out_dim))
-            w = rng.uniform(-limit, limit, size=(rows, out_dim))
-            layers.append(Layer(w, np.zeros(out_dim), activation, is_rec))
+            w = rng.uniform(-limit, limit, size=(rows, out_dim)).astype(dtype, copy=False)
+            layers.append(Layer(w, np.zeros(out_dim, dtype), activation, is_rec))
         return cls(layers, seed=seed)
 
     @classmethod
@@ -236,9 +245,10 @@ class Network:
         """Run the network on a (B, T, d) batch, a stack on a (G, B, T, d)
         one; returns (output, trace).
 
-        The trace holds every layer's input and output time-major.
+        The output and the trace, which holds every layer's input and
+        output time-major, are in the dtype of the weights.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         models = self.layers[0].w.shape[:-2]
         if x.ndim != 3 + len(models) or x.shape[:-3] != models:
             lead = "G, " if models else ""
@@ -248,7 +258,7 @@ class Network:
                 f"network expects {self.in_dim} features, got {x.shape[-1]}"
             )
         inputs, outputs = [], []
-        out = _swap_bt(x)
+        out = _swap_bt(x, self.layers[0].w.dtype)
         for layer in self.layers:
             inputs.append(out)
             if layer.recurrent:
@@ -267,15 +277,16 @@ class Network:
 
         Returns ``(grads, grad_input)`` where ``grads`` is a list of
         (dw, db) aligned with the layers and ``grad_input`` is (B, T, d),
-        a batch-major view of the time-major gradient.  A caller that only
-        updates the weights passes ``input_grad=False``; the first layer
-        then skips its input product and ``grad_input`` is None.  Raises if
-        the trace was taken before the parameters last changed.
+        a batch-major view of the time-major gradient, all in the dtype of
+        the weights.  A caller that only updates the weights passes
+        ``input_grad=False``; the first layer then skips its input product
+        and ``grad_input`` is None.  Raises if the trace was taken before
+        the parameters last changed.
         """
         if trace.version != self._version:
             raise ValidationError("stale trace: parameters changed since forward()")
         grads = [None] * len(self.layers)
-        g = _swap_bt(np.asarray(grad_output, dtype=np.float64))
+        g = _swap_bt(grad_output, self.layers[0].w.dtype)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             x, out = trace.inputs[i], trace.outputs[i]
@@ -297,6 +308,7 @@ class Network:
     def to_dict(self):
         return {
             "seed": self.seed,
+            "dtype": self.layers[0].w.dtype.name,
             "layers": [
                 {
                     "kind": "recurrent" if l.recurrent else "dense",
@@ -309,10 +321,11 @@ class Network:
         }
 
 
-def _swap_bt(a):
-    """(..., B, T, d) <-> (..., T, B, d) as a contiguous array; no copy
-    when B or T is 1 and there is no model axis."""
-    return np.ascontiguousarray(np.swapaxes(a, -3, -2))
+def _swap_bt(a, dtype=None):
+    """(..., B, T, d) <-> (..., T, B, d) as a contiguous array of ``dtype``
+    (``a``'s own by default), made in one copy; no copy when ``a`` already
+    has that dtype, B or T is 1 and there is no model axis."""
+    return np.asarray(np.swapaxes(a, -3, -2), dtype=dtype, order="C")
 
 
 def _row_sum(a):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -150,6 +151,15 @@ def run_group(
     return points
 
 
+def _usable_cores():
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _chunks(values, count):
     """``values`` cut into ``count`` contiguous runs whose lengths differ
     by at most one, the longer runs first (never an empty run)."""
@@ -171,18 +181,21 @@ def sweep(
 ):
     """All (alpha, lambda) grid points, sorted by (alpha, lambda).
 
-    Each alpha's sorted lambdas are split into ``ceil(workers / len(alphas))``
-    near-equal contiguous groups, so that a pool has at least one job per
-    worker; each group is one :func:`run_group` job, and every job checks
-    the data's split before it trains.  With ``workers > 1``
-    the jobs run in a process pool of at most one worker per job and are
-    merged back in grid order.
+    ``workers`` is first capped at the number of usable cores, since
+    workers beyond them cannot run at once.  Each alpha's sorted lambdas
+    are then split into ``ceil(workers / len(alphas))`` near-equal
+    contiguous groups, so that a pool has at least one job per worker;
+    each group is one :func:`run_group` job, and every job checks the
+    data's split before it trains.  With ``workers > 1`` the jobs run in a
+    process pool of at most one worker per job and are merged back in grid
+    order.  The points do not depend on ``workers``.
     """
     lambdas = sorted(float(check_real("lambda_grid entry", v, 0.0)) for v in lambdas)
     alphas = sorted(float(check_real("alpha_grid entry", v, 0.0, strict=True)) for v in alphas)
     if not lambdas or not alphas:
         raise ValidationError("sweep needs non-empty alpha and lambda grids")
     spec = distortion or default_distortion(utility_enabled)
+    workers = min(workers, _usable_cores())
     jobs = [
         (base_hyper, alpha, group, data_cfg, spec, si_enabled, utility_enabled)
         for alpha in alphas

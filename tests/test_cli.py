@@ -99,6 +99,16 @@ class TestMeasuresCommand:
         assert captured.err.startswith("data error: ") and "must be an integer >= 1" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_non_string_axis_label_is_a_data_error(self, tmp_path, capsys):
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps({"axes": [["X"], "Z"], "shape": [2, 2],
+                                     "probs": [0.4, 0.1, 0.1, 0.4]}))
+        assert main(["measures", "--joint", str(joint), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ") and "must be strings" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_side_information_table_is_pinned(self, tmp_path, capsys):
         # X and Z are nearly independent, but strongly dependent given S
         doc = {"axes": ["X", "Z", "S"], "shape": [2, 3, 2],

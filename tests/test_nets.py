@@ -2,6 +2,7 @@
 optimizer semantics, the written document and the loss functions."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -529,6 +530,17 @@ class TestNetworkDocument:
         x = rng.normal(size=(2, 3, 3))
         np.testing.assert_array_equal(back.forward(x)[0], net.forward(x)[0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_document_records_the_weight_dtype(self, dtype):
+        rng = np.random.default_rng(35)
+        net = Network.build(DOCUMENT_SPECS["recurrent_softmax"], seed=36, dtype=dtype)
+        doc = json.loads(json.dumps(net.to_dict()))
+        assert doc["dtype"] == np.dtype(dtype).name
+        back = Network([Layer(np.asarray(e["w"], doc["dtype"]), np.asarray(e["b"], doc["dtype"]),
+                              e["activation"], e["kind"] == "recurrent") for e in doc["layers"]])
+        x = rng.normal(size=(2, 3, 3))
+        np.testing.assert_array_equal(back.forward(x)[0], net.forward(x)[0])
+
     def test_stacked_document_keeps_the_model_axis(self):
         stack = Network.stack([Network.build([dense(3, 2, "tanh")], seed) for seed in (1, 2)])
         doc = json.loads(json.dumps(stack.to_dict()))
@@ -606,6 +618,64 @@ class TestStack:
         with pytest.raises(ValidationError, match="same model axis"):
             Network([Layer(np.zeros((2, 2, 2)), np.zeros((2, 2)), "tanh"),
                      Layer(np.zeros((2, 2)), np.zeros(2), "linear")])
+
+
+class TestSinglePrecision:
+    """A network built in float32 computes in float32 throughout, and
+    agrees with the float64 network holding the same weights to within
+    float32 rounding."""
+
+    # agreement bound, in float32 ulps of each result's largest entry: the
+    # deepest sums here add 24 * 128 rows
+    ULPS = 64
+
+    def test_weights_are_the_float64_draws_rounded(self):
+        specs = [recurrent(3, 16), dense(16, 2, "softmax")]
+        single, double = (Network.build(specs, 5, dtype) for dtype in (np.float32, np.float64))
+        for a, b in zip(single.layers, double.layers):
+            assert a.w.dtype == a.b.dtype == np.float32
+            np.testing.assert_array_equal(a.w, b.w.astype(np.float32))
+            np.testing.assert_array_equal(a.b, b.b.astype(np.float32))
+
+    @pytest.mark.parametrize("nsteps, head, nout", [
+        (24, "softmax", 2), (24, "linear", 1), (1, "softmax", 3),
+    ])
+    def test_stack_matches_float64_within_rounding(self, nsteps, head, nout):
+        first = dense(3, 16, "tanh") if nsteps == 1 else recurrent(3, 16)
+        specs = [first, dense(16, nout, head)]
+        single = Network.stack([Network.build(specs, seed, np.float32) for seed in (3, 4)])
+        double = Network([Layer(l.w.astype(np.float64), l.b.astype(np.float64), l.activation,
+                                l.recurrent) for l in single.layers])
+        rng = np.random.default_rng(nsteps + nout)
+        x = rng.normal(size=(2, 128, nsteps, 3))
+        g = rng.normal(size=(2, 128, nsteps, nout))
+        out, trace = single.forward(x)
+        grads, gx = single.backward(g, trace)
+        want_out, want_trace = double.forward(x)
+        want_grads, want_gx = double.backward(g, want_trace)
+        pairs = [(out, want_out), (gx, want_gx)] + [
+            pair for got, want in zip(grads, want_grads) for pair in zip(got, want)]
+        for got, want in pairs:
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            bound = self.ULPS * np.finfo(np.float32).eps * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("w, b", [
+        (np.zeros((2, 2), np.float32), np.zeros(2)),
+        (np.zeros((2, 2), np.int64), np.zeros(2, np.int64)),
+    ])
+    def test_weights_need_one_floating_dtype(self, w, b):
+        with pytest.raises(ValidationError, match="one floating dtype"):
+            Network([Layer(w, b, "tanh")])
+        with pytest.raises(ValidationError, match="one floating dtype"):
+            Network([Layer(np.zeros((2, 2)), np.zeros(2), "tanh"), Layer(w, b, "linear")])
+
+    def test_sgd_keeps_the_weights_in_float32(self):
+        net = Network.build([recurrent(2, 4), dense(4, 2, "softmax")], 6, np.float32)
+        out, trace = net.forward(np.random.default_rng(7).normal(size=(8, 5, 2)))
+        grads, _ = net.backward(np.ones_like(out), trace, input_grad=False)
+        SgdMomentum(net, 0.1).step(grads)
+        assert all(l.w.dtype == l.b.dtype == np.float32 for l in net.layers)
 
 
 class TestDistortion:
@@ -845,6 +915,18 @@ class TestStackedLosses:
         with pytest.raises(ValidationError, match=r"one weight per model.*\(3, 2, 3, 1\)"):
             releaser_loss(y, y, np.full((3, 2, 3, 2), 0.5), DistortionSpec("ts_l2"), lams,
                           2.0)
+
+    @pytest.mark.parametrize("released_shape, utility_shape", [
+        ((2, 4, 1, 1), (3,)), ((4, 1, 1), (2,)), ((2, 4, 1, 1), ()), ((4, 1, 1), (1,)),
+    ])
+    def test_one_utility_loss_per_model_required(self, released_shape, utility_shape):
+        y = np.zeros(released_shape)
+        probs = np.full(released_shape[:-1] + (2,), 0.5)
+        lam = [0.0] * released_shape[0] if len(released_shape) == 4 else 0.0
+        with pytest.raises(ValidationError, match=r"one value per model.*" +
+                           re.escape(str(released_shape))):
+            releaser_loss(y, y, probs, DistortionSpec("composite_img"), lam, 2.0,
+                          utility_loss=np.full(utility_shape, 0.5))
 
     def test_posteriors_may_be_left_out_only_when_every_lambda_is_zero(self):
         rng = np.random.default_rng(19)

@@ -48,6 +48,32 @@ QUICK_HYPER = HyperParams(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1,
 QUICK_DATA = SynthConfig(generator="labeled_clusters", total=80, seed=4)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Swap the process pool for a stand-in that runs the jobs inline, so
+    that no process starts.  Returns the (pool size, job count) of each
+    pool a sweep makes."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            jobs = list(zip(*iterables))
+            pools.append((self.max_workers, len(jobs)))
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
 class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -69,29 +95,34 @@ class TestSweep:
         par = sweep(QUICK_HYPER, [0.0, 0.5], [1.0], QUICK_DATA, workers=2)
         assert [asdict(p) for p in seq] == [asdict(p) for p in par]
 
-    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
-        # a stand-in pool that records its size and runs the jobs inline,
-        # so that no process starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch, inline_pool):
+        # on a machine with a core per requested worker
+        monkeypatch.setattr(sweep_module, "_usable_cores", lambda: 64)
         pooled = sweep(QUICK_HYPER, [0.0, 0.5, 1.0], [1.0, 3.0], QUICK_DATA, workers=64)
-        assert sizes == [6]
+        assert inline_pool == [(6, 6)]
         seq = sweep(QUICK_HYPER, [0.0, 0.5, 1.0], [1.0, 3.0], QUICK_DATA, workers=1)
         assert [asdict(p) for p in pooled] == [asdict(p) for p in seq]
+
+    def test_pool_has_at_most_one_worker_per_core(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(sweep_module, "_usable_cores", lambda: 2)
+        pooled = sweep(QUICK_HYPER, [0.0, 0.5, 1.0, 1.5], [1.0], QUICK_DATA, workers=64)
+        # two workers, and two jobs for them rather than four
+        assert inline_pool == [(2, 2)]
+        seq = sweep(QUICK_HYPER, [0.0, 0.5, 1.0, 1.5], [1.0], QUICK_DATA, workers=1)
+        assert [asdict(p) for p in pooled] == [asdict(p) for p in seq]
+
+    def test_usable_cores_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep_module._usable_cores() == 3
+
+    def test_pooled_recurrent_si_sweep_matches_sequential(self, monkeypatch):
+        # two cores, so that the pool runs on any machine
+        monkeypatch.setattr(sweep_module, "_usable_cores", lambda: 2)
+        hyper, cfg = MARKOV_SI
+        seq = sweep(hyper, [0.0, 0.5], [1.0], cfg, si_enabled=True, workers=1)
+        par = sweep(hyper, [0.0, 0.5], [1.0], cfg, si_enabled=True, workers=2)
+        assert [asdict(p) for p in seq] == [asdict(p) for p in par]
 
     def test_diverged_points_are_flagged_not_dropped(self):
         bad = replace(QUICK_HYPER, lr_releaser=1e9, lr_adversary=1e9)

@@ -26,6 +26,7 @@ from alphaprivacy.training import (
     train_attacker,
     train_attacker_group,
     train_group,
+    _two_layer_net,
 )
 
 QUICK = dict(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1, iterations=5,
@@ -162,11 +163,19 @@ class TestTrainLoop:
         # adversary consumes (z, s); attacker without SI consumes z only
         assert system.adversary.in_dim == data.y.shape[2] + data.s.shape[1]
 
+    @pytest.mark.parametrize("num_steps, dtype", [(1, np.float64), (24, np.float32)])
+    def test_only_recurrent_nets_hold_float32_weights(self, num_steps, dtype):
+        net = _two_layer_net(num_steps, 3, 2, "softmax", 5)
+        assert net.layers[0].recurrent == (num_steps > 1)
+        assert all(l.w.dtype == l.b.dtype == dtype for l in net.layers)
+
 
 def rebuilt(net_doc):
-    """A Network from the layer list of a written document."""
-    return Network([Layer(np.asarray(entry["w"]), np.asarray(entry["b"]), entry["activation"],
-                          entry["kind"] == "recurrent") for entry in net_doc["layers"]],
+    """A Network from the layer list of a written document, in its dtype."""
+    dtype = net_doc["dtype"]
+    return Network([Layer(np.asarray(entry["w"], dtype), np.asarray(entry["b"], dtype),
+                          entry["activation"], entry["kind"] == "recurrent")
+                    for entry in net_doc["layers"]],
                    seed=net_doc["seed"])
 
 
