@@ -25,6 +25,9 @@ from .errors import ValidationError, check_count, check_real
 # radius of the circle the labeled_clusters class means sit on
 CLASS_SPREAD = 3.0
 
+# share of a config's samples that train_eval_split holds out
+EVAL_FRACTION = 0.2
+
 
 @dataclass
 class DatasetBatch:
@@ -221,15 +224,14 @@ def gen_markov_load(cfg: SynthConfig) -> DatasetBatch:
     return DatasetBatch(y=y, x=x, u=u, s=s, c=None)
 
 
-def train_eval_split(cfg: SynthConfig, eval_fraction=0.2):
+def train_eval_split(cfg: SynthConfig):
     """Two independently generated datasets from seed-derived streams.
 
-    The evaluation set uses a disjoint RNG stream of the base seed, so the
-    split is reproducible and the held-out samples are fresh draws.
+    The evaluation set, ``EVAL_FRACTION`` of the samples, uses a disjoint
+    RNG stream of the base seed, so the split is reproducible and the
+    held-out samples are fresh draws.
     """
-    if not 0.0 < eval_fraction < 1.0:
-        raise ValidationError("eval_fraction must lie strictly between 0 and 1")
-    n_eval = max(1, int(round(cfg.total * eval_fraction)))
+    n_eval = max(1, int(round(cfg.total * EVAL_FRACTION)))
     n_train = cfg.total - n_eval
     if n_train < 1:
         raise ValidationError("split leaves no training samples")

@@ -22,14 +22,19 @@ def read_json(path):
 
 
 def write_text_atomic(path, text):
-    """Write ``text`` to ``path`` through a temp file in the same directory
-    and ``os.replace``, so a crash leaves the old file or the new one, never
-    a truncated one."""
+    """Write ``text`` to ``path`` in the mode a plain ``open`` gives it, through
+    a synced temp file in the same directory and ``os.replace``, so a crash of
+    the program or the OS leaves the old file or the new one, never a truncated one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0o077)  # setting the umask is the one way to read it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates it 0600
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -164,12 +164,12 @@ def releaser_loss(
     utility network) by the caller, since those paths depend on networks
     this function never sees.
 
-    For a stack, ``lam`` holds one weight per model.  A model with
-    lambda = 0 gets the distortion as its value and a zero entropy
-    gradient, exactly as a lone lambda = 0 batch does, which never
-    evaluates the entropy.  So when every lambda is 0 the posteriors may
-    be None, and ``grad_posteriors`` is then None too.  The posteriors
-    must describe the release's batch: the same (G,) B and T axes.
+    For a stack, ``lam`` holds one weight per model.  Posteriors None
+    mean the distortion alone, with ``grad_posteriors`` None; that needs
+    every lambda to be 0.  Otherwise the value is the distortion less
+    ``lam`` times the entropy, and ``grad_posteriors`` is ``-lam`` times
+    the entropy's gradient.  The posteriors must describe the release's
+    batch: the same (G,) B and T axes.
     """
     for weight in (lam,) if np.ndim(lam) == 0 else lam:
         check_real("lam", weight, 0.0)
@@ -193,14 +193,11 @@ def releaser_loss(
             f"{grad_released.shape}"
         )
     value += _utility_term(spec, utility_loss, grad_released.shape)
-    if not lam.any():
-        return LossValue(value=value, grad_released=grad_released,
-                         grad_posteriors=None if probs is None else np.zeros_like(probs))
+    if probs is None:
+        return LossValue(value=value, grad_released=grad_released)
     entropy, dentropy = batch_sequence_arimoto_entropy_grad(probs, alpha)
-    active = lam != 0.0
     return LossValue(
-        value=_per_model(np.where(active, value - lam * entropy, value)),
+        value=_per_model(value - lam * entropy),
         grad_released=grad_released,
-        grad_posteriors=np.where(active[..., None, None, None],
-                                 -lam[..., None, None, None] * dentropy, 0.0),
+        grad_posteriors=-lam[..., None, None, None] * dentropy,
     )

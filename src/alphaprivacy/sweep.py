@@ -91,9 +91,8 @@ def run_group(
     alpha, trained and attacked as one stack; each point keeps its own
     seeds, and a diverged one fails alone.
 
-    A point reports no adversary, so a lambda = 0 point, whose releaser
-    never reads one, trains none: its system holds the untrained initial
-    adversary, and it fails only through its releaser or its attacker.
+    A lambda = 0 point trains no adversary (see :func:`train_group`), so
+    it fails only through its releaser or its attacker.
 
     The private alphabet, and the utility one when the utility network is
     on, is the training split's, so an evaluation label beyond it is a
@@ -115,10 +114,7 @@ def run_group(
     outcomes = train_group(
         [replace(base_hyper, alpha=alpha, lam=lam, seed=seed) for lam, seed in zip(lams, seeds)],
         [BatchStream(train_data, _derive_seed(seed, "train-stream")) for seed in seeds],
-        spec,
-        si_enabled=si_enabled,
-        utility_enabled=utility_enabled,
-        train_idle_adversaries=False,
+        spec, si_enabled, utility_enabled,
     )
     trained = [i for i, o in enumerate(outcomes) if isinstance(o, TrainedSystem)]
     attackers = train_attacker_group(
@@ -215,6 +211,8 @@ def sweep(
 
 # --- side-information calibration -------------------------------------------
 
+SI_CALIBRATION_ROUNDS = 25
+
 
 def si_only_accuracy(train_data, eval_data) -> float:
     """Balanced accuracy of a classifier that sees only the SI symbol.
@@ -241,7 +239,7 @@ def measure_si_floor(data_cfg: SynthConfig) -> float:
 
 
 def calibrate_si_correlation(
-    data_cfg: SynthConfig, target: float, tol: float = 0.005, max_rounds: int = 25
+    data_cfg: SynthConfig, target: float, tol: float = 0.005
 ) -> SynthConfig:
     """Bisection on ``si_correlation`` until the SI-only classifier's
     balanced accuracy hits ``target`` within ``tol``.
@@ -258,7 +256,7 @@ def calibrate_si_correlation(
             f"target {target} is above the reachable SI accuracy {top:.3f}"
         )
     best_cfg, best_gap = data_cfg, float("inf")
-    for _ in range(max_rounds):
+    for _ in range(SI_CALIBRATION_ROUNDS):
         mid = 0.5 * (lo + hi)
         cfg = replace(data_cfg, si_correlation=mid)
         acc = measure_si_floor(cfg)
@@ -274,7 +272,7 @@ def calibrate_si_correlation(
     if best_gap <= 2 * tol:
         return best_cfg
     raise ValidationError(
-        f"calibration did not reach {target} within {max_rounds} rounds "
+        f"calibration did not reach {target} within {SI_CALIBRATION_ROUNDS} rounds "
         f"(best gap {best_gap:.4f})"
     )
 

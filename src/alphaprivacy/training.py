@@ -14,8 +14,6 @@ The points of a trade-off curve differ only in lambda and seed, so
 :mod:`.nets`), each with its own initial weights, batch stream and
 divergence outcome; :func:`train` is its G = 1 view, and
 :func:`train_attacker_group` and :func:`train_attacker` stand likewise.
-A sweep's lambda = 0 models train no adversary, since its releasers
-never read it (see :func:`train_group`).
 """
 
 from __future__ import annotations
@@ -125,10 +123,8 @@ def _with_side_info(z, s, si_enabled):
 class TrainedSystem:
     """Outcome of one adversarial training run.
 
-    A lambda = 0 model of a group trained without its idle adversary (see
-    :func:`train_group`) holds its seeded, untrained initial adversary,
-    which carries the private class count, and an empty
-    ``adversary_history``.
+    At lambda = 0 the adversary is the seeded, untrained initial one, which
+    carries the private class count (see :func:`train_group`).
     """
 
     releaser: Network
@@ -325,11 +321,12 @@ def train(
     """Run the alternating training loop to completion.
 
     Per iteration: ``adversary_steps`` repetitions of {fresh batch, release,
-    adversary update, utility update when enabled}, then one releaser update
-    on another fresh batch with the other networks frozen.  The releaser is
-    frozen through the adversary steps, so their batches are drawn and
-    released in one pass and each step trains on its own rows.  Emits one
-    machine-parseable log line per iteration when ``log_stream`` is given.
+    adversary update unless ``lam`` = 0 (see :func:`train_group`), utility
+    update when enabled}, then one releaser update on another fresh batch
+    with the other networks frozen.  The releaser is frozen through the
+    adversary steps, so their batches are drawn and released in one pass
+    and each step trains on its own rows.  Emits one machine-parseable log
+    line per iteration when ``log_stream`` is given.
     Fully deterministic given the hyperparameter seed and the stream;
     raises DivergenceError when a loss explodes.
     """
@@ -337,7 +334,7 @@ def train(
 
 
 def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
-                log_stream=None, *, train_idle_adversaries=True):
+                log_stream=None):
     """Train G systems that differ only in ``lam`` and ``seed`` as one stack.
 
     Model g starts from its own seed's weights and draws from
@@ -350,14 +347,14 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     order, until that model fails.
 
     A model with lam = 0 is idle: its releaser minimises the distortion
-    alone and never reads its adversary.  With ``train_idle_adversaries``
-    False, which the sweep sets because it reports no adversary, the
-    adversaries of idle models are left out of the stack: they are neither
-    trained nor run, their k-block rows are released only when the utility
-    network trains on them, and every stream still draws its full block,
-    so every other value is unchanged.  An idle model's TrainedSystem then
-    holds its untrained initial adversary and an empty adversary history,
-    and the model cannot fail through its adversary.
+    alone and never reads its adversary, so its adversary is left out of
+    the stack: it is neither trained nor run, its k-block rows are released
+    only when the utility network trains on them, and its stream still
+    draws the full block, so its releaser batches are those of a run that
+    trains the adversary.  An idle model's TrainedSystem holds its
+    untrained initial adversary and an empty adversary history, its log
+    lines read ``adversary_loss=nan``, and it cannot fail through its
+    adversary.
     """
     hyper, pool, d_in = _check_group(hypers, streams, si_enabled)
     if pool.num_steps != hyper.num_steps:
@@ -380,8 +377,8 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
 
     lam = np.array([h.lam for h in hypers])
     everyone = list(range(len(hypers)))
-    # the models whose adversaries train, and the others
-    adv_models = everyone if train_idle_adversaries else np.flatnonzero(lam).tolist()
+    # the models whose adversaries train, and the idle others
+    adv_models = np.flatnonzero(lam).tolist()
     adv_at = {g: i for i, g in enumerate(adv_models)}  # model -> adversary stack slot
     idle = [g for g in everyone if g not in adv_at]
 

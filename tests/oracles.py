@@ -2,10 +2,11 @@
 
 Everything here evaluates definitions directly in linear probability space
 (plain sums, explicit loops, sequence enumeration) so it shares no code
-path with the library's log-space implementations.  The one exception is
+path with the library's log-space implementations.  The exceptions are
 ``bayes_posterior``, the exact Bayes adversary that the optimizer's tests
 read the adversary's beliefs from, which builds its joint with the
-optimizer's own contraction.
+optimizer's own contraction, and ``distortion_only_releaser``, which
+replays the training loop by hand from the library's networks and losses.
 """
 
 import itertools
@@ -14,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from alphaprivacy.channel import ReleaseChannel, WorldModel, _check_channel_shape, _joint_tables
+from alphaprivacy.datasets import _derive_seed
 from alphaprivacy.errors import ValidationError
+from alphaprivacy.losses import releaser_loss
 from alphaprivacy.measures import JointPmf
+from alphaprivacy.nets import SgdMomentum
+from alphaprivacy.training import _two_layer_net, assemble_observed
 
 
 def shannon_direct(p):
@@ -187,3 +192,43 @@ def bayes_posterior(world: WorldModel, channel: ReleaseChannel) -> BayesPosterio
         cond = np.where(support, cond, prior)
     labels = ("X", "Z", "S") if side_information else ("X", "Z")
     return BayesPosterior(JointPmf(table, labels), cond, support)
+
+
+def distortion_only_releaser(hyper, stream, spec):
+    """The releaser of a lambda = 0 run of ``hyper`` on ``stream``, replayed
+    by hand: no adversary, no utility network, one lone model.
+
+    Per iteration: the decayed learning rate, the adversary steps' k
+    batches drawn and discarded, then one SGD step on the distortion alone
+    of a fresh batch; the running mean over the ``average_tail`` iterations
+    replaces the weights at the end.
+    """
+    data = stream.data
+    d_w = assemble_observed(data.y[:1], data.x[:1], data.u[:1], hyper.observed_mode).shape[-1]
+    releaser = _two_layer_net(hyper.num_steps, d_w, data.y.shape[-1], "linear",
+                              _derive_seed(hyper.seed, "releaser"))
+    opt = SgdMomentum(releaser, hyper.lr_releaser, hyper.momentum)
+    avg_start = int(round(hyper.iterations * (1.0 - hyper.average_tail)))
+    averages = []
+    for iteration in range(hyper.iterations):
+        opt.learning_rate = hyper.lr_releaser / (1.0 + hyper.lr_decay * iteration)
+        for _ in range(hyper.adversary_steps):
+            stream.draw(hyper.batch_size)
+        batch = data.take(stream.draw(hyper.batch_size))
+        z, trace = releaser.forward(
+            assemble_observed(batch.y, batch.x, batch.u, hyper.observed_mode))
+        loss = releaser_loss(z, batch.y, None, spec, 0.0, hyper.alpha)
+        grads, _ = releaser.backward(loss.grad_released, trace, input_grad=False)
+        opt.step(grads)
+        if hyper.average_tail > 0.0 and iteration >= avg_start:
+            count = iteration - avg_start + 1
+            if count == 1:
+                averages = [(l.w.copy(), l.b.copy()) for l in releaser.layers]
+                continue
+            for (aw, ab), layer in zip(averages, releaser.layers):
+                aw += (layer.w - aw) / count
+                ab += (layer.b - ab) / count
+    for layer, (aw, ab) in zip(releaser.layers, averages):
+        layer.w[:] = aw
+        layer.b[:] = ab
+    return releaser

@@ -201,7 +201,7 @@ class TestBatchStream:
 class TestSplit:
     def test_split_sizes_and_distinct_streams(self):
         cfg = SynthConfig(total=100, seed=4)
-        train, test = train_eval_split(cfg, eval_fraction=0.2)
+        train, test = train_eval_split(cfg)
         assert train.size == 80 and test.size == 20
         assert not np.array_equal(train.y[:20], test.y)
 

@@ -888,8 +888,6 @@ class TestStackedLosses:
             np.testing.assert_array_equal(adv.grad_posteriors[m], want_adv.grad_posteriors)
             np.testing.assert_array_equal(rel.grad_released[m], want_rel.grad_released)
             np.testing.assert_array_equal(rel.grad_posteriors[m], want_rel.grad_posteriors)
-        # the lambda = 0 model keeps a lone run's +0.0 gradient, not -0.0 * dH
-        assert not np.signbit(rel.grad_posteriors[0]).any()
 
     def test_any_negative_lambda_rejected(self):
         y = np.zeros((2, 1, 1, 1))

@@ -16,7 +16,7 @@ from alphaprivacy.datasets import (
     _derive_seed,
     train_eval_split,
 )
-from alphaprivacy.errors import DivergenceError, ValidationError
+from alphaprivacy.errors import ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.metrics import balanced_accuracy
 from alphaprivacy import sweep as sweep_module
@@ -33,15 +33,9 @@ from alphaprivacy.sweep import (
     sweep,
 )
 from alphaprivacy import training
-from alphaprivacy.training import (
-    HyperParams,
-    TrainedSystem,
-    evaluate_system,
-    train_attacker_group,
-    train_group,
-)
+from alphaprivacy.training import HyperParams, train, train_group
 
-from oracles import si_only_rule_direct
+from oracles import distortion_only_releaser, si_only_rule_direct
 
 QUICK_HYPER = HyperParams(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1,
                           iterations=8, batch_size=16, adversary_steps=2, seed=42)
@@ -230,34 +224,9 @@ class TestRunGroup:
         assert _chunks(list(range(6)), 3) == [[0, 1], [2, 3], [4, 5]]
 
 
-def reference_group(hyper, alpha, lams, data_cfg, spec, si_enabled, utility_enabled):
-    """``run_group``'s points built with every adversary trained: the
-    default ``train_group``, then a lone ``train_attacker_group`` and
-    ``evaluate_system`` per point.  Returns the points and the training
-    outcomes."""
-    seeds = [sweep_module._point_seed(hyper.seed, alpha, lam) for lam in lams]
-    train_data, eval_data = sweep_module.train_eval_split(data_cfg)
-    outcomes = train_group(
-        [replace(hyper, alpha=alpha, lam=lam, seed=seed) for lam, seed in zip(lams, seeds)],
-        [BatchStream(train_data, _derive_seed(seed, "train-stream")) for seed in seeds],
-        spec, si_enabled, utility_enabled,
-    )
-    points = []
-    for lam, seed, outcome in zip(lams, seeds, outcomes):
-        attacker = outcome
-        if isinstance(outcome, TrainedSystem):
-            (attacker,) = train_attacker_group(
-                [outcome], [BatchStream(train_data, _derive_seed(seed, "attacker-stream"))],
-                si_enabled, [_derive_seed(seed, "attacker-init")],
-            )
-        if isinstance(attacker, DivergenceError):
-            points.append(TradeoffPoint(alpha, lam, float("nan"), float("nan"), None, seed,
-                                        failed=True, error=str(attacker)))
-            continue
-        scores = evaluate_system(outcome, attacker, eval_data, si_enabled)
-        points.append(TradeoffPoint(alpha, lam, scores["ne"], scores["attacker_accuracy"],
-                                    scores["utility_accuracy"], seed))
-    return points, outcomes
+def lone_points(hyper, alpha, lams, *args):
+    """The points of ``lams`` at ``alpha``, each from its own ``run_point``."""
+    return [run_point(hyper, alpha, lam, *args) for lam in lams]
 
 
 def recorded_run_group(monkeypatch, *args):
@@ -289,8 +258,9 @@ MARKOV_SI = (
 
 
 class TestIdleAdversaries:
-    """A sweep point at lambda = 0 trains no adversary; its points equal
-    those of a group whose every adversary trains, bit for bit."""
+    """A sweep point at lambda = 0 trains no adversary: its releaser is the
+    distortion-only replay of its stream, and every point of a group
+    equals its lone run, bit for bit."""
 
     @pytest.mark.parametrize("hyper, alpha, lams, data_cfg, spec, si_enabled, utility_enabled", [
         pytest.param(replace(QUICK_HYPER, iterations=12, average_tail=0.5, lr_decay=0.002),
@@ -309,48 +279,48 @@ class TestIdleAdversaries:
         pytest.param(QUICK_HYPER, 1.0, [3.0, 20.0], QUICK_DATA, DistortionSpec("p_norm"),
                      False, False, id="no-idle"),
     ])
-    def test_points_equal_the_all_adversaries_reference(self, monkeypatch, hyper, alpha, lams,
-                                                        data_cfg, spec, si_enabled,
-                                                        utility_enabled):
+    def test_points_equal_their_lone_runs(self, monkeypatch, hyper, alpha, lams, data_cfg,
+                                          spec, si_enabled, utility_enabled):
         args = (hyper, alpha, lams, data_cfg, spec, si_enabled, utility_enabled)
         points, outcomes = recorded_run_group(monkeypatch, *args)
-        want_points, want_outcomes = reference_group(*args)
-        assert as_json(points) == as_json(want_points)
+        assert as_json(points) == as_json(lone_points(*args))
         assert not any(p.failed for p in points)
-        for lam, got, want in zip(lams, outcomes, want_outcomes):
-            doc, want_doc = got.to_dict(), want.to_dict()
+        train_data = sweep_module.train_eval_split(data_cfg)[0]
+        for lam, got in zip(lams, outcomes):
             if lam > 0.0:
-                assert doc == want_doc
+                assert len(got.adversary_history) == hyper.iterations * hyper.adversary_steps
                 continue
             # the idle adversary is the seeded initial network, untrained
             initial = training._two_layer_net(
                 hyper.num_steps, got.adversary.in_dim, got.adversary.out_dim, "softmax",
                 _derive_seed(got.hyper.seed, "adversary"),
             )
-            assert doc["adversary"] == initial.to_dict() != want_doc["adversary"]
-            assert doc["adversary_history"] == [] != want_doc["adversary_history"]
-            for key in ("adversary", "adversary_history", "updates"):
-                del doc[key], want_doc[key]
-            assert doc == want_doc
+            assert got.adversary.to_dict() == initial.to_dict()
+            assert got.adversary_history == []
+            if spec.needs_utility:
+                continue  # the releaser reads the utility network
+            want = distortion_only_releaser(
+                got.hyper, BatchStream(train_data, _derive_seed(got.hyper.seed, "train-stream")),
+                spec,
+            )
+            assert got.releaser.to_dict() == want.to_dict()
 
     def test_log_of_an_idle_model_reads_no_adversary_loss(self):
         data = train_eval_split(QUICK_DATA)[0]
         hypers = [replace(QUICK_HYPER, lam=2.0, seed=1), replace(QUICK_HYPER, lam=0.0, seed=2)]
-        logs = []
-        for train_idle in (False, True):
-            logs.append(io.StringIO())
-            train_group(hypers, [BatchStream(data, 1), BatchStream(data, 2)],
-                        DistortionSpec("p_norm"), log_stream=logs[-1],
-                        train_idle_adversaries=train_idle)
-        got, want = (log.getvalue().splitlines() for log in logs)
-        assert got[0::2] == want[0::2]
-        for line, want_line in zip(got[1::2], want[1::2]):
-            fields, want_fields = line.split(), want_line.split()
-            assert fields[1] == "adversary_loss=nan" != want_fields[1]
-            assert fields[:1] + fields[2:] == want_fields[:1] + want_fields[2:]
+        log = io.StringIO()
+        train_group(hypers, [BatchStream(data, 1), BatchStream(data, 2)],
+                    DistortionSpec("p_norm"), log_stream=log)
+        lines = log.getvalue().splitlines()
+        for g, hyper in enumerate(hypers):
+            lone = io.StringIO()
+            train(hyper, BatchStream(data, g + 1), DistortionSpec("p_norm"), log_stream=lone)
+            assert lines[g::2] == lone.getvalue().splitlines()
+        assert not any("adversary_loss=nan" in line for line in lines[0::2])
+        assert {line.split()[1] for line in lines[1::2]} == {"adversary_loss=nan"}
 
-    # base seeds whose lambda = 0 point diverged in its adversary when every
-    # adversary trained, and the way it ends now
+    # base seeds, and the way their lambda = 0 point ends: through its
+    # attacker, its releaser, or not at all
     @pytest.mark.parametrize("seed, zero_outcome", [(1, "attacker"), (6, "releaser"),
                                                     (9, None)])
     def test_a_lambda_zero_point_fails_only_through_its_releaser_or_attacker(
@@ -368,16 +338,11 @@ class TestIdleAdversaries:
         args = (hyper, 1.0, lams, QUICK_DATA, DistortionSpec("p_norm"), False, False)
         with np.errstate(all="ignore"):
             points = run_group(*args)
-            alone = run_point(hyper, 1.0, 0.0, *args[3:])
-            want, _ = reference_group(*args)
+            alone = lone_points(*args)
             pooled = sweep(hyper, lams, [1.0], QUICK_DATA, workers=2)
-        # every lambda > 0 point keeps the outcome and message it had when
-        # every adversary trained, adversary divergences included
-        assert as_json(points[1:]) == as_json(want[1:])
+        assert as_json(points) == as_json(alone)
         assert "adversary" in {p.error.split()[0] for p in points[1:] if p.failed}
-        assert want[0].error.startswith("adversary loss diverged")
         assert (points[0].error and points[0].error.split()[0]) == zero_outcome
-        assert as_json(points[:1]) == as_json([alone])
         assert as_json(pooled) == as_json(points)
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alphaprivacy.datasets import BatchStream, DatasetBatch, SynthConfig, generate
+from alphaprivacy.datasets import BatchStream, DatasetBatch, SynthConfig, _derive_seed, generate
 from alphaprivacy.errors import DivergenceError, ValidationError
 from alphaprivacy.losses import DistortionSpec
 from alphaprivacy.nets import Layer, Network, dense, recurrent
@@ -28,6 +28,8 @@ from alphaprivacy.training import (
     train_group,
     _two_layer_net,
 )
+
+from oracles import distortion_only_releaser
 
 QUICK = dict(momentum=0.0, lr_releaser=0.02, lr_adversary=0.1, iterations=5,
              batch_size=16, adversary_steps=3)
@@ -76,14 +78,21 @@ class TestAssembleObserved:
 
 
 class TestTrainLoop:
-    def test_update_counters_respect_alternation_ratio(self):
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_update_counters_respect_alternation_ratio(self, lam):
+        # a lambda = 0 model trains no adversary
         data = clusters_data()
-        hyper = HyperParams(**QUICK, seed=3)
+        hyper = HyperParams(**QUICK, lam=lam, seed=3)
         system = train(hyper, BatchStream(data, 4), DistortionSpec("p_norm", p=2.0),
                        utility_enabled=True)
+        k_steps = hyper.iterations * hyper.adversary_steps
         assert len(system.releaser_history) == hyper.iterations
-        assert len(system.adversary_history) == hyper.iterations * hyper.adversary_steps
-        assert len(system.utility_history) == hyper.iterations * hyper.adversary_steps
+        assert len(system.adversary_history) == (k_steps if lam > 0.0 else 0)
+        assert len(system.utility_history) == k_steps
+        assert system.to_dict()["updates"] == {
+            "releaser": hyper.iterations, "adversary": len(system.adversary_history),
+            "utility": k_steps,
+        }
 
     def test_training_is_reproducible_bit_exactly(self):
         data = clusters_data()
@@ -186,7 +195,9 @@ class TestSystemDocument:
     @pytest.fixture(scope="class", params=["clusters", "si_recurrent", "composite"])
     def trained(self, request):
         if request.param == "clusters":
-            data, hyper, spec, extra = clusters_data(), HyperParams(**QUICK, seed=19), "ts_l2", {}
+            # at lambda > 0, so that the adversary trains and has a history
+            data, hyper = clusters_data(), HyperParams(**QUICK, lam=2.0, seed=19)
+            spec, extra = "ts_l2", {}
         elif request.param == "si_recurrent":
             data = markov_data(si_correlation=0.5)
             hyper = HyperParams(**QUICK, seed=17, num_steps=4, observed_mode="concat_xy")
@@ -242,6 +253,58 @@ class TestSystemDocument:
         system.to_json(tmp_path / "system.json")
         assert json.loads((tmp_path / "system.json").read_text()) == doc
         assert list(tmp_path.iterdir()) == [tmp_path / "system.json"]
+
+
+def assert_same_weights(got, want):
+    """The two networks hold the same weights, bit for bit."""
+    assert len(got.layers) == len(want.layers)
+    for a, b in zip(got.layers, want.layers):
+        for x, y in ((a.w, b.w), (a.b, b.b)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+MARKOV_T24 = (markov_data(total=40, num_steps=24, si_correlation=0.5),
+              HyperParams(**QUICK, num_steps=24, observed_mode="concat_xy", average_tail=0.5,
+                          seed=29))
+IDLE_CASES = [
+    pytest.param(clusters_data(), replace(HyperParams(**QUICK, seed=23), iterations=12,
+                                          average_tail=0.5, lr_decay=0.01, momentum=0.5),
+                 "p_norm", False, id="dense-tail-decay"),
+    pytest.param(*MARKOV_T24, "ts_l2", False, id="recurrent-T24"),
+    pytest.param(*MARKOV_T24, "ts_l2", True, id="recurrent-T24-si"),
+]
+
+
+class TestIdleModel:
+    """A lambda = 0 model trains no adversary: its releaser minimises the
+    distortion alone, so it is the hand replay of that loop on its stream."""
+
+    @pytest.mark.parametrize("data, hyper, spec, si_enabled", IDLE_CASES)
+    def test_lone_run_equals_the_distortion_only_replay(self, data, hyper, spec,
+                                                        si_enabled):
+        system = train(hyper, BatchStream(data, 4), DistortionSpec(spec), si_enabled)
+        want = distortion_only_releaser(hyper, BatchStream(data, 4), DistortionSpec(spec))
+        assert_same_weights(system.releaser, want)
+
+    @pytest.mark.parametrize("data, hyper, spec, si_enabled", IDLE_CASES)
+    def test_idle_member_of_a_mixed_group_equals_the_replay(self, data, hyper, spec,
+                                                            si_enabled):
+        hypers = [replace(hyper, lam=lam, seed=hyper.seed + i)
+                  for i, lam in enumerate([3.0, 0.0, 20.0])]
+        outcomes = train_group(hypers, [BatchStream(data, i) for i in range(3)],
+                               DistortionSpec(spec), si_enabled)
+        want = distortion_only_releaser(hypers[1], BatchStream(data, 1), DistortionSpec(spec))
+        assert_same_weights(outcomes[1].releaser, want)
+
+    @pytest.mark.parametrize("data, hyper, spec, si_enabled", IDLE_CASES)
+    def test_lone_run_keeps_its_initial_adversary(self, data, hyper, spec, si_enabled):
+        system = train(hyper, BatchStream(data, 4), DistortionSpec(spec), si_enabled)
+        d_in = data.y.shape[-1] + (data.s.shape[-1] if si_enabled else 0)
+        initial = _two_layer_net(hyper.num_steps, d_in, int(data.x.max()) + 1, "softmax",
+                                 _derive_seed(hyper.seed, "adversary"))
+        assert_same_weights(system.adversary, initial)
+        doc = system.to_dict()
+        assert doc["adversary_history"] == [] and doc["updates"]["adversary"] == 0
 
 
 def outcome_of(fn, *args):
@@ -474,7 +537,8 @@ class TestParameterFreezing:
         # one iteration with k = 1: replay the same alternation by hand and
         # verify each network only moves in its own step
         data = clusters_data(total=32, seed=31)
-        hyper = HyperParams(momentum=0.0, lr_releaser=0.05, lr_adversary=0.1,
+        # at lambda > 0, where the releaser step reads the adversary
+        hyper = HyperParams(momentum=0.0, lr_releaser=0.05, lr_adversary=0.1, lam=1.0,
                             iterations=1, batch_size=8, adversary_steps=1, seed=31)
         spec = DistortionSpec("ts_l2")
         system = train(hyper, BatchStream(data, 6), spec)
