@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelOptConfig, WorldModel, expected_distortion, optimize_channel
 from .datasets import BatchStream, SynthConfig, train_eval_split
 from .errors import DataFormatError, DivergenceError, ValidationError, check_count, is_count
-from .fileio import read_json, write_text_atomic
+from .fileio import atomic_text_writer, read_json, write_text_atomic
 from .losses import DistortionSpec
 from .measures import (
     JointPmf,
@@ -192,15 +192,20 @@ def cmd_train(args):
     out_dir = _out_dir(args)
     train_data, eval_data = train_eval_split(data_cfg)
     log_path = os.path.join(out_dir, "train_log.txt")
-    with open(log_path, "w") as log_stream:
-        system = train(
-            hyper,
-            BatchStream(train_data, hyper.seed),
-            spec,
-            si_enabled=si_enabled,
-            utility_enabled=utility_enabled,
-            log_stream=log_stream,
-        )
+    with atomic_text_writer(log_path) as log_stream:
+        try:
+            system = train(
+                hyper,
+                BatchStream(train_data, hyper.seed),
+                spec,
+                si_enabled=si_enabled,
+                utility_enabled=utility_enabled,
+                log_stream=log_stream,
+            )
+        except DivergenceError as exc:  # its log keeps the iterations it ran
+            system = exc
+    if isinstance(system, DivergenceError):
+        raise system
     checkpoint = os.path.join(out_dir, "system.json")
     system.to_json(checkpoint)
     ne = normalized_error(system.release(eval_data), eval_data.y)

@@ -200,11 +200,14 @@ def _substack(net, index):
                     for l in net.layers])
 
 
-def _guard(values, iteration, who, failed, models):
+def _guard(values, iteration, who, failed, models, record=None):
     """Record in ``failed`` (model index -> error) each model whose loss is
     non-finite or beyond the ceiling; a model keeps its first error.
-    ``models`` holds the model index of each entry of ``values``."""
+    ``models`` holds the model index of each entry of ``values``; each
+    value is also appended to its model's list in ``record``, if given."""
     for g, value in zip(models, values.tolist()):
+        if record is not None:
+            record[g].append(value)
         if g not in failed and (not np.isfinite(value) or abs(value) > LOSS_CEILING):
             failed[g] = DivergenceError(
                 f"{who} loss diverged at iteration {iteration}: {value!r}", iteration
@@ -214,23 +217,18 @@ def _guard(values, iteration, who, failed, models):
 def _classifier_steps(classifiers, iterations, batch_size, failed):
     """Cross-entropy updates of softmax classifiers, one step per entry of
     ``iterations`` on its own ``batch_size`` slice of their stacked inputs.
-    ``classifiers`` holds (optimizer, who, inputs, labels, models) tuples,
-    ``models`` giving the model index of each network the optimizer
-    trains.  Returns each step's losses before the update, a list per
-    ``who``."""
-    steps = []
+    ``classifiers`` holds (optimizer, who, inputs, labels, models, record)
+    tuples, ``models`` giving the model index of each network the
+    optimizer trains; each step's losses before the update are appended
+    to ``record`` (see :func:`_guard`) unless it is None."""
     for step, iteration in enumerate(iterations):
         part = slice(step * batch_size, (step + 1) * batch_size)
-        losses = {}
-        for opt, who, inputs, labels, models in classifiers:
+        for opt, who, inputs, labels, models, record in classifiers:
             probs, trace = opt.network.forward(inputs[:, part])
             loss = adversary_loss(probs, labels[:, part])
-            _guard(loss.value, iteration, who, failed, models)
+            _guard(loss.value, iteration, who, failed, models, record)
             grads, _ = opt.network.backward(loss.grad_posteriors, trace, input_grad=False)
             opt.step(grads)
-            losses[who] = loss.value.tolist()
-        steps.append(losses)
-    return steps
 
 
 def _releaser_step(opt_r, parts, utility, batch, spec, lam, hyper, si_enabled):
@@ -337,14 +335,14 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
                 log_stream=None):
     """Train G systems that differ only in ``lam`` and ``seed`` as one stack.
 
-    Model g starts from its own seed's weights and draws from
-    ``streams[g]``, which must all sample one dataset, so it follows the
-    very run :func:`train` gives for ``hypers[g]``, bit for bit.  Returns
-    one outcome per model: its TrainedSystem, or the DivergenceError its
-    own run would raise.  A diverged model stays in the stack, unread, so
-    the stack keeps its shape; the loop ends early once every model has
-    failed.  ``log_stream`` gets each model's line per iteration, in stack
-    order, until that model fails.
+    Model g starts from its own seed's weights, draws from ``streams[g]``
+    (they must all sample one dataset) and keeps its own loss record, so
+    it follows the very run :func:`train` gives for ``hypers[g]``, bit for
+    bit.  Returns one outcome per model: its TrainedSystem, or the
+    DivergenceError its own run would raise.  A diverged model stays in
+    the stack, unread, so the stack keeps its shape; the loop ends early
+    once every model has failed.  ``log_stream`` gets each model's line
+    per iteration, in stack order, until that model fails.
 
     A model with lam = 0 is idle: its releaser minimises the distortion
     alone and never reads its adversary, so its adversary is left out of
@@ -379,8 +377,7 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     everyone = list(range(len(hypers)))
     # the models whose adversaries train, and the idle others
     adv_models = np.flatnonzero(lam).tolist()
-    adv_at = {g: i for i, g in enumerate(adv_models)}  # model -> adversary stack slot
-    idle = [g for g in everyone if g not in adv_at]
+    idle = [g for g in everyone if lam[g] == 0.0]
 
     releaser = Network.stack(initial_nets("releaser", hyper.num_steps, d_w, d_y, "linear"))
     # the training pool sets both class alphabets; the networks carry them
@@ -403,11 +400,13 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
     adv_in_fed = _model_index(adv_models) if utility_enabled else slice(None)
     parts = [(_model_index(models), net)
              for models, net in ((adv_models, adversary), (idle, None)) if models]
+    # each model's losses, in the order it takes them
+    records = {who: [[] for _ in hypers] for who in ("releaser", "adversary", "utility")}
 
     def classifiers_on(rows):
-        """The (optimizer, who, inputs, labels, models) of each classifier
-        that trains on the k-block ``rows``, released in one pass through
-        the releaser stack of the models the block feeds."""
+        """The (optimizer, who, inputs, labels, models, record) of each
+        classifier that trains on the k-block ``rows``, released in one
+        pass through the releaser stack of the models the block feeds."""
         if not fed:
             return []
         z_rows = _release(_substack(releaser, fed_index), rows, hyper.observed_mode)
@@ -415,55 +414,49 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
         if adv_models:
             inputs = _with_side_info(z_rows, rows.s, si_enabled)
             classifiers.append((opt_a, "adversary", inputs[adv_in_fed], rows.x[adv_in_fed],
-                                adv_models))
+                                adv_models, records["adversary"]))
         if utility_enabled:
-            classifiers.append((opt_u, "utility", z_rows, rows.c[..., None], everyone))
+            classifiers.append((opt_u, "utility", z_rows, rows.c[..., None], everyone,
+                                records["utility"]))
         return classifiers
 
     failed = {}
-    history = []  # per iteration: (classifier steps, releaser losses)
-
     avg_start = int(round(hyper.iterations * (1.0 - hyper.average_tail)))
     avg_params = None
-    avg_count = 0
 
     for iteration in range(hyper.iterations):
         # decayed releaser step damps the releaser/adversary oscillation so
         # the alternation settles instead of orbiting the equilibrium
         opt_r.learning_rate = hyper.lr_releaser / (1.0 + hyper.lr_decay * iteration)
         rows = _draw(streams, hyper.batch_size, hyper.adversary_steps, fed_index)
-        classifiers = classifiers_on(rows)
-        steps = _classifier_steps(
-            classifiers, [iteration] * hyper.adversary_steps, hyper.batch_size,
-            failed,
-        )
+        _classifier_steps(classifiers_on(rows), [iteration] * hyper.adversary_steps,
+                          hyper.batch_size, failed)
         batch = _draw(streams, hyper.batch_size)
         values, z = _releaser_step(
             opt_r, parts, utility if spec.needs_utility else None, batch, spec, lam,
             hyper, si_enabled
         )
-        _guard(values, iteration, "releaser", failed, everyone)
-        history.append((steps, values.tolist()))
+        _guard(values, iteration, "releaser", failed, everyone, records["releaser"])
 
-        if hyper.average_tail > 0.0 and iteration >= avg_start:
+        if iteration >= avg_start:
             # running mean of the releaser over the oscillating tail; the
             # averaged mechanism is what actually approaches the equilibrium
-            avg_count += 1
             if avg_params is None:
                 avg_params = [(l.w.copy(), l.b.copy()) for l in releaser.layers]
             else:
+                count = iteration - avg_start + 1
                 for (aw, ab), layer in zip(avg_params, releaser.layers):
-                    aw += (layer.w - aw) / avg_count
-                    ab += (layer.b - ab) / avg_count
+                    aw += (layer.w - aw) / count
+                    ab += (layer.b - ab) / count
 
         if log_stream is not None:
             for g in everyone:
                 if g not in failed:
                     ne = normalized_error(z[g], batch.y[g])
-                    adversary_loss_g = (steps[-1]["adversary"][adv_at[g]]
-                                        if g in adv_at else float("nan"))
+                    adv_losses = records["adversary"][g]
+                    adv_loss = adv_losses[-1] if adv_losses else float("nan")
                     log_stream.write(
-                        f"iteration={iteration} adversary_loss={adversary_loss_g:.6f} "
+                        f"iteration={iteration} adversary_loss={adv_loss:.6f} "
                         f"releaser_loss={values[g]:.6f} ne={ne:.6f}\n"
                     )
         if len(failed) == len(hypers):
@@ -490,14 +483,9 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
             hyper=hypers[g],
             distortion=spec,
             si_enabled=si_enabled,
-            releaser_history=[rel_values[g] for _, rel_values in history],
-            adversary_history=[] if g not in adv_at else [
-                step["adversary"][adv_at[g]] for k_steps, _ in history for step in k_steps
-            ],
-            utility_history=[
-                step["utility"][g] for k_steps, _ in history for step in k_steps
-                if "utility" in step
-            ],
+            releaser_history=records["releaser"][g],
+            adversary_history=records["adversary"][g],
+            utility_history=records["utility"][g],
         )
         for g, (rel, adv, util_net) in enumerate(members)
     ]
@@ -540,7 +528,7 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
         rows = _draw(streams, hyper.batch_size, count=len(block))
         inputs = _with_side_info(_release(releaser, rows, hyper.observed_mode), rows.s,
                                  si_enabled)
-        _classifier_steps([(opt, "attacker", inputs, rows.x, models)], block,
+        _classifier_steps([(opt, "attacker", inputs, rows.x, models, None)], block,
                           hyper.batch_size, failed)
         if len(failed) == len(systems):
             break

@@ -380,6 +380,65 @@ class TestTrainCommand:
         assert err.count("\n") == 1
 
 
+def small_train_config(tmp_path, **hyper):
+    config = json.loads(json.dumps(SWEEP_CONFIG))
+    config["hyper"].update(iterations=10, batch_size=16, **hyper)
+    config["data"]["total"] = 80
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+class TestTrainLog:
+    """``train_log.txt`` is replaced atomically: a run that returns or
+    diverges publishes the lines of the iterations it ran, and any other
+    failure leaves the previous log and no temp file."""
+
+    def test_diverged_run_publishes_the_iterations_it_ran(self, tmp_path, capsys):
+        # the releaser's step is so large that its loss leaves the ceiling
+        # at iteration 1
+        cfg = small_train_config(tmp_path, lr_releaser=1e6)
+        log = tmp_path / "train_log.txt"
+        log.write_text("old\n")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert_one_line_error(capsys, "runtime failure: releaser loss diverged at iteration 1:")
+        lines = log.read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("iteration=0 ")
+        assert sorted(os.listdir(tmp_path)) == ["train.json", "train_log.txt"]
+
+    @pytest.mark.parametrize("error", [RuntimeError("crash"), KeyboardInterrupt()],
+                             ids=["crash", "interrupt"])
+    def test_crash_leaves_the_previous_log(self, tmp_path, monkeypatch, error):
+        def train_then_fail(*args, log_stream, **kwargs):
+            log_stream.write("iteration=0 adversary_loss=0.1 releaser_loss=0.2 ne=0.3\n")
+            raise error
+
+        monkeypatch.setattr("alphaprivacy.cli.train", train_then_fail)
+        cfg = small_train_config(tmp_path)
+        log = tmp_path / "train_log.txt"
+        log.write_text("old\n")
+        argv = ["train", "--config", str(cfg), "--out-dir", str(tmp_path)]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 3
+        assert log.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["train.json", "train_log.txt"]
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command, flag", [
+        ("measures", "--joint"), ("plot", "--results"), ("optimize", "--world"),
+        ("train", "--config"), ("sweep", "--config"),
+    ])
+    def test_is_a_one_line_data_error(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"axes": "\xff"}')
+        assert main([command, flag, str(path), "--out-dir", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "data error: ", str(path), "not UTF-8")
+
+
 class TestSweepHyperValidation:
     @pytest.mark.parametrize("field, value", [("batch_size", 16.5), ("iterations", 2.5)])
     def test_non_integer_count_is_a_one_line_data_error(self, tmp_path, capsys, field, value):

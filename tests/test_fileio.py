@@ -1,12 +1,18 @@
 """Tests for the atomic writer: its files get the mode a plain ``open``
-gives, under every umask, and keep it when rewritten."""
+gives, under every umask, and keep it when rewritten; and no other module
+of the package opens a file for writing (the modules are parsed, not
+imported)."""
 
+import ast
 import os
+import pathlib
 import stat
 
 import pytest
 
 from alphaprivacy.fileio import write_text_atomic
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "alphaprivacy"
 
 
 def mode(path):
@@ -44,3 +50,56 @@ class TestWriteTextAtomic:
         write_text_atomic(path, "newer")
         assert mode(path) == want and path.read_text() == "newer"
         assert os.listdir(tmp_path) == ["doc.txt"]
+
+    def test_rewrite_keeps_a_mode_set_by_chmod(self, tmp_path, umask):
+        # neither mode is one the umask gives a new file
+        path = tmp_path / "doc.txt"
+        write_plain(path, "old")
+        for want in (0o640, 0o604):
+            os.chmod(path, want)
+            write_text_atomic(path, oct(want))
+            assert mode(path) == want and path.read_text() == oct(want)
+        assert os.listdir(tmp_path) == ["doc.txt"]
+
+
+# calls that open a file, each taking its mode or flags second
+OPENERS = {"open", "io.open", "os.fdopen", "os.open"}
+
+
+def call_name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
+def writing_opens(source):
+    """The line of each call in ``source`` that opens a file in a write,
+    append or create mode; a mode that is not a string literal counts as
+    one, since it cannot be read here."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and call_name(node.func) in OPENERS):
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+        for arg in modes + node.args[1:2]:
+            if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    and not set(arg.value) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "fileio.py"),
+                         ids=lambda p: p.name)
+def test_only_the_atomic_writer_opens_files_for_writing(path):
+    assert writing_opens(path.read_text()) == []
+
+
+def test_the_check_sees_every_writing_mode():
+    source = "\n".join([
+        "open(p)", "open(p, 'rb')", "io.open(p, mode='rt')",
+        "open(p, 'w')", "open(p, mode='a')", "io.open(p, 'xb')", "os.fdopen(fd, 'r+')",
+        "os.open(p, os.O_WRONLY)", "open(p, m)",
+    ])
+    assert writing_opens(source) == [4, 5, 6, 7, 8, 9]

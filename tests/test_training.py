@@ -306,6 +306,26 @@ class TestIdleModel:
         doc = system.to_dict()
         assert doc["adversary_history"] == [] and doc["updates"]["adversary"] == 0
 
+    def test_idle_model_between_adversaries_equals_its_lone_run(self):
+        # the idle model sits between two adversary models, and the utility
+        # network trains every model: each member's document and log lines
+        # must be those of its lone run
+        hyper = HyperParams(**QUICK, seed=23, average_tail=0.5)
+        hypers = [replace(hyper, lam=lam, seed=hyper.seed + i)
+                  for i, lam in enumerate([3.0, 0.0, 20.0])]
+        data, spec = clusters_data(), DistortionSpec("composite_img")
+        group_log, logs = io.StringIO(), [io.StringIO() for _ in hypers]
+        group = train_group(hypers, [BatchStream(data, i) for i in range(3)], spec,
+                            utility_enabled=True, log_stream=group_log)
+        alone = [train(h, BatchStream(data, i), spec, False, True, logs[i])
+                 for i, h in enumerate(hypers)]
+        assert [s.to_dict() for s in group] == [s.to_dict() for s in alone]
+        lone_lines = [log.getvalue().splitlines() for log in logs]
+        in_stack_order = [line for lines in zip(*lone_lines) for line in lines]
+        assert group_log.getvalue().splitlines() == in_stack_order
+        assert len(in_stack_order) == 3 * hyper.iterations
+        assert all("adversary_loss=nan" in line for line in lone_lines[1])
+
 
 def outcome_of(fn, *args):
     try:
