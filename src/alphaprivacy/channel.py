@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError, check_count, check_real
 from .fileio import read_json
-from .measures import ZERO_PROB, JointPmf, _arimoto_entropy, _check_distributions
+from .measures import ZERO_PROB, JointPmf, _arimoto_entropy, _check_distributions, check_alpha
 
 MAX_EXACT_ALPHABET = 16
 
@@ -182,7 +182,7 @@ class ChannelOptConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        check_real("alpha", self.alpha, 0.0, strict=True)
+        check_alpha(self.alpha)
         check_real("lam", self.lam, 0.0)
         check_real("step_size", self.step_size, 0.0, strict=True)
         for name in ("max_iters", "restarts"):
@@ -244,9 +244,9 @@ def _batch_objective(world: WorldModel, channels, cfg: ChannelOptConfig, grad=Fa
     """releaser_objective on a stack of channels (n, |W|, |Z|); with
     ``grad``, ``(values, gradients)`` from the same kernel call, the
     gradients being objective_gradient's."""
-    values = (channels * world._cost).reshape(len(channels), -1).sum(axis=1)
+    values = np.add.reduce((channels * world._cost).reshape(len(channels), -1), axis=1)
     if cfg.lam == 0.0:
-        return (values, np.broadcast_to(world._cost, channels.shape).copy()) if grad else values
+        return (values, np.repeat(world._cost[None], len(channels), axis=0)) if grad else values
     tables = _joint_tables(world, channels)
     if not grad:
         return values - cfg.lam * _arimoto_entropy(tables, cfg.alpha)
@@ -262,7 +262,7 @@ def _check_finite_step(cfg: ChannelOptConfig, values):
     """Raise a ValidationError naming lambda and step_size unless every
     entry of ``values`` is finite: lambda times the entropy gradient, or a
     step along it, overflowed."""
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise ValidationError(
             f"lambda = {cfg.lam:g} with step_size = {cfg.step_size:g} overflows the "
             "optimizer's gradient step; lower lambda or step_size"
@@ -278,21 +278,18 @@ def _start_steps(cfg: ChannelOptConfig, s, y):
     ratio is not finite.  Shaped ``(n, 1, 1)``.
 
     Each inner product sums over Z, then over W, so that a restart gets
-    the same bits alone as in any stack."""
+    the same bits alone as in any stack.  ``s`` and ``y`` are centred and
+    multiplied as one ``(2, n, |W|, |Z|)`` pair."""
     add = np.add.reduce
+    pair = np.array((s, y))
     live = np.isfinite(s)
-    if live.all():  # no underflowed entry: each mask below returns its input
-        nz = s.shape[-1]
-        s = s - add(s, axis=-1, keepdims=True) / nz
-        y = y - add(y, axis=-1, keepdims=True) / nz
+    if np.logical_and.reduce(live, axis=None):  # no underflowed entry: no mask
+        pair -= add(pair, axis=-1, keepdims=True) / s.shape[-1]
     else:
         count = add(live, axis=-1, keepdims=True)
-        s = np.where(live, s, 0.0)
-        y = np.where(live, y, 0.0)
-        s = np.where(live, s - add(s, axis=-1, keepdims=True) / count, 0.0)
-        y = np.where(live, y - add(y, axis=-1, keepdims=True) / count, 0.0)
-    ss = add(add(s * s, axis=-1), axis=-1)
-    sy = add(add(s * y, axis=-1), axis=-1)
+        pair = np.where(live, pair, 0.0)
+        pair = np.where(live, pair - add(pair, axis=-1, keepdims=True) / count, 0.0)
+    ss, sy = add(add(pair[0] * pair, axis=-1), axis=-1)  # <s, s> and <s, y>
     step = ss / sy
     step = np.where((sy > 0.0) & np.isfinite(step), step, cfg.step_size)
     step = np.minimum(np.maximum(step, cfg.step_size * 2.0**-MAX_TRIALS),
@@ -372,13 +369,13 @@ def optimize_channel(
             # rung-major: the softmax of log P - step * grad, row by row
             ladder = factors * start[at]
             trials = (logp[at] - ladder * grad[at]).reshape(-1, nw, nz)
-            trials -= trials.max(axis=-1, keepdims=True)
+            trials -= np.maximum.reduce(trials, axis=-1, keepdims=True)
             np.exp(trials, out=trials)
-            trials /= trials.sum(axis=-1, keepdims=True)
+            trials /= np.add.reduce(trials, axis=-1, keepdims=True)
             _check_finite_step(cfg, trials)
             values, grads = _batch_objective(world, trials, cfg, grad=True)
             accept = values.reshape(LADDER_WIDTH, -1) <= obj[at]
-            hit = accept.any(axis=0)
+            hit = np.logical_or.reduce(accept, axis=0)
             pick = (accept.argmax(axis=0) * len(pending) + np.arange(len(pending)))[hit]
             rows = pending[hit]
             next_probs[rows], next_obj[rows] = trials[pick], values[pick]
@@ -392,7 +389,7 @@ def optimize_channel(
         start = _start_steps(cfg, next_logp - logp, next_grad - grad)
         done = obj - next_obj < TOLERANCE
         probs, logp, grad, obj = next_probs, next_logp, next_grad, next_obj
-        if done.any():
+        if np.logical_or.reduce(done):
             stopped, live = ids[done], ~done
             converged[stopped] = True
             final_probs[stopped], final_obj[stopped] = probs[done], obj[done]

@@ -22,6 +22,7 @@ from .measures import (
     ZERO_PROB,
     _per_model,
     batch_sequence_arimoto_entropy_grad,
+    check_alpha,
 )
 
 DISTORTION_KINDS = ("p_norm", "composite_img", "ts_l2")
@@ -174,7 +175,7 @@ def releaser_loss(
     for weight in (lam,) if np.ndim(lam) == 0 else lam:
         check_real("lam", weight, 0.0)
     lam = np.asarray(lam, dtype=np.float64)
-    check_real("alpha", alpha, 0.0, strict=True)
+    check_alpha(alpha)
     probs = None
     if posterior_probs is not None:
         probs = np.asarray(posterior_probs, dtype=np.float64)

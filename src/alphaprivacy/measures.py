@@ -13,6 +13,8 @@ large alpha on near-one-hot distributions does not underflow.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import ValidationError, check_nonempty, check_real
@@ -23,6 +25,27 @@ ZERO_PROB = 1e-15
 
 # Allowed absolute deviation of a distribution's total mass from 1.
 NORMALIZATION_TOL = 1e-12
+
+# Least order alpha the measures accept.  A log alpha-norm is at most
+# log(entries) / alpha, and log(entries) < 45 for any table in memory, so
+# down to here it stays far inside the float range; at alpha = 1e-320 the
+# norm of two equal masses already overflows.
+MIN_ALPHA = 1e-300
+
+# The start of _logsumexp's maxima: below every finite float, above -inf.
+_LEAST_FLOAT = -sys.float_info.max
+
+
+def check_alpha(alpha, name="alpha"):
+    """``alpha`` as a float if it is a finite real >= ``MIN_ALPHA``, else a
+    ValidationError naming ``name``."""
+    check_real(name, alpha, 0.0, strict=True)
+    if alpha < MIN_ALPHA:
+        raise ValidationError(
+            f"{name} must be >= {MIN_ALPHA:g}, the least order whose alpha-norms "
+            f"stay finite, got {alpha!r}"
+        )
+    return float(alpha)
 
 
 def _check_distributions(probs, name, axis=None):
@@ -147,25 +170,28 @@ def _masked_log(p, out=None):
 
 
 def _logsumexp(a, axis=-1, out=None):
-    """Stable log(sum(exp(a))) along ``axis``; tolerates -inf entries.  The
-    shifted exponentials go to ``out`` (which may be ``a`` itself), else to
-    a new array.  A slice of only -inf entries takes log 0 = -inf: the
-    caller suppresses that divide-by-zero warning, once per evaluation."""
-    amax = np.maximum.reduce(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
+    """Stable log(sum(exp(a))) along ``axis`` for entries that are finite
+    or -inf; a slice holding NaN gives NaN (+inf is no input: every caller
+    passes alpha times a log of a mass <= 1, or log norms this helper
+    returned).  The shifted exponentials go to ``out`` (which may be ``a``
+    itself), else to a new array.
+
+    The maxima start from the least finite float, so a slice of only -inf
+    entries shifts by that finite floor and takes log 0 = -inf with no
+    fix-up call: the caller suppresses that divide-by-zero warning, once
+    per evaluation."""
+    amax = np.maximum.reduce(a, axis=axis, keepdims=True, initial=_LEAST_FLOAT)
     shifted = np.subtract(a, amax, out=out)
     s = np.add.reduce(np.exp(shifted, out=shifted), axis=axis)
-    return np.log(s) + amax.reshape(np.shape(s))
+    return np.log(s) + amax.reshape(s.shape)
 
 
 def _shannon(p, axis=None, logp=None):
     """Shannon entropy -sum p log p in nats, zeros masked.  ``logp`` may
-    pass in ``_masked_log(p)`` when the caller already has it; it then
-    holds the terms p log p afterwards."""
-    terms = _masked_log(p) if logp is None else logp
-    finite = np.isfinite(terms)
-    np.multiply(p, terms, out=terms, where=finite)
-    terms[~finite] = 0.0
+    pass in ``_masked_log(p)`` when the caller already has it."""
+    logp = _masked_log(p) if logp is None else logp
+    terms = np.zeros(p.shape)
+    np.multiply(p, logp, out=terms, where=np.isfinite(logp))
     return -np.add.reduce(terms, axis=axis)
 
 
@@ -208,32 +234,35 @@ def _arimoto_entropy(table, alpha, grad=False, work=None):
     logj = _masked_log(table, out=work)
     if alpha == 1.0:
         # H(X | cells) = H(joint) - H(cells)
-        cond = table.sum(axis=0)
+        cond = np.add.reduce(table, axis=0)
         log_cond = _masked_log(cond)
         if grad:
             dj = np.zeros(table.shape)
             np.subtract(log_cond, logj, out=dj, where=np.isfinite(logj))
         value = _shannon(table, axis=(0, 1), logp=logj) - _shannon(cond, axis=0, logp=log_cond)
         return (value, dj) if grad else value
-    if grad:
-        finite = np.isfinite(logj)
-        logj_safe = np.where(finite, logj, 0.0)
-    np.multiply(logj, alpha, out=logj)
-    with np.errstate(divide="ignore"):  # a cell, or table, of zero mass
+    # divide: a cell, or table, of zero mass takes log 0.  over: alpha, or
+    # alpha - 1, times a log at large alpha.  invalid: in the gradient, an
+    # entry outside ``finite`` (its log -inf) meets a zero table's log_total
+    # = -inf; the final exp leaves its slope at 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if grad:
+            finite = np.isfinite(logj)
+            expo = np.multiply(logj, alpha - 1.0)
+        np.multiply(logj, alpha, out=logj)
         log_norms = _logsumexp(logj, axis=0, out=logj)  # (cells, *batch)
         log_norms /= alpha
         # over one cell, log-sum-exp returns its input to the bit; a copy,
         # since the gradient path edits log_norms
         log_total = log_norms[0].copy() if len(log_norms) == 1 else _logsumexp(log_norms, axis=0)
-    value = alpha / (1.0 - alpha) * log_total
-    if not grad:
-        return value
-    # expo = (1 - alpha) * safe log norms + (alpha - 1) * safe log J - log_total
-    log_norms[~np.isfinite(log_norms)] = 0.0
-    log_norms *= 1.0 - alpha
-    expo = np.multiply(logj_safe, alpha - 1.0, out=logj_safe)
-    expo += log_norms
-    expo -= log_total
+        value = alpha / (1.0 - alpha) * log_total
+        if not grad:
+            return value
+        # expo = (alpha - 1) * log J + (1 - alpha) * safe log norms - log_total
+        log_norms[~np.isfinite(log_norms)] = 0.0
+        log_norms *= 1.0 - alpha
+        expo += log_norms
+        expo -= log_total
     dj = np.zeros(table.shape)
     np.exp(expo, out=dj, where=finite)
     dj *= alpha / (1.0 - alpha)
@@ -310,7 +339,7 @@ def renyi_entropy(p: Pmf, alpha) -> float:
     Equals (alpha / (1 - alpha)) * log ||p||_alpha for alpha != 1, and the
     Shannon entropy for alpha = 1.
     """
-    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
+    alpha = check_alpha(alpha)
     return float(_arimoto_entropy(p.probs[:, None], alpha))
 
 
@@ -320,7 +349,7 @@ def arimoto_conditional_entropy(joint: JointPmf, alpha) -> float:
     ``joint`` must carry axes X and Z; conditioning cells with zero
     probability contribute nothing.
     """
-    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
+    alpha = check_alpha(alpha)
     return float(_arimoto_entropy(_x_first(joint, "arimoto_conditional_entropy"), alpha))
 
 
@@ -330,11 +359,11 @@ def alpha_mutual_information(joint: JointPmf, alpha) -> float:
     Both entropies come from one kernel call over a batch of two tables:
     the joint, and the X-marginal as a table whose mass sits in cell 0
     (its zero cells drop out, so it scores H_alpha(X))."""
-    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
+    alpha = check_alpha(alpha)
     table = _x_first(joint, "alpha_mutual_information")
     tables = np.zeros(table.shape + (2,))
     tables[..., 0] = table
-    tables[:, 0, 1] = _marginal_table(joint, ("X",))
+    tables[:, 0, 1] = np.add.reduce(table, axis=1)
     h_x_given_z, h_x = _arimoto_entropy(tables, alpha).tolist()
     return h_x - h_x_given_z
 
@@ -343,7 +372,7 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
     """Side-information-conditioned alpha-MI
     I^A_alpha(X; Z | S) = H^A_alpha(X | S) - H^A_alpha(X | Z, S).
     """
-    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
+    alpha = check_alpha(alpha)
     table = _x_first(joint, "conditional_alpha_mi_given_s", ("X", "Z", "S"))
     h_x_given_s = _arimoto_entropy(_marginal_table(joint, ("X", "S")), alpha)
     return float(h_x_given_s - _arimoto_entropy(table, alpha))
@@ -352,7 +381,7 @@ def conditional_alpha_mi_given_s(joint: JointPmf, alpha) -> float:
 def batch_sequence_arimoto_entropy(posteriors: PosteriorBatch, alpha) -> float:
     """Per-time-step batch estimate of the sequence conditional alpha-entropy
     (see :func:`_sequence_entropy`), with exact zeros masked."""
-    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
+    alpha = check_alpha(alpha)
     p = posteriors.probs
     return _sequence_entropy(p, _masked_log(p), alpha)
 
@@ -367,7 +396,7 @@ def batch_sequence_arimoto_entropy_grad(probs, alpha):
     Probabilities are floored at ``ZERO_PROB`` before differentiation, so
     every log is finite.
     """
-    alpha = float(check_real("alpha", alpha, 0.0, strict=True))
+    alpha = check_alpha(alpha)
     probs = np.asarray(probs, dtype=np.float64)
     check_nonempty("batch_sequence_arimoto_entropy_grad", probs.shape)
     q = np.maximum(probs, ZERO_PROB)

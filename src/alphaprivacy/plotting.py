@@ -50,7 +50,9 @@ def tradeoff_svg(points) -> str:
         raise ValidationError("no plottable points (all missing or failed)")
     x_max = max(ne for curve in groups.values() for ne, _ in curve)
     x_max = max(1.0, math.ceil(x_max * 10.0) / 10.0)
-    y_min, y_max = 0.4, 1.0
+    # the accuracy axis starts at 0.4, or lower, at a tenth, to frame every point
+    acc_min = min(acc for curve in groups.values() for _, acc in curve)
+    y_min, y_max = min(0.4, math.floor(acc_min * 10.0) / 10.0), 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 

@@ -24,6 +24,7 @@ from .datasets import BatchStream, SynthConfig, _derive_seed, train_eval_split
 from .errors import DataFormatError, DivergenceError, ValidationError, check_real, is_count, is_finite
 from .fileio import read_json, write_text_atomic
 from .losses import DistortionSpec
+from .measures import check_alpha
 from .metrics import balanced_accuracy
 # ``train`` and ``train_attacker`` are not called here: they stay importable
 # under this module's name, where perfbench's traced run hooks them
@@ -187,7 +188,7 @@ def sweep(
     order.  The points do not depend on ``workers``.
     """
     lambdas = sorted(float(check_real("lambda_grid entry", v, 0.0)) for v in lambdas)
-    alphas = sorted(float(check_real("alpha_grid entry", v, 0.0, strict=True)) for v in alphas)
+    alphas = sorted(check_alpha(v, "alpha_grid entry") for v in alphas)
     if not lambdas or not alphas:
         raise ValidationError("sweep needs non-empty alpha and lambda grids")
     spec = distortion or default_distortion(utility_enabled)

@@ -28,6 +28,7 @@ from .datasets import BatchStream, DatasetBatch, _derive_seed
 from .errors import DivergenceError, ValidationError, check_count, check_real
 from .fileio import write_text_atomic
 from .losses import DistortionSpec, adversary_loss, releaser_loss
+from .measures import check_alpha
 from .metrics import balanced_accuracy, normalized_error
 from .nets import Layer, Network, SgdMomentum, dense, recurrent
 
@@ -68,7 +69,7 @@ class HyperParams:
     observed_mode: str = "y_only"
 
     def __post_init__(self):
-        check_real("alpha", self.alpha, 0.0, strict=True)
+        check_alpha(self.alpha)
         check_real("lam", self.lam, 0.0)
         for name in ("lr_releaser", "lr_adversary"):
             check_real(name, getattr(self, name), 0.0, strict=True)

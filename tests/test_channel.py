@@ -20,6 +20,7 @@ from alphaprivacy.channel import (
     _arimoto_entropy,
     _batch_objective,
     _check_channel_rows,
+    _check_finite_step,
     _decode,
     _start_steps,
     enumerate_grid_rows,
@@ -31,7 +32,13 @@ from alphaprivacy.channel import (
     releaser_objective,
 )
 from alphaprivacy.errors import DataFormatError, ValidationError
-from alphaprivacy.measures import JointPmf, Pmf, arimoto_conditional_entropy, renyi_entropy
+from alphaprivacy.measures import (
+    MIN_ALPHA,
+    JointPmf,
+    Pmf,
+    arimoto_conditional_entropy,
+    renyi_entropy,
+)
 from oracles import bayes_posterior
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]
@@ -1238,3 +1245,107 @@ class TestNoWarnings:
             for world in warning_worlds():
                 optimize_channel(world, cfg, seed=2)
                 grid_oracle(world, cfg, 11)
+
+
+# --- the optimizer's helpers against their wrapper forms ---------------------
+
+
+def wrapper_check_finite_step(cfg, values):
+    """``_check_finite_step`` as written with the ``ndarray.all`` wrapper."""
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            f"lambda = {cfg.lam:g} with step_size = {cfg.step_size:g} overflows the "
+            "optimizer's gradient step; lower lambda or step_size"
+        )
+
+
+def wrapper_batch_objective(world, channels, cfg, grad=False):
+    """``_batch_objective`` as written with the ``ndarray.sum`` wrapper and,
+    at lambda = 0, a copy of ``np.broadcast_to``."""
+    values = (channels * world._cost).reshape(len(channels), -1).sum(axis=1)
+    if cfg.lam == 0.0:
+        return (values, np.broadcast_to(world._cost, channels.shape).copy()) if grad else values
+    tables = channel_module._joint_tables(world, channels)
+    if not grad:
+        return values - cfg.lam * _arimoto_entropy(tables, cfg.alpha)
+    entropy, dj = _arimoto_entropy(tables, cfg.alpha, grad=True)
+    dj = dj.reshape(len(dj), world.num_symbols, -1, len(channels))
+    return (
+        values - cfg.lam * entropy,
+        world._cost - cfg.lam * np.einsum("xzsn,xws->nwz", dj, world._xws, order="C"),
+    )
+
+
+# finite values of both signs and at the float extremes, NaN and +-inf
+STEP_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 5e-324, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+)
+
+
+class TestLeanOptimizerHelpers:
+    """The objective and the step check call the ufunc methods directly;
+    each must equal its wrapper form bit for bit, errors included."""
+
+    @given(data=st.data())
+    def test_check_finite_step_rejects_exactly_what_all_finite_rejects(self, data):
+        shape = data.draw(st.sampled_from([(0,), (1,), (3,), (2, 3), (4, 2, 3)]))
+        size = int(np.prod(shape))
+        values = np.array(data.draw(st.lists(STEP_VALUES, min_size=size, max_size=size)),
+                          dtype=np.float64).reshape(shape)
+        cfg = ChannelOptConfig(lam=0.5)
+        want = None
+        try:
+            wrapper_check_finite_step(cfg, values)
+        except ValidationError as exc:
+            want = str(exc)
+        if want is None:
+            assert _check_finite_step(cfg, values) is None
+        else:
+            with pytest.raises(ValidationError) as info:
+                _check_finite_step(cfg, values)
+            assert str(info.value) == want
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           with_side_info=st.booleans(), count=st.integers(1, 5),
+           alpha=st.sampled_from([0.5, 1.0, 2.0, 50.0]), lam=st.sampled_from([0.0, 0.7]),
+           underflow=st.sampled_from(["none", "entries", "symbol"]))
+    def test_batch_objective_equals_the_wrapper_form(self, seed, n, with_side_info, count,
+                                                     alpha, lam, underflow):
+        world = _random_square_world(seed % 1000, n, with_side_info)
+        cfg = ChannelOptConfig(alpha=alpha, lam=lam)
+        rng = np.random.default_rng(seed)
+        channels = rng.dirichlet(np.ones(n), size=(count, n))
+        if underflow == "entries":
+            # exact zeros where an exp underflowed, each row keeping its mass
+            channels[..., 0] = 0.0
+        elif underflow == "symbol":
+            channels[:, :, 1:] += channels[:, :, :1] / (n - 1)
+            channels[:, :, 0] = 0.0  # symbol 0 never released: zero cells
+        channels /= channels.sum(axis=-1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _batch_objective(world, channels, cfg, grad=True)
+            got_values = _batch_objective(world, channels, cfg)
+        want = wrapper_batch_objective(world, channels, cfg, grad=True)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes() and g.shape == w.shape
+        assert got_values.tobytes() == want[0].tobytes()
+        assert got[1].flags.writeable and not np.shares_memory(got[1], world._cost)
+
+
+class TestOrderBound:
+    """The optimizer's config takes alpha under the measures' one rule."""
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-301])
+    def test_order_below_the_bound_names_alpha(self, alpha):
+        with pytest.raises(ValidationError, match=f"alpha must be >= {MIN_ALPHA:g}"):
+            ChannelOptConfig(alpha=alpha, lam=0.7)
+
+    def test_least_order_optimizes_quietly(self):
+        cfg = ChannelOptConfig(alpha=MIN_ALPHA, lam=0.7, max_iters=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize_channel(noisy_world(0.55, 0.3), cfg, seed=1)
+            _, best = grid_oracle(noisy_world(0.55, 0.3), cfg, 41)
+        assert result.converged
+        assert releaser_objective(noisy_world(0.55, 0.3), result.channel, cfg) <= best + 1e-6

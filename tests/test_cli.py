@@ -3,8 +3,10 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 from argparse import Namespace
 from dataclasses import fields
 
@@ -74,6 +76,39 @@ class TestMeasuresCommand:
         assert rc == 0
         records = json.loads((tmp_path / "measures.json").read_text())["measures"]
         assert records[0]["mutual_information_x_z"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alphas", ["1e-320", "5e-324", "2,1e-301"])
+    def test_order_below_the_bound_is_a_one_line_data_error(self, tmp_path, capsys, alphas):
+        joint = tmp_path / "joint.json"
+        write_joint(joint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["measures", "--joint", str(joint), "--alpha", alphas,
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "measures.json").exists()
+        assert_one_line_error(capsys, "data error: ", "alpha must be >= 1e-300")
+
+    @pytest.mark.parametrize("alpha, h_x_given_z", [("1e-300", np.log(2.0)),
+                                                    ("1e308", -np.log(0.8))])
+    def test_orders_at_the_float_extremes_write_finite_json(self, tmp_path, capsys, alpha,
+                                                            h_x_given_z):
+        joint = tmp_path / "joint.json"
+        write_joint(joint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["measures", "--joint", str(joint), "--alpha", alpha,
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token} in measures.json")
+
+        text = (tmp_path / "measures.json").read_text()
+        (record,) = json.loads(text, parse_constant=reject)["measures"]
+        assert record["renyi_entropy_x"] == pytest.approx(np.log(2.0), abs=1e-12)
+        assert record["conditional_entropy_x_given_z"] == pytest.approx(h_x_given_z, abs=1e-12)
 
     def test_malformed_joint_is_a_data_error(self, tmp_path):
         joint = tmp_path / "joint.json"
@@ -520,7 +555,8 @@ class TestSweepGridsAndWorkers:
     @pytest.mark.parametrize("field, value", [
         ("lambda_grid", 0.5), ("lambda_grid", ["x"]), ("lambda_grid", []),
         ("lambda_grid", [0.0, float("inf")]), ("lambda_grid", None), ("alpha_grid", "1.0"),
-        ("alpha_grid", [0.0]), ("alpha_grid", None), ("alpha_grid", {}),
+        ("alpha_grid", [0.0]), ("alpha_grid", [1e-320]), ("alpha_grid", None),
+        ("alpha_grid", {}),
         ("workers", "two"), ("workers", 0), ("workers", 1.5),
     ])
     def test_bad_config_entries_are_one_line_data_errors(self, tmp_path, capsys, field, value):
@@ -639,6 +675,21 @@ class TestPlotCommand:
         assert "<circle" in svg
         assert "<polyline" not in svg
         assert "full privacy (0.5)" in svg
+
+    @pytest.mark.parametrize("accuracies", [(0.32, 0.9), (0.1, 0.55, 0.62), (0.0, 1.0),
+                                            (0.4, 0.7)])
+    def test_every_point_lies_inside_the_frame(self, accuracies):
+        # the frame: x from 64 to 472, y from 28 (accuracy 1) to 388 (the x axis)
+        points = [TradeoffPoint(alpha=float(i % 2 + 1), lam=float(i), ne=0.2 * i,
+                                attacker_balanced_accuracy=acc, utility_accuracy=None, seed=i)
+                  for i, acc in enumerate(accuracies)]
+        svg = tradeoff_svg(points)
+        circles = re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)"', svg)
+        assert len(circles) == len(accuracies)
+        for cx, cy in circles:
+            assert 64.0 <= float(cx) <= 472.0 and 28.0 <= float(cy) <= 388.0, (cx, cy)
+        labels = re.findall(r'text-anchor="end">([-0-9.]+)</text>', svg)
+        assert float(labels[0]) <= min(accuracies) and labels[-1] == "1.00"
 
     def test_empty_results_fail_with_data_error(self, tmp_path):
         results = tmp_path / "results.json"

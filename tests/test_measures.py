@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alphaprivacy.errors import ValidationError
 from alphaprivacy.measures import (
+    MIN_ALPHA,
     NORMALIZATION_TOL,
     ZERO_PROB,
     JointPmf,
@@ -19,6 +20,7 @@ from alphaprivacy.measures import (
     _check_distributions,
     _logsumexp,
     _masked_log,
+    _shannon,
     _x_first,
     alpha_mutual_information,
     arimoto_conditional_entropy,
@@ -731,6 +733,16 @@ def masking_log(p, out=None):
     return out
 
 
+def wrapper_shannon(p, axis=None, logp=None):
+    """``_shannon`` as written with the p log p terms taken in ``logp``
+    and the non-finite ones zeroed by a boolean mask assignment."""
+    terms = masking_log(p) if logp is None else logp
+    finite = np.isfinite(terms)
+    np.multiply(p, terms, out=terms, where=finite)
+    terms[~finite] = 0.0
+    return -np.sum(terms, axis=axis)
+
+
 def wrapper_logsumexp(a, axis=-1, out=None):
     """``_logsumexp`` as written with the ``np.max``/``np.sum`` wrappers and
     a new array for the fixed maxima."""
@@ -761,9 +773,10 @@ def outcome(fn, *args, **kwargs):
 PROB_ENTRIES = st.sampled_from(
     [0.0, -0.0, 5e-16, ZERO_PROB, 2e-15, 0.25, 0.5, 1.0, np.nan, np.inf, -0.5]
 )
-# log-space entries: -inf (whole -inf slices are drawn often), NaN, +inf
+# log-space entries in _logsumexp's domain, finite or -inf (whole -inf
+# slices are drawn often); a NaN slice has its own case below
 LOG_ENTRIES = st.sampled_from(
-    [-np.inf, -np.inf, -np.inf, -745.0, -3.5, 0.0, 2.25, 709.0, np.nan, np.inf]
+    [-np.inf, -np.inf, -np.inf, -np.finfo(np.float64).max, -745.0, -3.5, 0.0, 2.25, 709.0]
 )
 SHAPES = st.sampled_from([(1,), (3,), (2, 3), (3, 1), (1, 4), (2, 3, 2), (4, 2, 3)])
 
@@ -784,6 +797,13 @@ class TestLeanHelpers:
         got = _masked_log(p, out=np.full(p.shape, 7.0) if use_out else None)
         assert_same_bits(got, masking_log(p, out=np.full(p.shape, 7.0) if use_out else None))
 
+    @given(data=st.data(), axis=st.sampled_from([None, -1, 0]), pass_log=st.booleans())
+    def test_shannon(self, data, axis, pass_log):
+        p = drawn_array(data.draw, PROB_ENTRIES)
+        logp = _masked_log(p) if pass_log else None
+        got = _shannon(p, axis, logp=None if logp is None else logp.copy())
+        assert_same_bits(got, wrapper_shannon(p, axis, logp))
+
     @given(data=st.data(), in_place=st.booleans())
     def test_logsumexp(self, data, in_place):
         a = drawn_array(data.draw, LOG_ENTRIES)
@@ -803,6 +823,18 @@ class TestLeanHelpers:
             got = _logsumexp(a, axis=0)
         assert got[0] == -np.inf and got[1] == pytest.approx(np.log(4.0))
         assert_same_bits(got, wrapper_logsumexp(a, axis=0))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_slice_holding_nan_gives_nan(self, axis):
+        # a diverging network's posteriors reach the helper through
+        # _sequence_entropy; the slices without NaN keep their bits
+        a = np.array([[0.0, np.nan, -3.5, -np.inf], [np.nan, -np.inf, 2.25, -np.inf]])
+        a = a if axis == 0 else a.T.copy()
+        with np.errstate(divide="ignore"):
+            got = _logsumexp(a.copy(), axis)
+        assert np.isnan(got[:2]).all()
+        assert_same_bits(got[2:], wrapper_logsumexp(a.copy(), axis)[2:])
+        assert got[3] == -np.inf
 
     @given(data=st.data(), axis=st.sampled_from([None, -1, 0]))
     def test_check_distributions(self, data, axis):
@@ -956,6 +988,74 @@ class TestOneCellTables:
             assert_same_bits(got, want)
             assert_same_bits(grad, want_grad)
             assert_same_bits(_arimoto_entropy(table, alpha), want)
+
+
+class TestGradientPath:
+    """The gradient path takes (alpha - 1) log J into a new array before
+    the value chain and leaves the entries outside its finite mask to the
+    final masked exp; over any number of cells, with zero cells and zero
+    tables in the batch, value and gradient must be those of the
+    two-reduction form, bit for bit, and no warning may get out."""
+
+    @given(seed=SEEDS, nx=st.integers(1, 5), ncells=st.integers(2, 6),
+           batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           sparsity=st.sampled_from([0.0, 0.4]), zero_cell=st.booleans(),
+           zero_table=st.booleans(), orders=ORDERS)
+    def test_equals_the_two_reduction_path(self, seed, nx, ncells, batch, sparsity,
+                                           zero_cell, zero_table, orders):
+        table = sparse_table(np.random.default_rng(seed), (nx, ncells) + batch, sparsity)
+        if zero_cell:
+            table[:, 0] = 0.0
+        if zero_table and batch:
+            table.reshape(nx, ncells, -1)[:, :, 0] = 0.0  # the batch's first table
+        # at 1e308, alpha times a log overflows and whole cells drop out
+        for alpha in orders + [1.0, 1e308]:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                want, want_grad = two_reduction_arimoto_entropy(table, alpha, grad=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, grad = _arimoto_entropy(table, alpha, grad=True)
+            assert_same_bits(got, want)
+            assert_same_bits(grad, want_grad)
+
+
+class TestOrderBounds:
+    """``check_alpha`` is the one rule for an order: a finite real of at
+    least ``MIN_ALPHA``, below which a log alpha-norm overflows."""
+
+    PROBE = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), ("X", "Z"))
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-301])
+    def test_every_measure_rejects_an_order_below_the_bound(self, alpha):
+        side = JointPmf(np.full((2, 2, 2), 0.125), ("X", "Z", "S"))
+        calls = [
+            lambda: renyi_entropy(Pmf([0.5, 0.5]), alpha),
+            lambda: arimoto_conditional_entropy(self.PROBE, alpha),
+            lambda: alpha_mutual_information(self.PROBE, alpha),
+            lambda: conditional_alpha_mi_given_s(side, alpha),
+            lambda: batch_sequence_arimoto_entropy(PosteriorBatch(np.full((1, 1, 2), 0.5)),
+                                                   alpha),
+            lambda: batch_sequence_arimoto_entropy_grad(np.full((1, 1, 2), 0.5), alpha),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"alpha must be >= {MIN_ALPHA:g}"):
+                call()
+
+    @pytest.mark.parametrize("alpha, h_x_given_z", [
+        (MIN_ALPHA, np.log(2.0)), (1e300, -np.log(0.8)), (1e308, -np.log(0.8)),
+    ])
+    def test_orders_at_the_float_extremes_are_exact_and_quiet(self, alpha, h_x_given_z):
+        # the limits: H_0 = log |support|, and H_inf(X | Z) = -log sum_z max_x p(x, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h_x = renyi_entropy(self.PROBE.marginal(("X",)), alpha)
+            h = arimoto_conditional_entropy(self.PROBE, alpha)
+            mi = alpha_mutual_information(self.PROBE, alpha)
+            _arimoto_entropy(sparse_table(np.random.default_rng(2), (3, 4, 2), 0.4), alpha,
+                             grad=True)
+        assert h_x == pytest.approx(np.log(2.0), abs=1e-12)
+        assert h == pytest.approx(h_x_given_z, abs=1e-12)
+        assert mi == pytest.approx(h_x - h_x_given_z, abs=1e-12)
 
 
 def warning_tables():

@@ -827,6 +827,13 @@ class TestReleaserLoss:
             releaser_loss(y, y, np.full((2, 3, 2), 0.5), DistortionSpec("ts_l2"), lam=1.0,
                           alpha=2.0)
 
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_order_below_the_bound_rejected(self, alpha):
+        y = np.zeros((1, 1, 1))
+        with pytest.raises(ValidationError, match="alpha must be >= 1e-300"):
+            releaser_loss(y, y, np.full((1, 1, 2), 0.5), DistortionSpec("ts_l2"), lam=1.0,
+                          alpha=alpha)
+
     def test_negative_lambda_rejected(self):
         y = np.zeros((1, 1, 1))
         probs = np.full((1, 1, 2), 0.5)

@@ -426,7 +426,7 @@ class TestHyperParamsValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("lr_decay", -1.0), ("batch_size", 0), ("adversary_steps", 0), ("iterations", 0),
-         ("num_steps", 0), ("alpha", 0.0), ("average_tail", 1.0),
+         ("num_steps", 0), ("alpha", 0.0), ("alpha", 1e-320), ("average_tail", 1.0),
          ("lam", float("nan")), ("lam", -1.0), ("lam", "0.1"), ("lr_releaser", 0.0),
          ("lr_releaser", float("inf")), ("lr_adversary", float("nan")),
          ("lr_decay", float("inf")), ("momentum", float("nan")), ("momentum", -0.5),
