@@ -8,6 +8,14 @@ fed straight into the network backward passes.
 The training losses also take the batches of a stack of G models with a
 leading model axis, (G, B, T, ...), and then return one value per model
 (an array of shape (G,)) computed as that model's batch alone would give.
+
+Inputs may have any layout, such as a network's output, which is a
+batch-major view of a time-major array (see :mod:`.nets`); every sum runs
+in batch-major order and every value is a float64 result.  The
+distortion and the entropy term read their inputs as float64 and return
+float64 gradients.  ``adversary_loss`` casts only the picked
+probabilities, and returns its gradient in the posteriors' dtype and the
+network's layout, which ``Network.backward`` takes with no copy.
 """
 
 from __future__ import annotations
@@ -61,7 +69,9 @@ def _norm_distortion(spec, released, target, grad=False):
     With ``grad`` the result is ``(value, d value / d released)``;
     zero-difference samples get a zero (sub)gradient.
     """
-    released = np.asarray(released, dtype=np.float64)
+    # C order: a network's output is a view of a time-major array, and
+    # the norms must sum in batch-major order whatever the layout
+    released = np.asarray(released, dtype=np.float64, order="C")
     target = np.asarray(target, dtype=np.float64)
     if released.shape != target.shape or released.ndim not in (3, 4):
         raise ValidationError(
@@ -117,34 +127,51 @@ def adversary_loss(posterior_probs, labels) -> LossValue:
     """Mean negative log-likelihood of the true private labels.
 
     ``posterior_probs`` is the adversary's (B, T, |X|) softmax output and
-    ``labels`` the (B, T) integers (both with a leading model axis for a
-    stack).  Probabilities of true labels are clamped at 1e-15 (counted in
-    ``clamped``, over the whole stack) rather than erroring, so an
-    overconfident adversary keeps a finite loss.  The returned gradient is
-    w.r.t. the posterior probabilities; push it back through the softmax.
+    ``labels`` the (B, T) integers or booleans (both with a leading model
+    axis for a stack).  Probabilities of true labels are clamped at 1e-15
+    (counted in ``clamped``, over the whole stack) rather than erroring, so
+    an overconfident adversary keeps a finite loss.  The returned gradient
+    is w.r.t. the posterior probabilities; push it back through the
+    softmax.
+
+    The posteriors are read in their own dtype and through the network's
+    layout: a batch-major view of a time-major array is used as it is,
+    anything else is made one first.  Only the picked true-label
+    probabilities are cast to float64, and they are clamped, logged and
+    averaged in batch-major order.  The gradient is a batch-major view of
+    a time-major array in the posteriors' dtype, so it enters
+    :meth:`.nets.Network.backward` with no copy; its float64 entries are
+    rounded once, just before they are scattered.
     """
-    probs = np.asarray(posterior_probs, dtype=np.float64)
+    probs = np.asarray(posterior_probs)
     labels = np.asarray(labels)
     if probs.ndim not in (3, 4) or labels.shape != probs.shape[:-1]:
         raise ValidationError(
             f"posteriors (B, T, K) and labels (B, T) mismatch: "
             f"{probs.shape} vs {labels.shape}"
         )
+    if labels.dtype.kind not in "biu":
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
     check_nonempty("adversary_loss", probs.shape)
     nbatch, nsteps, nclass = probs.shape[-3:]
     if labels.min() < 0 or labels.max() >= nclass:
         raise ValidationError("labels outside the private alphabet")
-    # flat index of each true label's probability
-    true = np.arange(0, probs.size, nclass)
-    true += labels.reshape(-1)
-    picked = probs.reshape(-1)[true]
+    dtype = probs.dtype if probs.dtype.kind == "f" else np.float64
+    by_time = np.asarray(probs.swapaxes(-3, -2), dtype=dtype, order="C")
+    # flat index into by_time of each true label's probability, (..., B, T)
+    true = np.empty(labels.shape, np.intp)
+    start = np.arange(0, by_time.size, nclass).reshape(by_time.shape[:-1])
+    np.add(start.swapaxes(-2, -1), labels, out=true, casting="unsafe")
+    picked = by_time.reshape(-1)[true].astype(np.float64, copy=False)
     clamped = int((picked < ZERO_PROB).sum())
     safe = np.maximum(picked, ZERO_PROB)
     # each model's mean is one contiguous row of the log-likelihoods
     value = _per_model(-np.log(safe).reshape(*probs.shape[:-3], -1).mean(axis=-1))
-    grad = np.zeros(probs.shape)
-    grad.reshape(-1)[true] = -1.0 / (safe * nbatch * nsteps)
-    return LossValue(value=value, grad_posteriors=grad, clamped=clamped)
+    grad = np.zeros(by_time.shape, dtype)
+    # cast before the scatter: the same one rounding, and a float32 scatter
+    # of float64 values costs more than the cast
+    grad.reshape(-1)[true] = (-1.0 / (safe * nbatch * nsteps)).astype(dtype, copy=False)
+    return LossValue(value=value, grad_posteriors=grad.swapaxes(-3, -2), clamped=clamped)
 
 
 def releaser_loss(
@@ -178,7 +205,8 @@ def releaser_loss(
     check_alpha(alpha)
     probs = None
     if posterior_probs is not None:
-        probs = np.asarray(posterior_probs, dtype=np.float64)
+        # C order, so the entropy sums run as over a batch-major array
+        probs = np.asarray(posterior_probs, dtype=np.float64, order="C")
         check_nonempty("releaser_loss", probs.shape)
     elif lam.any():
         raise ValidationError("releaser_loss needs the posteriors when a lam is > 0")

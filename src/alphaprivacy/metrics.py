@@ -14,7 +14,9 @@ def normalized_error(released, target) -> float:
 
     so NE = 0 means a perfect copy and NE = 1 is the all-zero release.
     """
-    released = np.asarray(released, dtype=np.float64)
+    # C order: a network's output is a view of a time-major array, and
+    # the sums must run in batch-major order whatever the layout
+    released = np.asarray(released, dtype=np.float64, order="C")
     target = np.asarray(target, dtype=np.float64)
     if released.shape != target.shape:
         raise ValidationError(

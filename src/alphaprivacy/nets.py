@@ -5,13 +5,24 @@ them in the dtype of the network's weights: float64 unless the network
 was built in another precision (see :meth:`Network.build`).  Inside,
 :class:`Network` runs time-major: it transposes its input to (T, B, d)
 once, casting it to the weights' dtype in the same copy, so step t of a
-sequence is one contiguous (B, d) slab, and transposes its output back
-once.  Every kernel below computes in the dtype of the arrays it is
-given.  Dense layers act per row, as one 2-D matrix product over the
-(T*B, d) view; the recurrent layer is a single-gate tanh cell whose
+sequence is one contiguous (B, d) slab.  What it returns is a batch-major
+view of a time-major array, never a copy: ``forward``'s output is a view
+of the trace's last output, and ``backward``'s input gradient a view of
+its time-major result.  An output gradient laid out that way, in the
+weights' dtype (as :func:`.losses.adversary_loss` writes it), enters
+``backward`` with no copy either; any other is transposed and cast once.
+Every kernel below computes in the dtype of the arrays it is given.
+Dense layers act per row, as one 2-D matrix product over the (T*B, d)
+view; the recurrent layer is a single-gate tanh cell whose
 stacked weight matrix holds the input-to-hidden block on top of the
 hidden-to-hidden block.  Recurrent state starts at zero and runs strictly
 forward, so outputs at time t never depend on inputs after t.
+
+``backward`` skips what its caller would drop: ``input_grad=False`` the
+first layer's input product (for a network whose weights alone are
+updated), ``weight_grads=False`` every weight gradient (for a frozen
+network the gradient only passes through).  :class:`SgdMomentum` at
+momentum 0 steps by the gradient itself and keeps no velocity.
 
 A network may also be a stack of G independent models of one shape
 (:meth:`Network.stack`): every weight then carries a leading model axis,
@@ -98,7 +109,7 @@ def _elman_scan(x, w_in, w_rec, bias):
     return h
 
 
-def elman_backward(x, h, w_in, w_rec, grad_h, input_grad=True):
+def elman_backward(x, h, w_in, w_rec, grad_h, input_grad=True, weight_grads=True):
     """Backpropagation through time for the time-major cell.
 
     ``x`` (..., T, B, D) is the cell input, ``h`` (..., T, B, H) its output
@@ -106,7 +117,8 @@ def elman_backward(x, h, w_in, w_rec, grad_h, input_grad=True):
     and contiguous.  Only the recurrence runs per step; the input and
     weight gradients are one flat product each after the loop, the bias
     gradient one :func:`_row_sum`.  Returns ``(grad_x, grad_w_in,
-    grad_w_rec, grad_bias)``, with ``grad_x`` None unless ``input_grad``.
+    grad_w_rec, grad_bias)``, with ``grad_x`` None unless ``input_grad``
+    and the three weight gradients None unless ``weight_grads``.
     """
     # in place: ``1.0 - h * h`` makes NumPy check whether it may reuse the
     # large temporary, which cost about 200 us per call here
@@ -122,6 +134,8 @@ def elman_backward(x, h, w_in, w_rec, grad_h, input_grad=True):
         steps[t - 1] *= carry
     flat = _rows(gpre)
     grad_x = (flat @ _mT(w_in)).reshape(x.shape) if input_grad else None
+    if not weight_grads:
+        return grad_x, None, None, None
     grad_w_in = _mT(_rows(x)) @ flat
     grad_w_rec = _mT(_rows(h[..., :-1, :, :])) @ _rows(gpre[..., 1:, :, :])
     return grad_x, grad_w_in, grad_w_rec, _row_sum(gpre)
@@ -269,23 +283,28 @@ class Network:
                 _add_bias(pre, layer.b, out.shape[-2])
                 out = _activate(pre, layer.activation).reshape(*out.shape[:-1], -1)
             outputs.append(out)
-        return _swap_bt(out), Trace(inputs, outputs, self._version)
+        return out.swapaxes(-3, -2), Trace(inputs, outputs, self._version)
 
-    def backward(self, grad_output, trace, input_grad=True):
+    def backward(self, grad_output, trace, input_grad=True, weight_grads=True):
         """Exact gradients of a scalar loss (one per model of a stack) given
         its (B, T, K) gradient at the output, (G, B, T, K) for a stack.
 
         Returns ``(grads, grad_input)`` where ``grads`` is a list of
         (dw, db) aligned with the layers and ``grad_input`` is (B, T, d),
         a batch-major view of the time-major gradient, all in the dtype of
-        the weights.  A caller that only updates the weights passes
-        ``input_grad=False``; the first layer then skips its input product
-        and ``grad_input`` is None.  Raises if the trace was taken before
-        the parameters last changed.
+        the weights.  ``grad_output`` is only read; as a batch-major view
+        of a contiguous time-major array in the weights' dtype, which is
+        how :meth:`forward` lays out its output, it is used with no copy.
+        A caller that only updates the weights passes ``input_grad=False``;
+        the first layer then skips its input product and ``grad_input`` is
+        None.  A caller that only chains the gradient through a frozen
+        network passes ``weight_grads=False``; no weight gradient is formed
+        and ``grads`` is None.  Raises if the trace was taken before the
+        parameters last changed.
         """
         if trace.version != self._version:
             raise ValidationError("stale trace: parameters changed since forward()")
-        grads = [None] * len(self.layers)
+        grads = [None] * len(self.layers) if weight_grads else None
         g = _swap_bt(grad_output, self.layers[0].w.dtype)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
@@ -294,12 +313,14 @@ class Network:
             if layer.recurrent:
                 d = layer.in_dim
                 g, dw_in, dw_rec, db = elman_backward(
-                    x, out, layer.w[..., :d, :], layer.w[..., d:, :], g, needed
+                    x, out, layer.w[..., :d, :], layer.w[..., d:, :], g, needed, weight_grads
                 )
-                grads[i] = (np.concatenate([dw_in, dw_rec], axis=-2), db)
+                if weight_grads:
+                    grads[i] = (np.concatenate([dw_in, dw_rec], axis=-2), db)
             else:
                 gpre = _activation_grad(_rows(g), _rows(out), layer.activation)
-                grads[i] = (_mT(_rows(x)) @ gpre, _row_sum(gpre.reshape(out.shape)))
+                if weight_grads:
+                    grads[i] = (_mT(_rows(x)) @ gpre, _row_sum(gpre.reshape(out.shape)))
                 g = (gpre @ _mT(layer.w)).reshape(x.shape) if needed else None
         return grads, None if g is None else g.swapaxes(-3, -2)
 
@@ -324,7 +345,9 @@ class Network:
 def _swap_bt(a, dtype=None):
     """(..., B, T, d) <-> (..., T, B, d) as a contiguous array of ``dtype``
     (``a``'s own by default), made in one copy; no copy when ``a`` already
-    has that dtype, B or T is 1 and there is no model axis."""
+    has that dtype and is the swapped view of a contiguous array, as
+    :meth:`Network.forward`'s output is, or B or T is 1 and there is no
+    model axis."""
     return np.asarray(np.swapaxes(a, -3, -2), dtype=dtype, order="C")
 
 
@@ -348,9 +371,9 @@ def _activate(pre, activation):
     if activation == "tanh":
         return np.tanh(pre, out=pre)
     # softmax over the feature axis, shifted for stability
-    pre -= _fold_columns(np.maximum, pre)[..., None]
+    _per_column(np.subtract, pre, _fold_columns(np.maximum, pre), pre)
     np.exp(pre, out=pre)
-    pre /= _fold_columns(np.add, pre)[..., None]
+    _per_column(np.true_divide, pre, _fold_columns(np.add, pre), pre)
     return pre
 
 
@@ -362,8 +385,19 @@ def _activation_grad(g, out, activation):
     if activation == "tanh":
         return g * (1.0 - out**2)
     # softmax Jacobian: p * (g - <g, p>)
-    inner = _fold_columns(np.add, g * out)
-    return out * (g - inner[..., None])
+    gpre = _per_column(np.subtract, g, _fold_columns(np.add, g * out), np.empty_like(g))
+    gpre *= out
+    return gpre
+
+
+def _per_column(op, a, column, out):
+    """``op(a, column[..., None], out=out)`` for the (..., rows, K) arrays
+    ``a`` and ``out``, one class column at a time: the same elementwise op
+    as the broadcast, whose K-wide inner loop runs per row and costs more
+    than K row-long calls for the few classes here.  Returns ``out``."""
+    for k in range(a.shape[-1]):
+        op(a[..., k], column, out=out[..., k])
+    return out
 
 
 def _fold_columns(op, a):
@@ -390,8 +424,11 @@ class SgdMomentum:
 
     The velocity buffers are created on the first step and updated in
     place after that; the gradients passed to :meth:`step` are only read.
-    Every update is elementwise, so a stack of models steps as each model
-    would alone.
+    At momentum 0 the velocity would be the gradient itself, so the step
+    moves by the gradient and keeps no buffer: the velocity formula bit
+    for bit on finite gradients, but for the sign of a -0.0 weight less a
+    -0.0 step (no weight of a trained network is -0.0).  Every update is
+    elementwise, so a stack of models steps as each model would alone.
     """
 
     def __init__(self, network, learning_rate, momentum=0.9):
@@ -410,13 +447,18 @@ class SgdMomentum:
         for layer, (dw, db) in zip(layers, grads):
             if (dw.shape, db.shape) != (layer.w.shape, layer.b.shape):
                 raise ValidationError("gradient shape does not match parameters")
-        if self.velocity is None:
-            self.velocity = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in layers]
-        for layer, (vw, vb), (dw, db) in zip(layers, self.velocity, grads):
-            vw *= self.momentum
-            vw += dw
-            vb *= self.momentum
-            vb += db
-            layer.w -= self.learning_rate * vw
-            layer.b -= self.learning_rate * vb
+        if self.momentum == 0.0:
+            steps = grads
+        else:
+            if self.velocity is None:
+                self.velocity = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in layers]
+            for (vw, vb), (dw, db) in zip(self.velocity, grads):
+                vw *= self.momentum
+                vw += dw
+                vb *= self.momentum
+                vb += db
+            steps = self.velocity
+        for layer, (sw, sb) in zip(layers, steps):
+            layer.w -= self.learning_rate * sw
+            layer.b -= self.learning_rate * sb
         self.network._version += 1

@@ -90,7 +90,9 @@ def assemble_observed(y, x, noise=None, mode="y_only"):
     ``concat_xy`` appends the private labels as a float column; the noise
     stream follows when present.  Side information never becomes part of
     W: it belongs to the adversary and attacker inputs only.  Stacked
-    batches carry a leading model axis.
+    batches carry a leading model axis.  W is float64, written into one
+    time-major array and returned as its batch-major view, the layout
+    :meth:`.nets.Network.forward` runs in.
     """
     if mode not in OBSERVED_MODES:
         raise ValidationError(f"unknown observed mode {mode!r}")
@@ -102,22 +104,38 @@ def assemble_observed(y, x, noise=None, mode="y_only"):
         x = np.asarray(x)
         if x.shape != y.shape[:-1]:
             raise ValidationError(f"x shape {x.shape} does not match y {y.shape[:-1]}")
-        parts.append(x.astype(np.float64)[..., None])
+        parts.append(x[..., None])
     if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64)
+        noise = np.asarray(noise)
         if noise.shape[:-1] != y.shape[:-1]:
             raise ValidationError(f"noise shape {noise.shape} does not match y {y.shape[:-1]}")
         parts.append(noise)
-    return np.concatenate(parts, axis=-1)
+    return _time_major_columns(parts, np.float64)
 
 
-def _with_side_info(z, s, si_enabled):
-    """Adversary/attacker input: released features, plus SI tiled over time."""
+def _with_side_info(z, s, si_enabled, models=slice(None)):
+    """Adversary/attacker input for the models ``models`` (an index on
+    the model axis) of the release ``z``: their released features, plus
+    their SI tiled over time, in the release's dtype and the layout of
+    :func:`assemble_observed`'s W."""
     if not si_enabled:
-        return z
-    s = np.asarray(s, dtype=np.float64)
-    tiled = np.repeat(s[..., None, :], z.shape[-2], axis=-2)
-    return np.concatenate([z, tiled], axis=-1)
+        return z[models]
+    return _time_major_columns([z[models], s[models][..., None, :]], z.dtype)
+
+
+def _time_major_columns(columns, dtype):
+    """The (..., B, T, .) ``columns`` side by side along the feature axis,
+    cast to ``dtype`` as they are written (a column may broadcast over
+    time), into one time-major array; returns its batch-major view."""
+    first = columns[0]
+    width = sum(c.shape[-1] for c in columns)
+    out = np.empty(first.shape[:-3] + (first.shape[-2], first.shape[-3], width), dtype)
+    view = out.swapaxes(-3, -2)
+    start = 0
+    for column in columns:
+        view[..., start:start + column.shape[-1]] = column
+        start += column.shape[-1]
+    return view
 
 
 @dataclass
@@ -250,12 +268,13 @@ def _releaser_step(opt_r, parts, utility, batch, spec, lam, hyper, si_enabled):
         probs_u, trace_u = utility.forward(z)
         util = adversary_loss(probs_u, batch.c[..., None])
         utility_value = util.value
-    # the loss gradients add up in float64 whatever the release's dtype
-    values, grad_z = np.empty(len(lam)), np.empty(z.shape)
+    # the loss gradients add up in float64 whatever the release's dtype,
+    # in the release's time-major layout
+    values, grad_z = np.empty(len(lam)), np.empty_like(z, dtype=np.float64)
     for index, adversary in parts:
         probs = None
         if adversary is not None:
-            probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled)[index])
+            probs, trace_a = adversary.forward(_with_side_info(z, batch.s, si_enabled, index))
         loss = releaser_loss(
             z[index], batch.y[index], probs, spec, lam[index], hyper.alpha,
             None if utility_value is None else utility_value[index],
@@ -263,10 +282,11 @@ def _releaser_step(opt_r, parts, utility, batch, spec, lam, hyper, si_enabled):
         values[index] = loss.value
         grad_z[index] = loss.grad_released
         if adversary is not None:
-            _, grad_adv_in = adversary.backward(loss.grad_posteriors, trace_a)
+            _, grad_adv_in = adversary.backward(loss.grad_posteriors, trace_a,
+                                                weight_grads=False)
             grad_z[index] += grad_adv_in[..., :z.shape[-1]]
     if utility is not None:
-        _, grad_util_in = utility.backward(util.grad_posteriors, trace_u)
+        _, grad_util_in = utility.backward(util.grad_posteriors, trace_u, weight_grads=False)
         grad_z += grad_util_in
     grads_r, _ = releaser.backward(grad_z, trace_r, input_grad=False)
     opt_r.step(grads_r)
@@ -413,8 +433,8 @@ def train_group(hypers, streams, spec, si_enabled=False, utility_enabled=False,
         z_rows = _release(_substack(releaser, fed_index), rows, hyper.observed_mode)
         classifiers = []
         if adv_models:
-            inputs = _with_side_info(z_rows, rows.s, si_enabled)
-            classifiers.append((opt_a, "adversary", inputs[adv_in_fed], rows.x[adv_in_fed],
+            inputs = _with_side_info(z_rows, rows.s, si_enabled, adv_in_fed)
+            classifiers.append((opt_a, "adversary", inputs, rows.x[adv_in_fed],
                                 adv_models, records["adversary"]))
         if utility_enabled:
             classifiers.append((opt_u, "utility", z_rows, rows.c[..., None], everyone,
@@ -537,9 +557,10 @@ def train_attacker_group(systems, streams, si_enabled, seeds):
 
 
 def classifier_predictions(net: Network, features):
-    """Class predictions (argmax over the softmax output) per (b, t)."""
+    """Class predictions (argmax over the softmax output's class axis) per
+    (b, t), with a leading model axis for a stack."""
     probs, _ = net.forward(features)
-    return probs.argmax(axis=2)
+    return probs.argmax(axis=-1)
 
 
 def evaluate_system(

@@ -16,6 +16,7 @@ from alphaprivacy.losses import (
     releaser_loss,
 )
 from alphaprivacy.measures import PosteriorBatch, batch_sequence_arimoto_entropy
+from alphaprivacy.metrics import normalized_error
 from alphaprivacy.nets import (
     Layer,
     Network,
@@ -467,23 +468,29 @@ class TestSgd:
             np.testing.assert_array_equal(layer.w, w)
             np.testing.assert_array_equal(layer.b, b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_in_place_step_matches_reference_formula(self, momentum):
-        net = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], seed=12)
+    def test_in_place_step_matches_reference_formula(self, momentum, dtype):
+        # bit for bit, also at momentum 0, where no velocity is kept
+        net = Network.build([recurrent(3, 4), dense(4, 2, "softmax")], 12, dtype)
         ref_params = [(l.w.copy(), l.b.copy()) for l in net.layers]
         ref_velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref_params]
         rng = np.random.default_rng(4)
         opt = SgdMomentum(net, 0.05, momentum)
         velocity = None
         for _ in range(4):
-            grads = [(rng.normal(size=l.w.shape), rng.normal(size=l.b.shape))
-                     for l in net.layers]
+            grads = [(rng.normal(size=l.w.shape).astype(dtype),
+                      rng.normal(size=l.b.shape).astype(dtype)) for l in net.layers]
             snapshot = [(dw.copy(), db.copy()) for dw, db in grads]
             opt.step(grads)
-            if velocity is not None:
-                assert all(r[0] is v[0] and r[1] is v[1]
-                           for r, v in zip(opt.velocity, velocity))
-            velocity = list(opt.velocity)
+            if momentum == 0.0:
+                # the step is the gradient itself: no velocity buffer
+                assert opt.velocity is None
+            else:
+                if velocity is not None:
+                    assert all(r[0] is v[0] and r[1] is v[1]
+                               for r, v in zip(opt.velocity, velocity))
+                velocity = list(opt.velocity)
             for (dw, db), (sw, sb) in zip(grads, snapshot):
                 np.testing.assert_array_equal(dw, sw)
                 np.testing.assert_array_equal(db, sb)
@@ -493,8 +500,7 @@ class TestSgd:
                 w -= 0.05 * vw
                 b -= 0.05 * vb
             for layer, (w, b) in zip(net.layers, ref_params):
-                np.testing.assert_array_equal(layer.w, w)
-                np.testing.assert_array_equal(layer.b, b)
+                assert layer.w.tobytes() == w.tobytes() and layer.b.tobytes() == b.tobytes()
 
 
 DOCUMENT_SPECS = {
@@ -618,6 +624,71 @@ class TestStack:
         with pytest.raises(ValidationError, match="same model axis"):
             Network([Layer(np.zeros((2, 2, 2)), np.zeros((2, 2)), "tanh"),
                      Layer(np.zeros((2, 2)), np.zeros(2), "linear")])
+
+
+VIEW_NETS = [
+    pytest.param([dense(3, 16, "tanh"), dense(16, 2, "softmax")], 1, np.float64, id="dense"),
+    pytest.param([recurrent(3, 16), dense(16, 2, "softmax")], 24, np.float32,
+                 id="recurrent-float32"),
+    pytest.param([recurrent(3, 5), dense(5, 4, "tanh"), recurrent(4, 3), dense(3, 2, "linear")],
+                 7, np.float64, id="two-cells"),
+]
+
+
+class TestViewContract:
+    """``forward`` returns a batch-major view of the time-major output its
+    trace holds; ``backward`` reads a gradient laid out that way as it is,
+    and ``weight_grads=False`` forms no weight gradient."""
+
+    @pytest.mark.parametrize("specs, nsteps, dtype", VIEW_NETS)
+    @pytest.mark.parametrize("models", [0, 3])
+    def test_forward_output_is_a_view_of_the_trace(self, specs, nsteps, dtype, models):
+        nets = [Network.build(specs, 40 + g, dtype) for g in range(max(models, 1))]
+        net = Network.stack(nets) if models else nets[0]
+        lead = (models,) if models else ()
+        x = np.random.default_rng(41).normal(size=lead + (9, nsteps, 3))
+        out, trace = net.forward(x)
+        assert out.dtype == dtype and out.shape == lead + (9, nsteps, specs[-1][2])
+        assert np.shares_memory(out, trace.outputs[-1])
+        np.testing.assert_array_equal(out, trace.outputs[-1].swapaxes(-3, -2))
+
+    @pytest.mark.parametrize("specs, nsteps, dtype", VIEW_NETS)
+    @pytest.mark.parametrize("models", [0, 3])
+    def test_gradient_layout_does_not_change_backward(self, specs, nsteps, dtype, models):
+        # the forward-shaped gradient, a contiguous batch-major copy and a
+        # float64 one give the same gradients, bit for bit
+        nets = [Network.build(specs, 42 + g, dtype) for g in range(max(models, 1))]
+        net = Network.stack(nets) if models else nets[0]
+        lead = (models,) if models else ()
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=lead + (9, nsteps, 3))
+        out, trace = net.forward(x)
+        grad = np.empty_like(out)
+        grad[...] = rng.normal(size=out.shape)
+        assert grad.swapaxes(-3, -2).flags.c_contiguous
+        results = [net.backward(g, trace) for g in
+                   (grad, np.ascontiguousarray(grad), grad.astype(np.float64, order="C"))]
+        for grads, gx in results[1:]:
+            np.testing.assert_array_equal(gx, results[0][1])
+            for (dw, db), (want_dw, want_db) in zip(grads, results[0][0]):
+                np.testing.assert_array_equal(dw, want_dw)
+                np.testing.assert_array_equal(db, want_db)
+
+    @pytest.mark.parametrize("specs, nsteps, dtype", VIEW_NETS)
+    @pytest.mark.parametrize("models", [0, 3])
+    def test_input_only_backward_equals_the_full_one(self, specs, nsteps, dtype, models):
+        nets = [Network.build(specs, 44 + g, dtype) for g in range(max(models, 1))]
+        net = Network.stack(nets) if models else nets[0]
+        lead = (models,) if models else ()
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=lead + (9, nsteps, 3))
+        out, trace = net.forward(x)
+        g = rng.normal(size=out.shape)
+        _, want = net.backward(g, trace)
+        grads, gx = net.backward(g, trace, weight_grads=False)
+        assert grads is None and gx.dtype == want.dtype
+        assert gx.tobytes() == want.tobytes()
+        assert net.backward(g, trace, input_grad=False, weight_grads=False) == (None, None)
 
 
 class TestSinglePrecision:
@@ -798,6 +869,94 @@ class TestAdversaryLoss:
         assert got.value == float(-np.log(safe).mean())
         assert got.clamped == int((picked < 1e-15).sum()) == 4
         np.testing.assert_array_equal(got.grad_posteriors, want_grad)
+
+
+def float64_adversary_loss(probs, labels):
+    """The adversary loss as a batch-major float64 formula: the value, the
+    clamp count and the gradient of the posteriors read as a contiguous
+    float64 array."""
+    probs = np.asarray(probs, dtype=np.float64, order="C")
+    index = np.asarray(labels, dtype=np.intp)[..., None]
+    picked = np.take_along_axis(probs, index, axis=-1)[..., 0]
+    safe = np.maximum(picked, 1e-15)
+    nbatch, nsteps = probs.shape[-3:-1]
+    grad = np.zeros_like(probs)
+    np.put_along_axis(grad, index, (-1.0 / (safe * nbatch * nsteps))[..., None], axis=-1)
+    value = -np.log(safe).reshape(*probs.shape[:-3], -1).mean(axis=-1)
+    return value, int((picked < 1e-15).sum()), grad
+
+
+class TestAdversaryLossLayout:
+    """``adversary_loss`` reads the posteriors in their dtype and layout and
+    writes its gradient time-major in their dtype; the value, the clamp
+    count and the gradient, rounded once, are those of the float64
+    formula."""
+
+    @pytest.mark.parametrize("source", ["float64-array", "float32-forward"])
+    @pytest.mark.parametrize("nsteps", [1, 24])
+    @pytest.mark.parametrize("models", [0, 3])
+    def test_matches_the_float64_formula(self, source, nsteps, models):
+        rng = np.random.default_rng(80 + nsteps + models)
+        lead = (models,) if models else ()
+        if source == "float64-array":
+            probs = rng.random(lead + (37, nsteps, 3))
+            probs /= probs.sum(axis=-1, keepdims=True)
+            probs[..., :4, 0, :] = 0.0  # clamped picks
+        else:
+            specs = [recurrent(2, 8) if nsteps > 1 else dense(2, 8, "tanh"),
+                     dense(8, 3, "softmax")]
+            nets = [Network.build(specs, 81 + g, np.float32) for g in range(max(models, 1))]
+            for net in nets:
+                net.layers[-1].w *= 40.0  # saturate some posteriors below 1e-15
+            net = Network.stack(nets) if models else nets[0]
+            probs, _ = net.forward(rng.normal(size=lead + (37, nsteps, 2), scale=3.0))
+        labels = rng.integers(0, 3, size=probs.shape[:-1])
+        got = adversary_loss(probs, labels)
+        value, clamped, grad = float64_adversary_loss(probs, labels)
+        assert got.clamped == clamped > 0
+        assert np.shape(got.value) == lead
+        assert np.asarray(got.value).tobytes() == value.tobytes()
+        assert got.grad_posteriors.dtype == probs.dtype
+        assert got.grad_posteriors.swapaxes(-3, -2).flags.c_contiguous
+        assert got.grad_posteriors.tobytes(order="C") == grad.astype(probs.dtype).tobytes()
+
+    def test_float_labels_are_a_typed_error_naming_the_dtype(self):
+        probs = np.full((2, 1, 2), 0.5)
+        with pytest.raises(ValidationError, match="float64"):
+            adversary_loss(probs, np.array([[0.0], [1.0]]))
+
+    def test_bool_labels_read_as_zero_and_one(self):
+        probs = np.array([[[0.7, 0.3]], [[0.6, 0.4]]])
+        want = adversary_loss(probs, np.array([[0], [1]]))
+        got = adversary_loss(probs, np.array([[False], [True]]))
+        assert got.value == want.value
+        np.testing.assert_array_equal(got.grad_posteriors, want.grad_posteriors)
+
+
+class TestLossesOnViews:
+    """A loss fed the network's layout, a batch-major view of a time-major
+    float32 array, returns what it returns for the view's contiguous copy,
+    bit for bit: every sum keeps its batch-major order."""
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.0, 3.0])
+    @pytest.mark.parametrize("models", [0, 2])
+    def test_releaser_loss_and_normalized_error(self, alpha, models):
+        rng = np.random.default_rng(int(10 * alpha) + models)
+        lead = (models,) if models else ()
+        released = rng.normal(size=lead + (24, 64, 1)).astype(np.float32).swapaxes(-3, -2)
+        probs = rng.random(lead + (24, 64, 2)).astype(np.float32) + 0.05
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = probs.swapaxes(-3, -2)
+        target = rng.normal(size=released.shape)
+        spec, lam = DistortionSpec("ts_l2"), [20.0] * models if models else 20.0
+        got = releaser_loss(released, target, probs, spec, lam, alpha)
+        want = releaser_loss(np.ascontiguousarray(released), target,
+                             np.ascontiguousarray(probs), spec, lam, alpha)
+        for a, b in ((got.value, want.value), (got.grad_released, want.grad_released),
+                     (got.grad_posteriors, want.grad_posteriors)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        ne_view = normalized_error(released, target)
+        assert ne_view == normalized_error(np.ascontiguousarray(released), target)
 
 
 class TestReleaserLoss:

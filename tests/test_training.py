@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaprivacy.datasets import BatchStream, DatasetBatch, SynthConfig, _derive_seed, generate
 from alphaprivacy.errors import DivergenceError, ValidationError
@@ -21,6 +23,7 @@ from alphaprivacy.training import (
     TrainedSystem,
     _draw,
     assemble_observed,
+    classifier_predictions,
     evaluate_system,
     train,
     train_attacker,
@@ -501,6 +504,56 @@ class TestAttacker:
         assert scores["ne"] >= 0.0
         assert 0.0 <= scores["attacker_accuracy"] <= 1.0
         assert 0.0 <= scores["utility_accuracy"] <= 1.0
+
+
+class TestClassifierPredictions:
+    def test_a_stack_predicts_what_each_member_predicts_alone(self):
+        nets = [Network.build([dense(2, 4, "tanh"), dense(4, 3, "softmax")], seed)
+                for seed in (3, 4)]
+        features = np.random.default_rng(5).normal(size=(2, 5, 1, 2), scale=3.0)
+        preds = classifier_predictions(Network.stack(nets), features)
+        assert preds.shape == (2, 5, 1)
+        for g, net in enumerate(nets):
+            np.testing.assert_array_equal(preds[g], classifier_predictions(net, features[g]))
+
+
+GROUP_POOLS = {1: clusters_data(total=48, seed=7),
+               3: markov_data(total=24, seed=8, num_steps=3, si_correlation=0.5)}
+
+
+class TestGroupEqualsLoneRuns:
+    """Property: a group is its lone runs, bit for bit, whatever the mix
+    of idle (lambda = 0) and adversary models: at T = 1 with the utility
+    network on or off, and at T = 3 with side information on or off."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lams=st.lists(st.sampled_from([0.0, 0.5, 3.0, 20.0]), min_size=1, max_size=4),
+           num_steps=st.sampled_from([1, 3]), extra=st.booleans(),
+           iterations=st.integers(1, 3), momentum=st.sampled_from([0.0, 0.5]),
+           observed_mode=st.sampled_from(["y_only", "concat_xy"]),
+           seed=st.integers(0, 1000))
+    def test_group_equals_lone_runs(self, lams, num_steps, extra, iterations, momentum,
+                                    observed_mode, seed):
+        # ``extra`` is side information at T = 3, the utility network at T = 1
+        si_enabled, utility_enabled = extra and num_steps == 3, extra and num_steps == 1
+        data = GROUP_POOLS[num_steps]
+        hyper = HyperParams(momentum=momentum, lr_releaser=0.02, lr_adversary=0.1,
+                            iterations=iterations, batch_size=6, adversary_steps=2,
+                            num_steps=num_steps, observed_mode=observed_mode,
+                            average_tail=0.5)
+        hypers = [replace(hyper, lam=lam, seed=seed + g) for g, lam in enumerate(lams)]
+        spec = DistortionSpec("ts_l2" if num_steps == 3 else
+                              "composite_img" if utility_enabled else "p_norm")
+        group_log, logs = io.StringIO(), [io.StringIO() for _ in hypers]
+        group = train_group(hypers, [BatchStream(data, seed + g) for g in range(len(lams))],
+                            spec, si_enabled, utility_enabled, group_log)
+        alone = [train(h, BatchStream(data, seed + g), spec, si_enabled, utility_enabled,
+                       logs[g])
+                 for g, h in enumerate(hypers)]
+        assert [s.to_dict() for s in group] == [s.to_dict() for s in alone]
+        lone_lines = [log.getvalue().splitlines() for log in logs]
+        assert group_log.getvalue().splitlines() == [
+            line for lines in zip(*lone_lines) for line in lines]
 
 
 class TestStackedRelease:
